@@ -1,10 +1,10 @@
 """Independent certification of a computed equilibrium.
 
-Nash optimality is checked by re-solving every leader's nonsmooth problem
-globally (epigraph reformulation, exhaustive active sets); the limit point
-is additionally checked against the strong stationarity system of the
+The limit point is checked against the strong stationarity system of the
 complementarity-constrained formulation with explicitly constructed
-multipliers.
+multipliers. The same multipliers are a dual-feasible point of every
+leader's epigraph reformulation, so weak duality turns them into an upper
+bound on each leader's regret against its global best response.
 """
 import numpy as np
 
@@ -17,7 +17,7 @@ for number in (1, 2):
 
     print(f"dataset {number}: x* = {np.round(trace.final.x, 6)}")
     for nu, gap in enumerate(cert.nash_gaps, start=1):
-        print(f"  leader {nu} regret against its global best response: {gap:.2e}")
+        print(f"  leader {nu} upper bound on regret against its global best response: {gap:.2e}")
     print(f"  limit branch indicators: {cert.xi_bar}")
     print(f"  branch multipliers: {np.round(cert.Gamma1, 6)} / {np.round(cert.Gamma2, 6)}")
     worst = max(cert.s_stat_residuals.values())

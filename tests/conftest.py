@@ -36,6 +36,25 @@ def trace1_no_predictor(ds1):
     return homotopy_solve(ds1, cfg=HomotopyConfig(taylor=False))
 
 
+@pytest.fixture(scope="session")
+def active_game(ds1, trace1):
+    """Dataset 1 with each leader's first constraint moved a distance 0.3
+    past the old equilibrium, so that it is active (``lam > 0``) at the new
+    one. Both bundled equilibria have ``lam = 0``."""
+    leaders = []
+    for nu, ld in enumerate(ds1.leaders, start=1):
+        row = ld.A[:, 0]
+        b = ld.b.copy()
+        b[0] = -row @ trace1.final.x[ds1.x_slice(nu)] + 0.3 * np.linalg.norm(row)
+        leaders.append(LeaderSpec(Q=ld.Q, c=ld.c, A=ld.A, b=b))
+    return GameSpec(leaders=tuple(leaders), follower=ds1.follower)
+
+
+@pytest.fixture(scope="session")
+def active_trace(active_game):
+    return homotopy_solve(active_game)
+
+
 def make_game(Q_list, c_list, A_list, b_list, Qy, B, L, a) -> GameSpec:
     leaders = tuple(
         LeaderSpec(Q=Q, c=c, A=A, b=b) for Q, c, A, b in zip(Q_list, c_list, A_list, b_list)

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 
+from mlfg import save_game
 from mlfg.cli import BENCH_COLUMNS, ITER_LOG_COLUMNS, MULTISTART_COLUMNS, main
+
+from conftest import make_game
 
 
 def run(*argv):
@@ -51,6 +54,16 @@ def test_solve_report_rerun_closure(tmp_path):
     x1 = np.array(json.loads(r1.read_text())["solution"]["x"])
     x2 = np.array(json.loads(r2.read_text())["solution"]["x"])
     assert np.max(np.abs(x1 - x2)) <= 1e-12
+
+
+def test_solve_report_fields(tmp_path, trace1):
+    report = tmp_path / "report.json"
+    assert run("solve", "--dataset", "1", "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    assert [s["fallback_steps"] for s in doc["stages"]] == [
+        s.fallback_steps for s in trace1.stages
+    ]
+    assert doc["certificate"]["nash_method"] == "weak_duality"
 
 
 def test_solve_missing_data_file():
@@ -133,6 +146,22 @@ def test_solve_random_start_seed(tmp_path):
     doc = json.loads(r.read_text())
     assert doc["config"]["seed"] == 7
     assert doc["certificate"]["certified"] is True
+
+
+def test_verify_infeasible_polyhedron_exit_code(tmp_path, capsys):
+    # x <= -1 and x >= 1 cannot hold together: no candidate is feasible
+    game = make_game(
+        [np.array([[1.0]])], [np.zeros(1)], [np.array([[1.0, -1.0]])],
+        [np.array([1.0, 1.0])], np.array([1.0]), np.array([[1.0]]),
+        np.array([[1.0]]), np.array([0.5]),
+    )
+    path = tmp_path / "infeasible.json"
+    save_game(game, path)
+    xfile = tmp_path / "x.json"
+    xfile.write_text("[0.0]")
+    assert run("verify", "--data", str(path), "--x", str(xfile)) == 2
+    out = capsys.readouterr().out
+    assert "primal_feasibility: 1.000000e+00" in out
 
 
 def test_verify_requires_candidate():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mlfg.verify
 from mlfg import (
     OracleError,
     best_response_qp_oracle,
@@ -12,6 +13,7 @@ from mlfg import (
     split_strategy,
     verify_nash,
 )
+from mlfg.verify import nash_gap_bounds
 
 from conftest import make_game
 
@@ -252,6 +254,69 @@ class TestStationarityCertificate:
             assert cert.s_certified
             assert cert.nash_certified
             assert cert.certified
+
+
+class TestWeakDualityBound:
+    def test_bound_dominates_enumerated_gap(self):
+        # weak duality: any dual-feasible point bounds every gap from above;
+        # clipped draws put mass on the bounds of [0, a] and on lam = 0
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            game = tiny_instance(rng)
+            k, a = game.n, game.follower.a
+            x = rng.uniform(-1.5, 1.5, k)
+            gap = verify_nash(game, x).nash_gaps[0]
+            lam_raw = rng.uniform(-1.0, 2.0, 2 * k)
+            Gamma1_raw = a * rng.uniform(-1.0, 2.0, a.shape[0])
+            lam, Gamma1 = np.maximum(lam_raw, 0.0), np.clip(Gamma1_raw, 0.0, a)
+            bound = nash_gap_bounds(game, x, lam, Gamma1)[0]
+            assert bound >= gap - 1e-12
+            # dual feasibility is enforced, not trusted
+            assert nash_gap_bounds(game, x, lam_raw, Gamma1_raw)[0] == bound
+
+    def test_bound_matches_enumeration_at_equilibria(self, ds1, trace1, ds2, trace2):
+        for game, trace in ((ds1, trace1), (ds2, trace2)):
+            x = trace.final.x
+            cert = certify(game, x, trace.final.lam, trace.final_eps)
+            assert cert.nash_method == "weak_duality"
+            np.testing.assert_allclose(
+                cert.nash_gaps, verify_nash(game, x).nash_gaps, rtol=0.0, atol=1e-9
+            )
+
+    def test_certify_never_enumerates(self, monkeypatch, ds1, trace1, ds2, trace2):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify must not enumerate active sets")
+
+        monkeypatch.setattr(mlfg.verify, "best_response_qp_oracle", refuse)
+        for game, trace in ((ds1, trace1), (ds2, trace2)):
+            cert = certify(game, trace.final.x, trace.final.lam, trace.final_eps)
+            assert cert.certified
+
+
+class TestActiveConstraints:
+    def test_solution_certifies_with_active_constraints(self, active_game, active_trace):
+        final = active_trace.final
+        assert active_trace.converged
+        assert np.max(final.lam) > 0.0
+        cert = certify(active_game, final.x, final.lam, active_trace.final_eps)
+        assert cert.certified, (cert.nash_gaps, cert.s_stat_residuals)
+
+    def test_bound_matches_enumeration(self, active_game, active_trace):
+        final = active_trace.final
+        cert = certify(active_game, final.x, final.lam, active_trace.final_eps)
+        np.testing.assert_allclose(
+            cert.nash_gaps, verify_nash(active_game, final.x).nash_gaps, rtol=0.0, atol=1e-9
+        )
+
+    def test_dropping_multipliers_refuses(self, active_game, active_trace):
+        # without the constraint multipliers the dual point ignores the
+        # active constraints, and the bound is far above the true gap
+        final = active_trace.final
+        cert = certify(
+            active_game, final.x, np.zeros_like(final.lam), active_trace.final_eps
+        )
+        assert not cert.nash_certified
+        assert np.max(cert.nash_gaps) > 0.1
 
 
 class TestProbes:
