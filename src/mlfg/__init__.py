@@ -36,8 +36,6 @@ from .model import (
     validate_game,
 )
 from .smoothing import (
-    AffineMaps,
-    SmoothingFamily,
     best_response_exact,
     best_response_smoothed,
     leader_gradient_smoothed,
@@ -56,7 +54,6 @@ from .solvers import (
     InnerResult,
     NewtonConfig,
     SubgradConfig,
-    aggregate_direction,
     armijo_search,
     lu_solve,
     newton_solve,
@@ -77,7 +74,6 @@ from .verify import (
 
 __all__ = [
     "__version__",
-    "AffineMaps",
     "Certificate",
     "EpigraphQP",
     "FollowerSpec",
@@ -93,10 +89,8 @@ __all__ = [
     "NewtonConfig",
     "OracleError",
     "PrimalDualPoint",
-    "SmoothingFamily",
     "StageRecord",
     "SubgradConfig",
-    "aggregate_direction",
     "armijo_search",
     "best_response_exact",
     "best_response_qp_oracle",

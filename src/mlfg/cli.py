@@ -28,7 +28,7 @@ from .model import (
 )
 from .smoothing import best_response_exact
 from .solvers import NewtonConfig, SubgradConfig, newton_solve
-from .verify import Certificate, certify, smoothing_drift
+from .verify import Certificate, certify, s_stationarity_certificate, smoothing_drift
 
 NASH_TOL_BASE = 1e-5
 STAT_TOL_BASE = 1e-6
@@ -106,27 +106,30 @@ def _homotopy_config(args) -> HomotopyConfig:
     )
 
 
-def _write_iter_log(path: Path, trace: HomotopyTrace, method: str, taylor: bool) -> None:
+def _write_csv(path: Path, columns: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ITER_LOG_COLUMNS)
-        for stage in trace.stages:
-            history = stage.merit_history or [stage.merit_final]
-            for k, psi in enumerate(history):
-                step = 0.0 if k == 0 else stage.step_norms[k - 1]
-                writer.writerow(
-                    [
-                        stage.index,
-                        repr(stage.eps),
-                        method,
-                        "on" if taylor else "off",
-                        k,
-                        repr(float(psi)),
-                        repr(float(step)),
-                        repr(stage.predictor_norm),
-                        repr(stage.wall_ms),
-                    ]
-                )
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _iter_log_rows(trace: HomotopyTrace, method: str, taylor: bool):
+    """Rows of the iteration log (``ITER_LOG_COLUMNS``), one per inner iterate."""
+    for stage in trace.stages:
+        history = stage.merit_history or [stage.merit_final]
+        for k, psi in enumerate(history):
+            step = 0.0 if k == 0 else stage.step_norms[k - 1]
+            yield [
+                stage.index,
+                repr(stage.eps),
+                method,
+                "on" if taylor else "off",
+                k,
+                repr(float(psi)),
+                repr(float(step)),
+                repr(stage.predictor_norm),
+                repr(stage.wall_ms),
+            ]
 
 
 def _build_report(
@@ -192,7 +195,8 @@ def cmd_solve(args) -> int:
             f"converged={s.converged}"
         )
     if args.log:
-        _write_iter_log(Path(args.log), trace, args.method, cfg.taylor)
+        rows = _iter_log_rows(trace, args.method, cfg.taylor)
+        _write_csv(Path(args.log), ITER_LOG_COLUMNS, rows)
     if not trace.converged:
         print("solver failed to converge at some stage", file=sys.stderr)
         return EXIT_SOLVER
@@ -223,6 +227,25 @@ def _read_vector(path: Path) -> np.ndarray:
     return np.asarray([float(v) for v in data], dtype=float)
 
 
+def _recover_multipliers(game: GameSpec, x: np.ndarray, eps_final: float, tol: float):
+    """Leader multipliers that best fit the stationarity rows at ``x``.
+
+    The branch multipliers are those of :func:`s_stationarity_certificate`;
+    only constraints with ``g >= -tol`` may carry weight, and the
+    least-squares fit is clipped at zero. The certificate judges the result
+    like any supplied ``lam``; its Nash-gap bound holds for every ``lam >= 0``.
+    """
+    split = s_stationarity_certificate(game, x, np.zeros(game.m_bar), eps_final)
+    r = game.Q_block @ x + game.c_stack
+    r += game.drive.T @ split.Gamma1 + game.follower.L @ split.Gamma2
+    active = game.constraint_values(x) >= -tol
+    lam = np.zeros(game.m_bar)
+    if np.any(active):
+        G = game.constraint_gradient_block[:, active]
+        lam[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
+    return lam
+
+
 def cmd_verify(args) -> int:
     try:
         game, _ = _load(args)
@@ -234,7 +257,7 @@ def cmd_verify(args) -> int:
         elif args.x:
             vec = _read_vector(Path(args.x))
             if vec.shape[0] == game.n:
-                x, lam = vec, np.zeros(game.m_bar)
+                x, lam = vec, None
             elif vec.shape[0] == game.n + game.m_bar:
                 x, lam = vec[: game.n], vec[game.n :]
             else:
@@ -251,10 +274,10 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
 
     drift = smoothing_drift(game, eps_final)
-    cert = certify(
-        game, x, lam, eps_final,
-        nash_tol=max(args.tol, drift), s_tol=max(STAT_TOL_BASE, drift),
-    )
+    s_tol = max(STAT_TOL_BASE, drift)
+    if lam is None:
+        lam = _recover_multipliers(game, x, eps_final, s_tol)
+    cert = certify(game, x, lam, eps_final, nash_tol=max(args.tol, drift), s_tol=s_tol)
     for nu, gap in enumerate(cert.nash_gaps, start=1):
         print(f"leader {nu}: nash gap = {gap:.6e}")
     for name, value in cert.s_stat_residuals.items():
@@ -263,9 +286,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.certified else EXIT_CERT
 
 
-def _bench_schedule_rows(game: GameSpec, args) -> tuple[list[list], list[dict], bool]:
+def _bench_schedule_rows(game: GameSpec, args) -> tuple[list[list], list[list], bool]:
     rows: list[list] = []
-    iter_rows: list[dict] = []
+    iter_rows: list[list] = []
     ok = True
     for method in ("newton", "subgradient"):
         for taylor in (True, False):
@@ -281,6 +304,7 @@ def _bench_schedule_rows(game: GameSpec, args) -> tuple[list[list], list[dict], 
             )
             trace = homotopy_solve(game, PrimalDualPoint.zeros(game), cfg)
             ok = ok and trace.converged
+            iter_rows.extend(_iter_log_rows(trace, method, taylor))
             for s in trace.stages:
                 rows.append(
                     [
@@ -292,21 +316,6 @@ def _bench_schedule_rows(game: GameSpec, args) -> tuple[list[list], list[dict], 
                         repr(s.wall_ms),
                     ]
                 )
-                history = s.merit_history or [s.merit_final]
-                for k, psi in enumerate(history):
-                    iter_rows.append(
-                        {
-                            "stage": s.index,
-                            "eps": s.eps,
-                            "method": method,
-                            "taylor": taylor,
-                            "inner_iter": k,
-                            "merit": float(psi),
-                            "step_norm": 0.0 if k == 0 else s.step_norms[k - 1],
-                            "predictor_norm": s.predictor_norm,
-                            "wall_ms": s.wall_ms,
-                        }
-                    )
     return rows, iter_rows, ok
 
 
@@ -319,29 +328,9 @@ def cmd_bench(args) -> int:
 
     out = Path(args.out)
     rows, iter_rows, ok = _bench_schedule_rows(game, args)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        writer.writerows(rows)
-
+    _write_csv(out, BENCH_COLUMNS, rows)
     iters_path = out.with_name(out.stem + "_iters.csv")
-    with open(iters_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ITER_LOG_COLUMNS)
-        for r in iter_rows:
-            writer.writerow(
-                [
-                    r["stage"],
-                    repr(r["eps"]),
-                    r["method"],
-                    "on" if r["taylor"] else "off",
-                    r["inner_iter"],
-                    repr(r["merit"]),
-                    repr(float(r["step_norm"])),
-                    repr(r["predictor_norm"]),
-                    repr(r["wall_ms"]),
-                ]
-            )
+    _write_csv(iters_path, ITER_LOG_COLUMNS, iter_rows)
 
     # multistart cells: random initials at a fixed smoothing level
     multistart_path = out.with_name(out.stem + "_multistart.csv")

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import merit
+from .kkt import curvature_block, merit
 from .model import GameSpec, PrimalDualPoint
-from .smoothing import AffineMaps, phi_tilde_d2, phi_tilde_deps, phi_tilde_dt_deps
+from .smoothing import phi_tilde_dt_deps
 from .solvers import (
     InnerResult,
     NewtonConfig,
@@ -43,10 +43,6 @@ class HomotopyConfig:
     inner: str = "newton"
     inner_cfg: NewtonConfig | SubgradConfig | None = None
     p: int = 2
-    # 'mixed' uses the mixed second derivative in the predictor right-hand
-    # side (consistent with implicit differentiation); 'eps' uses the plain
-    # parameter derivative for comparison.
-    taylor_rhs: str = "mixed"
 
     def __post_init__(self):
         if not 1.0 < self.eps0 < 2.0:
@@ -57,8 +53,6 @@ class HomotopyConfig:
             raise ValueError("eps_min must lie in (0, eps0)")
         if self.inner not in ("newton", "subgradient"):
             raise ValueError("inner must be 'newton' or 'subgradient'")
-        if self.taylor_rhs not in ("mixed", "eps"):
-            raise ValueError("taylor_rhs must be 'mixed' or 'eps'")
 
 
 @dataclass
@@ -102,30 +96,18 @@ class HomotopyTrace:
         return np.array([float(np.linalg.norm(s.z_star.x - x_ref)) for s in self.stages])
 
 
-def taylor_direction(
-    game: GameSpec,
-    x: np.ndarray,
-    eps: float,
-    p: int = 2,
-    rhs: str = "mixed",
-    maps: AffineMaps | None = None,
-) -> np.ndarray:
+def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
     """Sensitivity dx/deps of the stacked stationarity conditions.
 
-    The coefficient matrix is SPD (Hessian stack plus a nonnegative
-    rank-one sum), so the system is always solvable.
+    Implicit differentiation in ``eps``: the coefficient matrix is
+    :func:`~mlfg.kkt.curvature_block` (SPD, so the system is always
+    solvable) and the right-hand side carries the kernel's mixed second
+    derivative.
     """
-    mp = maps if maps is not None else AffineMaps.from_game(game)
-    a = game.follower.a
-    t = mp.A_diff @ np.asarray(x, dtype=float)
-    E = game.Q_block + 0.5 * (mp.A_diff.T * (a * phi_tilde_d2(t, eps, p))) @ mp.A_diff
-    if rhs == "mixed":
-        h = -0.5 * mp.A_diff.T @ (a * phi_tilde_dt_deps(t, eps, p))
-    elif rhs == "eps":
-        h = 0.5 * mp.A_diff.T @ (a * phi_tilde_deps(t, eps, p))
-    else:
-        raise ValueError("rhs must be 'mixed' or 'eps'")
-    d = lu_solve(E, h)
+    A = game.A_diff
+    t = A @ np.asarray(x, dtype=float)
+    h = -0.5 * A.T @ (game.follower.a * phi_tilde_dt_deps(t, eps, p))
+    d = lu_solve(curvature_block(game, x, eps, p), h)
     if d is None:  # cannot happen for valid game data; defensive
         raise np.linalg.LinAlgError("predictor system unexpectedly singular")
     return d
@@ -151,14 +133,13 @@ def homotopy_solve(
     to converge (the trace marks the failing stage).
     """
     cfg = cfg or HomotopyConfig()
-    maps = AffineMaps.from_game(game)
     z_warm = (z0 or PrimalDualPoint.zeros(game)).copy()
     stages: list[StageRecord] = []
     predictor_norm = 0.0
     i = 0
     while True:
         eps = cfg.eps0 * cfg.gamma**i
-        warm_merit = merit(game, z_warm, eps, cfg.p, maps)
+        warm_merit = merit(game, z_warm, eps, cfg.p)
         start = time.perf_counter()
         res = _solve_inner(game, z_warm, eps, cfg)
         wall_ms = (time.perf_counter() - start) * 1e3
@@ -166,7 +147,7 @@ def homotopy_solve(
         eps_next = cfg.eps0 * cfg.gamma ** (i + 1)
         d = np.zeros(game.n)
         if res.converged and cfg.taylor and eps > cfg.eps_min:
-            d = taylor_direction(game, res.z.x, eps_next, cfg.p, cfg.taylor_rhs, maps)
+            d = taylor_direction(game, res.z.x, eps_next, cfg.p)
         predictor_norm = float(np.linalg.norm(d))
 
         stages.append(

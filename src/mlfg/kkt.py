@@ -6,7 +6,10 @@ equilibria of the smoothed game at the given smoothing level. The merit is
 half the squared residual norm. The Jacobian is a selected element of the
 Clarke generalized derivative: the min rows are differentiated branchwise,
 with ties resolved to the multiplier branch (keeps the lower-right block
-closer to the identity and thus the selection closer to nonsingular).
+closer to the identity and thus the selection closer to nonsingular). Its
+stationarity block is :func:`curvature_block`, the Hessian stack plus the
+smoothing curvature; the continuation's predictor solves with the same
+matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec, PrimalDualPoint
-from .smoothing import AffineMaps, phi_tilde_d2, smoothed_gradient_stack
+from .smoothing import phi_tilde_d2, smoothed_gradient_stack
 
 __all__ = [
     "KktResidual",
@@ -24,6 +27,7 @@ __all__ = [
     "merit",
     "generalized_jacobian",
     "merit_subgradient",
+    "curvature_block",
 ]
 
 
@@ -62,41 +66,21 @@ class GeneralizedJacobian:
         return np.vstack([top, bottom])
 
 
-def kkt_residual(
-    game: GameSpec,
-    z: PrimalDualPoint,
-    eps: float,
-    p: int = 2,
-    maps: AffineMaps | None = None,
-) -> KktResidual:
-    F1 = smoothed_gradient_stack(game, z.x, eps, p, maps) + game.constraint_gradient_block @ z.lam
+def kkt_residual(game: GameSpec, z: PrimalDualPoint, eps: float, p: int = 2) -> KktResidual:
+    F1 = smoothed_gradient_stack(game, z.x, eps, p) + game.constraint_gradient_block @ z.lam
     F2 = np.minimum(z.lam, -game.constraint_values(z.x))
     return KktResidual(F1=F1, F2=F2)
 
 
-def merit(
-    game: GameSpec,
-    z: PrimalDualPoint,
-    eps: float,
-    p: int = 2,
-    maps: AffineMaps | None = None,
-) -> float:
-    return kkt_residual(game, z, eps, p, maps).merit
+def merit(game: GameSpec, z: PrimalDualPoint, eps: float, p: int = 2) -> float:
+    return kkt_residual(game, z, eps, p).merit
 
 
 def generalized_jacobian(
-    game: GameSpec,
-    z: PrimalDualPoint,
-    eps: float,
-    p: int = 2,
-    maps: AffineMaps | None = None,
+    game: GameSpec, z: PrimalDualPoint, eps: float, p: int = 2
 ) -> GeneralizedJacobian:
-    mp = maps if maps is not None else AffineMaps.from_game(game)
     n, m_bar = game.n, game.m_bar
-    a = game.follower.a
-
-    curv = a * phi_tilde_d2(mp.A_diff @ z.x, eps, p)
-    xx = game.Q_block + 0.5 * (mp.A_diff.T * curv) @ mp.A_diff
+    xx = curvature_block(game, z.x, eps, p)
     xl = np.array(game.constraint_gradient_block)
 
     # Branch selection per min row: the strict multiplier branch when
@@ -112,13 +96,18 @@ def generalized_jacobian(
     return GeneralizedJacobian(xx=xx, xl=xl, lx=lx, ll=ll)
 
 
-def merit_subgradient(
-    game: GameSpec,
-    z: PrimalDualPoint,
-    eps: float,
-    p: int = 2,
-    maps: AffineMaps | None = None,
-) -> np.ndarray:
+def merit_subgradient(game: GameSpec, z: PrimalDualPoint, eps: float, p: int = 2) -> np.ndarray:
     """Element H^T F of the merit subdifferential for the selected branch."""
-    H = generalized_jacobian(game, z, eps, p, maps).matrix()
-    return H.T @ kkt_residual(game, z, eps, p, maps).stack()
+    H = generalized_jacobian(game, z, eps, p).matrix()
+    return H.T @ kkt_residual(game, z, eps, p).stack()
+
+
+def curvature_block(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
+    """Jacobian of the stacked smoothed gradients in ``x``, shape (n, n).
+
+    ``Q_block + 0.5 * A_diff' diag(a * phi_tilde''(A_diff x)) A_diff``: the
+    Hessian stack plus a nonnegative sum of rank-one terms, hence SPD.
+    """
+    A = game.A_diff
+    curv = game.follower.a * phi_tilde_d2(A @ np.asarray(x, dtype=float), eps, p)
+    return game.Q_block + 0.5 * (A.T * curv) @ A

@@ -29,7 +29,7 @@ __all__ = [
     "compose_strategy",
 ]
 
-# Relative pivot threshold for the positive definiteness check.
+# Relative threshold on the smallest eigenvalue in the positive definiteness check.
 SPD_PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-12
 
@@ -50,29 +50,6 @@ def _array(x, name: str, ndim: int) -> np.ndarray:
         raise GameFormatError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
-
-
-def _spd_min_pivot(Q: np.ndarray) -> float:
-    """Smallest pivot of a diagonally pivoted Cholesky factorization.
-
-    Returns a negative or tiny value when ``Q`` is not positive definite;
-    pivots are compared against ``SPD_PIVOT_RTOL * max|Q|`` by callers.
-    """
-    A = np.array(Q, dtype=float)
-    n = A.shape[0]
-    min_pivot = np.inf
-    for _ in range(n):
-        d = np.diag(A)
-        j = int(np.argmax(d))
-        piv = d[j]
-        min_pivot = min(min_pivot, piv)
-        if piv <= 0.0:
-            return min_pivot
-        v = A[:, j] / piv
-        A = A - piv * np.outer(v, v)
-        A[j, :] = 0.0
-        A[:, j] = 0.0
-    return min_pivot
 
 
 @dataclass(frozen=True)
@@ -130,7 +107,12 @@ class FollowerSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Validated multi-leader-follower game. Immutable after construction."""
+    """Validated multi-leader-follower game. Immutable after construction.
+
+    Derived arrays (the Hessian stack and the follower maps ``drive``, ``S``
+    and ``A_diff``) are computed on first use, cached and read-only, so every
+    solve of the game shares them.
+    """
 
     leaders: tuple[LeaderSpec, ...]
     follower: FollowerSpec
@@ -145,7 +127,7 @@ class GameSpec:
     def num_leaders(self) -> int:
         return len(self.leaders)
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Total leader variables."""
         return sum(ld.n_vars for ld in self.leaders)
@@ -155,7 +137,7 @@ class GameSpec:
         """Follower variables."""
         return self.follower.m
 
-    @property
+    @cached_property
     def m_bar(self) -> int:
         """Total leader constraints."""
         return sum(ld.n_constraints for ld in self.leaders)
@@ -196,6 +178,33 @@ class GameSpec:
             Q[s, s] = ld.Q
         Q.setflags(write=False)
         return Q
+
+    @cached_property
+    def drive(self) -> np.ndarray:
+        """Scaled drive map ``B'/Qy`` of the follower, shape (m, n)."""
+        fol = self.follower
+        D = fol.B.T / fol.Qy_diag[:, None]
+        D.setflags(write=False)
+        return D
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """Sum map ``L' + B'/Qy`` of the two response branches, shape (m, n)."""
+        S = self.follower.L.T + self.drive
+        S.setflags(write=False)
+        return S
+
+    @cached_property
+    def A_diff(self) -> np.ndarray:
+        """Difference map ``L' - B'/Qy``, shape (m, n).
+
+        The sign of each component of ``A_diff x`` selects the active branch
+        of the exact response; ``S + A_diff`` and ``S - A_diff`` are twice
+        the bound map and twice the scaled drive.
+        """
+        A = self.follower.L.T - self.drive
+        A.setflags(write=False)
+        return A
 
     @cached_property
     def c_stack(self) -> np.ndarray:
@@ -302,7 +311,7 @@ def validate_game(game: GameSpec, dimensions_only: bool = False) -> list[str]:
         scale = np.max(np.abs(ld.Q)) or 1.0
         if np.max(np.abs(ld.Q - ld.Q.T)) > SYMMETRY_RTOL * scale:
             findings.append(f"leader {nu}: Q not symmetric")
-        elif _spd_min_pivot(ld.Q) <= SPD_PIVOT_RTOL * scale:
+        elif np.linalg.eigvalsh(ld.Q)[0] <= SPD_PIVOT_RTOL * scale:
             findings.append(f"leader {nu}: Q not positive definite")
     if np.any(fol.Qy_diag <= 0.0):
         findings.append("follower: Qy_diag must be strictly positive")

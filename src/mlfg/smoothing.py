@@ -8,19 +8,17 @@ it convex, which is what the equilibrium solvers rely on.
 
 All evaluators broadcast over ``t`` and are stabilized by factoring out
 ``max(|t|, 2*eps)`` so that large arguments neither overflow nor lose the
-even-power sign structure.
+even-power sign structure. The responses and objectives read the follower
+maps ``drive``, ``S`` and ``A_diff`` that :class:`~mlfg.model.GameSpec`
+derives once per game and caches read-only.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GameSpec
 
 __all__ = [
-    "SmoothingFamily",
-    "AffineMaps",
     "phi_tilde",
     "phi_tilde_d1",
     "phi_tilde_d2",
@@ -86,79 +84,20 @@ def phi_tilde_dt_deps(t, eps: float, p: int = 2):
     return 2.0 * (1 - p) * v ** (p - 1) * u ** (p - 1) * (u**p + v**p) ** (1.0 / p - 2.0) / M
 
 
-@dataclass(frozen=True)
-class SmoothingFamily:
-    """Kernel exponent bundled with the derivative stack, for callers that
-    prefer an object over free functions."""
-
-    p: int = 2
-
-    def __post_init__(self):
-        _check(1.0, self.p)
-
-    def value(self, t, eps: float):
-        return phi_tilde(t, eps, self.p)
-
-    def d1(self, t, eps: float):
-        return phi_tilde_d1(t, eps, self.p)
-
-    def d2(self, t, eps: float):
-        return phi_tilde_d2(t, eps, self.p)
-
-    def deps(self, t, eps: float):
-        return phi_tilde_deps(t, eps, self.p)
-
-    def dt_deps(self, t, eps: float):
-        return phi_tilde_dt_deps(t, eps, self.p)
-
-
-@dataclass(frozen=True)
-class AffineMaps:
-    """The two (m, n) maps driving the follower response.
-
-    ``S`` is the sum map (bound plus scaled drive) and ``A_diff`` the
-    difference map whose componentwise sign selects the active branch of
-    the exact response. ``S + A_diff`` and ``S - A_diff`` reconstruct twice
-    the bound map and twice the scaled drive map.
-    """
-
-    S: np.ndarray
-    A_diff: np.ndarray
-
-    @classmethod
-    def from_game(cls, game: GameSpec) -> "AffineMaps":
-        fol = game.follower
-        scaled_drive = fol.B.T / fol.Qy_diag[:, None]
-        bound = fol.L.T
-        S = bound + scaled_drive
-        A_diff = bound - scaled_drive
-        S.setflags(write=False)
-        A_diff.setflags(write=False)
-        return cls(S=S, A_diff=A_diff)
-
-
-def _maps(game: GameSpec, maps: AffineMaps | None) -> AffineMaps:
-    return maps if maps is not None else AffineMaps.from_game(game)
-
-
 def best_response_exact(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Componentwise max of the scaled drive and the lower bound.
 
     Satisfies y >= L.T x, Qy y - B.T x >= 0, and exact componentwise
     complementarity of the two residuals.
     """
-    fol = game.follower
     x = np.asarray(x, dtype=float)
-    return np.maximum((fol.B.T @ x) / fol.Qy_diag, fol.L.T @ x)
+    return np.maximum(game.drive @ x, game.follower.L.T @ x)
 
 
-def best_response_smoothed(
-    game: GameSpec, x: np.ndarray, eps: float, p: int = 2, maps: AffineMaps | None = None
-) -> np.ndarray:
+def best_response_smoothed(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
     """Smooth response 0.5*(S x + phi_tilde(A_diff x)); within eps of exact."""
-    mp = _maps(game, maps)
     x = np.asarray(x, dtype=float)
-    return 0.5 * (mp.S @ x + phi_tilde(mp.A_diff @ x, eps, p))
+    return 0.5 * (game.S @ x + phi_tilde(game.A_diff @ x, eps, p))
 
 
 def leader_objective(game: GameSpec, nu: int, x: np.ndarray) -> float:
@@ -170,36 +109,31 @@ def leader_objective(game: GameSpec, nu: int, x: np.ndarray) -> float:
 
 
 def leader_objective_smoothed(
-    game: GameSpec, nu: int, x: np.ndarray, eps: float, p: int = 2,
-    maps: AffineMaps | None = None,
+    game: GameSpec, nu: int, x: np.ndarray, eps: float, p: int = 2
 ) -> float:
     ld = game.leaders[nu - 1]
     x_nu = np.asarray(x, dtype=float)[game.x_slice(nu)]
     quad = 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
-    return float(quad + game.follower.a @ best_response_smoothed(game, x, eps, p, maps))
+    return float(quad + game.follower.a @ best_response_smoothed(game, x, eps, p))
 
 
-def smoothed_gradient_stack(
-    game: GameSpec, x: np.ndarray, eps: float, p: int = 2, maps: AffineMaps | None = None
-) -> np.ndarray:
+def smoothed_gradient_stack(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
     """Stack of every leader's own-block gradient of its smoothed objective.
 
     Block nu equals ``grad_{x_nu} leader_objective_smoothed(nu)``; the stack
     is the map whose uniform monotonicity gives uniqueness of the smoothed
     equilibrium.
     """
-    mp = _maps(game, maps)
     x = np.asarray(x, dtype=float)
     a = game.follower.a
-    w = a * phi_tilde_d1(mp.A_diff @ x, eps, p)
-    return game.Q_block @ x + game.c_stack + 0.5 * (mp.S.T @ a) + 0.5 * (mp.A_diff.T @ w)
+    w = a * phi_tilde_d1(game.A_diff @ x, eps, p)
+    return game.Q_block @ x + game.c_stack + 0.5 * (game.S.T @ a) + 0.5 * (game.A_diff.T @ w)
 
 
 def leader_gradient_smoothed(
-    game: GameSpec, nu: int, x: np.ndarray, eps: float, p: int = 2,
-    maps: AffineMaps | None = None,
+    game: GameSpec, nu: int, x: np.ndarray, eps: float, p: int = 2
 ) -> np.ndarray:
-    return smoothed_gradient_stack(game, x, eps, p, maps)[game.x_slice(nu)]
+    return smoothed_gradient_stack(game, x, eps, p)[game.x_slice(nu)]
 
 
 def phi_value(game: GameSpec, x: np.ndarray) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .kkt import generalized_jacobian, kkt_residual
 from .model import GameSpec, PrimalDualPoint
-from .smoothing import AffineMaps
 
 __all__ = [
     "NewtonConfig",
@@ -30,7 +29,6 @@ __all__ = [
     "newton_solve",
     "subgradient_solve",
     "armijo_search",
-    "aggregate_direction",
 ]
 
 
@@ -87,9 +85,6 @@ class NewtonConfig:
 class SubgradConfig:
     delta0: float = 1.0
     gamma: float = 0.5
-    # c1 gates the aggregation loop's descent test, which is vacuous for
-    # zero-length probes; it is validated but only c2 reaches the step search
-    c1: float = 0.2
     c2: float = 0.05
     max_outer: int = 50
     max_inner: int = 500
@@ -99,8 +94,8 @@ class SubgradConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.c2 <= self.c1 <= 1.0:
-            raise ValueError("need 0 < c2 <= c1 <= 1")
+        if not 0.0 < self.c2 <= 1.0:
+            raise ValueError("c2 must lie in (0, 1]")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
@@ -125,7 +120,6 @@ def armijo_search(
     eps: float,
     p: int = 2,
     cfg: NewtonConfig | None = None,
-    maps: AffineMaps | None = None,
 ) -> tuple[float, bool]:
     """Largest backtracked step t with merit(z + t*s) <= merit(z) - t*sigma*|s|^2.
 
@@ -134,12 +128,12 @@ def armijo_search(
     """
     cfg = cfg or NewtonConfig()
     z0 = z.stack()
-    psi0 = kkt_residual(game, z, eps, p, maps).merit
+    psi0 = kkt_residual(game, z, eps, p).merit
     slope = cfg.sigma * float(s @ s)
     t = 1.0
     for _ in range(cfg.max_backtracks + 1):
         trial = PrimalDualPoint.from_stack(game, z0 + t * s)
-        psi_trial = kkt_residual(game, trial, eps, p, maps).merit
+        psi_trial = kkt_residual(game, trial, eps, p).merit
         # strict decrease keeps steps below float resolution from passing
         if psi_trial <= psi0 - t * slope and psi_trial < psi0:
             return t, True
@@ -161,13 +155,12 @@ def newton_solve(
     safeguarded subgradient step is taken before Newton is retried.
     """
     cfg = cfg or NewtonConfig()
-    maps = AffineMaps.from_game(game)
     z = (z0 or PrimalDualPoint.zeros(game)).copy()
     fallback_steps = 0
     merit_history: list[float] = []
     step_norms: list[float] = []
 
-    res = kkt_residual(game, z, eps, p, maps)
+    res = kkt_residual(game, z, eps, p)
     psi = res.merit
     merit_history.append(psi)
     iterations = 0
@@ -175,23 +168,23 @@ def newton_solve(
     while not converged and iterations < cfg.max_iter:
         if not np.all(np.isfinite(res.stack())):
             raise FloatingPointError("residual became non-finite during Newton solve")
-        H = generalized_jacobian(game, z, eps, p, maps).matrix()
+        H = generalized_jacobian(game, z, eps, p).matrix()
         step = lu_solve(H, -res.stack(), cfg.pivot_tol)
         applied = None
         if step is not None:
             trial = PrimalDualPoint.from_stack(game, z.stack() + step)
-            trial_res = kkt_residual(game, trial, eps, p, maps)
+            trial_res = kkt_residual(game, trial, eps, p)
             if trial_res.merit < psi:
                 applied = (trial, trial_res, step)
         if applied is None:
             # singular Jacobian or no-descent full step: one subgradient step
             s = -(H.T @ res.stack())
-            t, ok = armijo_search(game, z, s, eps, p, cfg, maps)
+            t, ok = armijo_search(game, z, s, eps, p, cfg)
             if not ok:
                 break
             fallback_steps += 1
             trial = PrimalDualPoint.from_stack(game, z.stack() + t * s)
-            applied = (trial, kkt_residual(game, trial, eps, p, maps), t * s)
+            applied = (trial, kkt_residual(game, trial, eps, p), t * s)
         z, res, taken = applied
         psi = res.merit
         iterations += 1
@@ -207,16 +200,6 @@ def newton_solve(
         merit_history=merit_history,
         step_norms=step_norms,
     )
-
-
-def aggregate_direction(v: np.ndarray, v_tilde: np.ndarray) -> np.ndarray:
-    """Minimum-norm convex combination of two descent candidates."""
-    diff = v_tilde - v
-    denom = float(diff @ diff)
-    if denom == 0.0:
-        return np.array(v, dtype=float)
-    c = float(np.clip((v_tilde @ diff) / denom, 0.0, 1.0))
-    return c * v + (1.0 - c) * v_tilde
 
 
 def _step_search(psi_at, psi0: float, v_norm: float, c2: float, sigma_min: float) -> float:
@@ -252,21 +235,19 @@ def subgradient_solve(
 
     The outer level shrinks a stationarity tolerance geometrically; the
     inner level takes normalized subgradient steps until the current
-    subgradient norm falls below that tolerance. Quasisecants of positive
-    probe length reduce to plain subgradients here (zero-length probes), so
-    the direction-aggregation loop collapses after its first candidate.
+    subgradient norm falls below that tolerance. The step direction is the
+    normalized merit subgradient (a quasisecant of zero probe length).
     """
     cfg = cfg or SubgradConfig()
-    maps = AffineMaps.from_game(game)
     z = (z0 or PrimalDualPoint.zeros(game)).copy()
-    psi = kkt_residual(game, z, eps, p, maps).merit
+    psi = kkt_residual(game, z, eps, p).merit
     merit_history = [psi]
     step_norms: list[float] = []
     iterations = 0
     delta = cfg.delta0
 
     def psi_of(zs: np.ndarray) -> float:
-        return kkt_residual(game, PrimalDualPoint.from_stack(game, zs), eps, p, maps).merit
+        return kkt_residual(game, PrimalDualPoint.from_stack(game, zs), eps, p).merit
 
     for _ in range(cfg.max_outer):
         if psi <= cfg.tol:
@@ -274,15 +255,12 @@ def subgradient_solve(
         for _ in range(cfg.max_inner):
             if psi <= cfg.tol:
                 break
-            H = generalized_jacobian(game, z, eps, p, maps).matrix()
-            v = H.T @ kkt_residual(game, z, eps, p, maps).stack()
-            # with zero-length probes the first aggregate equals the
-            # subgradient itself, so no further candidates are collected
-            v_bar = aggregate_direction(v, v)
-            v_norm = float(np.linalg.norm(v_bar))
+            H = generalized_jacobian(game, z, eps, p).matrix()
+            v = H.T @ kkt_residual(game, z, eps, p).stack()
+            v_norm = float(np.linalg.norm(v))
             if v_norm <= delta:
                 break
-            d = -v_bar / v_norm
+            d = -v / v_norm
             z_stacked = z.stack()
             sigma = _step_search(
                 lambda s: psi_of(z_stacked + s * d), psi, v_norm, cfg.c2, cfg.sigma_min

@@ -125,8 +125,6 @@ class EpigraphQP:
         fol = game.follower
         n_nu, m = ld.n_vars, game.m
 
-        drive = fol.B.T / fol.Qy_diag[:, None]  # (m, n)
-        bound = fol.L.T
         s_own = game.x_slice(nu)
         x_full = compose_strategy(game, nu, np.zeros(n_nu), np.asarray(x_minus_nu, dtype=float))
 
@@ -136,7 +134,7 @@ class EpigraphQP:
 
         rows = []
         offsets = []
-        for M in (drive, bound):
+        for M in (game.drive, fol.L.T):
             Gx = np.zeros((m, n_nu + m))
             Gx[:, :n_nu] = M[:, s_own]
             Gx[:, n_nu:] = -np.eye(m)
@@ -232,7 +230,7 @@ def nash_gap_bounds(
     Gamma1 = np.clip(np.asarray(Gamma1, dtype=float), 0.0, fol.a)
     Gamma2 = fol.a - Gamma1
     # the branch terms of the Lagrangian are linear in the joint strategy
-    w = (fol.B / fol.Qy_diag[None, :]) @ Gamma1 + fol.L @ Gamma2
+    w = game.drive.T @ Gamma1 + fol.L @ Gamma2
     coupling = float(w @ x)
     bounds = np.empty(game.num_leaders)
     for nu, ld in enumerate(game.leaders, start=1):
@@ -268,7 +266,7 @@ def s_stationarity_certificate(
     fol = game.follower
     a = fol.a
 
-    t = (fol.L.T - fol.B.T / fol.Qy_diag[:, None]) @ x
+    t = game.A_diff @ x
     xi = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
     # snap near-saturated derivative values to the strict-branch limits;
     # the floor keeps the threshold meaningful at coarse smoothing levels
@@ -282,16 +280,15 @@ def s_stationarity_certificate(
     Gamma2 = a - Gamma1
 
     y = best_response_exact(game, x)
-    G1 = y - (fol.B.T @ x) / fol.Qy_diag
+    G1 = y - game.drive @ x
     G2 = y - fol.L.T @ x
     g = game.constraint_values(x)
 
-    drive_transpose = fol.B / fol.Qy_diag[None, :]  # (n, m), adjoint of the scaled drive
     stat_x = (
         game.Q_block @ x
         + game.c_stack
         + game.constraint_gradient_block @ lam
-        + drive_transpose @ Gamma1
+        + game.drive.T @ Gamma1
         + fol.L @ Gamma2
     )
 

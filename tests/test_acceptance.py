@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mlfg import (
-    AffineMaps,
     NewtonConfig,
     PrimalDualPoint,
     SubgradConfig,
@@ -61,7 +60,7 @@ def random_starts(game):
 def smallest_kink_distance(game, x):
     """Smallest ``|A_diff x|``: below ``2*eps`` means some follower component
     sits inside the smoothing band."""
-    return float(np.min(np.abs(AffineMaps.from_game(game).A_diff @ x)))
+    return float(np.min(np.abs(game.A_diff @ x)))
 
 
 def test_criterion_1_dataset_reproduction(timed_traces):

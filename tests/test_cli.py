@@ -164,6 +164,21 @@ def test_verify_infeasible_polyhedron_exit_code(tmp_path, capsys):
     assert "primal_feasibility: 1.000000e+00" in out
 
 
+def test_verify_x_file_recovers_active_multipliers(tmp_path, active_game):
+    # an x-only candidate carries no multipliers; with active leader
+    # constraints, lam = 0 would refuse the exact equilibrium
+    path, report = tmp_path / "active.json", tmp_path / "report.json"
+    save_game(active_game, path)
+    assert run("solve", "--data", str(path), "--out", str(report)) == 0
+    x = json.loads(report.read_text())["solution"]["x"]
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps(x))
+    assert run("verify", "--data", str(path), "--x", str(xfile)) == 0
+    x[0] += 0.1
+    xfile.write_text(json.dumps(x))
+    assert run("verify", "--data", str(path), "--x", str(xfile)) == 2
+
+
 def test_verify_requires_candidate():
     assert run("verify", "--dataset", "1") == 3
 
@@ -213,3 +228,25 @@ def test_bench_repeats(tmp_path):
     with open(out.with_name("rep_multistart.csv")) as fh:
         repeats = {row["repeat"] for row in csv.DictReader(fh)}
     assert repeats == {"0", "1"}
+
+
+def test_bench_iter_rows_match_solve_log(tmp_path):
+    out, log = tmp_path / "bench.csv", tmp_path / "solve.csv"
+    assert run(
+        "bench", "--dataset", "1", "--out", str(out),
+        "--tol", "1e-8", "--bench-eps-min", "0.2", "--starts", "1",
+    ) == 0
+    assert run(
+        "solve", "--dataset", "1", "--tol", "1e-8", "--eps-min", "0.2", "--log", str(log)
+    ) == 0
+    wall = ITER_LOG_COLUMNS.index("wall_ms")
+
+    def rows(path):
+        with open(path) as fh:
+            return [r[:wall] + r[wall + 1 :] for r in csv.reader(fh)]
+
+    bench = [r for r in rows(out.with_name("bench_iters.csv")) if r[2:4] == ["newton", "on"]]
+    solve = rows(log)
+    assert solve[0] == [c for c in ITER_LOG_COLUMNS if c != "wall_ms"]
+    assert len(solve) > 1
+    assert bench == solve[1:]

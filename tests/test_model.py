@@ -81,8 +81,8 @@ def test_indefinite_hessian_finding(ds1):
 
 
 def test_definiteness_check_matches_eigenvalues(ds1):
-    # the pivoted factorization agrees with an eigenvalue oracle on random
-    # symmetric matrices of either definiteness class
+    # the flag agrees with an eigenvalue oracle on random symmetric matrices
+    # of either definiteness class, away from the threshold
     rng = np.random.default_rng(21)
     base = ds1.leaders[1]
     for _ in range(200):
@@ -190,3 +190,23 @@ def test_constraint_values_stacking(ds1):
 def test_game_arrays_read_only(ds1):
     with pytest.raises(ValueError):
         ds1.follower.B[0, 0] = 99.0
+
+
+def test_follower_maps_read_only_and_cached(ds1):
+    # every later solve of the game shares these arrays
+    for name in ("drive", "S", "A_diff", "Q_block"):
+        arr = getattr(ds1, name)
+        assert arr is getattr(ds1, name)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 99.0
+
+
+def test_follower_maps_reconstruction(ds1, ds2):
+    for game in (ds1, ds2):
+        fol = game.follower
+        bound2 = game.S + game.A_diff
+        drive2 = game.S - game.A_diff
+        np.testing.assert_allclose(bound2, 2.0 * fol.L.T, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(
+            drive2, 2.0 * fol.B.T / fol.Qy_diag[:, None], rtol=1e-14, atol=1e-14
+        )

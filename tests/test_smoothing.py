@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlfg import (
-    AffineMaps,
     best_response_exact,
     best_response_smoothed,
     leader_gradient_smoothed,
@@ -341,16 +340,3 @@ class TestUniformMonotonicity:
                         game, x_hat, eps
                     )
                     assert diff @ gap >= (mu - 1e-9) * diff @ diff
-
-
-class TestAffineMaps:
-    def test_reconstruction_identities(self, ds1, ds2):
-        for game in (ds1, ds2):
-            mp = AffineMaps.from_game(game)
-            fol = game.follower
-            bound2 = mp.S + mp.A_diff
-            drive2 = mp.S - mp.A_diff
-            np.testing.assert_allclose(bound2, 2.0 * fol.L.T, rtol=1e-14, atol=1e-14)
-            np.testing.assert_allclose(
-                drive2, 2.0 * fol.B.T / fol.Qy_diag[:, None], rtol=1e-14, atol=1e-14
-            )

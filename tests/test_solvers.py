@@ -5,7 +5,6 @@ from mlfg import (
     NewtonConfig,
     PrimalDualPoint,
     SubgradConfig,
-    aggregate_direction,
     armijo_search,
     generalized_jacobian,
     kkt_residual,
@@ -217,21 +216,6 @@ class TestSubgradient:
         with pytest.raises(ValueError):
             SubgradConfig(gamma=0.0)
         with pytest.raises(ValueError):
-            SubgradConfig(c1=0.1, c2=0.2)
-
-
-class TestAggregateDirection:
-    def test_identical_inputs(self):
-        v = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(aggregate_direction(v, v), v)
-
-    def test_matches_brute_force_minimum(self):
-        rng = np.random.default_rng(5)
-        grid = np.linspace(0.0, 1.0, 20001)
-        for _ in range(50):
-            v = rng.standard_normal(4)
-            vt = rng.standard_normal(4)
-            combos = np.outer(grid, v) + np.outer(1.0 - grid, vt)
-            best = combos[np.argmin(np.einsum("ij,ij->i", combos, combos))]
-            agg = aggregate_direction(v, vt)
-            assert np.linalg.norm(agg) <= np.linalg.norm(best) + 1e-8
+            SubgradConfig(c2=0.0)
+        with pytest.raises(ValueError):
+            SubgradConfig(c2=1.5)
