@@ -12,14 +12,7 @@ and per-leader Nash-gap upper bounds by weak duality at those multipliers).
 __version__ = "0.1.0"
 
 from .homotopy import HomotopyConfig, HomotopyTrace, StageRecord, homotopy_solve, taylor_direction
-from .kkt import (
-    GeneralizedJacobian,
-    KktResidual,
-    generalized_jacobian,
-    kkt_residual,
-    merit,
-    merit_subgradient,
-)
+from .kkt import generalized_jacobian, kkt_residual, merit
 from .model import (
     FollowerSpec,
     GameFormatError,
@@ -31,16 +24,13 @@ from .model import (
     load_bundled,
     load_game,
     save_game,
-    slice_rows,
     split_strategy,
     validate_game,
 )
 from .smoothing import (
     best_response_exact,
     best_response_smoothed,
-    leader_gradient_smoothed,
     leader_objective,
-    leader_objective_smoothed,
     phi_tilde,
     phi_tilde_d1,
     phi_tilde_d2,
@@ -65,8 +55,6 @@ from .verify import (
     OracleError,
     best_response_qp_oracle,
     certify,
-    monotonicity_probe,
-    potential_identity_probe,
     s_stationarity_certificate,
     smoothing_drift,
     verify_nash,
@@ -80,11 +68,9 @@ __all__ = [
     "GameFormatError",
     "GameSpec",
     "GameValidationError",
-    "GeneralizedJacobian",
     "HomotopyConfig",
     "HomotopyTrace",
     "InnerResult",
-    "KktResidual",
     "LeaderSpec",
     "NewtonConfig",
     "OracleError",
@@ -100,15 +86,11 @@ __all__ = [
     "generalized_jacobian",
     "homotopy_solve",
     "kkt_residual",
-    "leader_gradient_smoothed",
     "leader_objective",
-    "leader_objective_smoothed",
     "load_bundled",
     "load_game",
     "lu_solve",
     "merit",
-    "merit_subgradient",
-    "monotonicity_probe",
     "newton_solve",
     "phi_tilde",
     "phi_tilde_d1",
@@ -116,11 +98,9 @@ __all__ = [
     "phi_tilde_deps",
     "phi_tilde_dt_deps",
     "phi_value",
-    "potential_identity_probe",
     "potential_value",
     "s_stationarity_certificate",
     "save_game",
-    "slice_rows",
     "smoothed_gradient_stack",
     "smoothing_drift",
     "split_strategy",

@@ -90,18 +90,17 @@ def _initial_point(game: GameSpec, seed: int | None) -> PrimalDualPoint:
     return PrimalDualPoint.from_stack(game, z)
 
 
+def _inner_config(method: str, tol: float) -> NewtonConfig | SubgradConfig:
+    return NewtonConfig(tol=tol) if method == "newton" else SubgradConfig(tol=tol)
+
+
 def _homotopy_config(args) -> HomotopyConfig:
-    if args.method == "newton":
-        inner_cfg = NewtonConfig(tol=args.tol)
-    else:
-        inner_cfg = SubgradConfig(tol=args.tol)
     return HomotopyConfig(
         eps0=args.eps0,
         gamma=args.gamma,
         eps_min=args.eps_min,
         taylor=args.taylor == "on",
-        inner=args.method,
-        inner_cfg=inner_cfg,
+        inner=_inner_config(args.method, args.tol),
         p=args.p,
     )
 
@@ -246,6 +245,20 @@ def _recover_multipliers(game: GameSpec, x: np.ndarray, eps_final: float, tol: f
     return lam
 
 
+def _check_candidate(game: GameSpec, x, lam, eps_final: float) -> None:
+    """Require ``x`` of length n, ``lam`` (if given) of length m_bar, all
+    entries finite, and a positive finite smoothing level."""
+    for name, v, size in (("x", x, game.n), ("lambda", lam, game.m_bar)):
+        if v is None:
+            continue
+        if v.shape != (size,):
+            raise InputError(f"candidate {name} has shape {v.shape}, expected ({size},)")
+        if not np.all(np.isfinite(v)):
+            raise InputError(f"candidate {name} has non-finite entries")
+    if not 0.0 < eps_final < np.inf:
+        raise InputError(f"eps_final must be positive and finite, got {eps_final}")
+
+
 def cmd_verify(args) -> int:
     try:
         game, _ = _load(args)
@@ -256,18 +269,11 @@ def cmd_verify(args) -> int:
             eps_final = float(doc["solution"]["eps_final"])
         elif args.x:
             vec = _read_vector(Path(args.x))
-            if vec.shape[0] == game.n:
-                x, lam = vec, None
-            elif vec.shape[0] == game.n + game.m_bar:
-                x, lam = vec[: game.n], vec[game.n :]
-            else:
-                raise InputError(
-                    f"candidate has length {vec.shape[0]}, expected {game.n} "
-                    f"or {game.n + game.m_bar}"
-                )
+            x, lam = vec[: game.n], (vec[game.n :] if vec.shape[0] > game.n else None)
             eps_final = args.eps_final
         else:
             raise InputError("one of --x or --report is required")
+        _check_candidate(game, x, lam, eps_final)
     except (InputError, GameFormatError, GameValidationError, OSError,
             json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -297,10 +303,7 @@ def _bench_schedule_rows(game: GameSpec, args) -> tuple[list[list], list[list], 
                 gamma=args.gamma,
                 eps_min=args.bench_eps_min,
                 taylor=taylor,
-                inner=method,
-                inner_cfg=NewtonConfig(tol=args.tol)
-                if method == "newton"
-                else SubgradConfig(tol=args.tol),
+                inner=_inner_config(method, args.tol),
             )
             trace = homotopy_solve(game, PrimalDualPoint.zeros(game), cfg)
             ok = ok and trace.converged

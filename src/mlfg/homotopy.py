@@ -5,6 +5,13 @@ warm-starts the next one. A first-order predictor improves the primal warm
 start: differentiating the stacked stationarity conditions along the
 smoothing parameter yields a small SPD linear system for dx/deps whose
 coefficient matrix is the Hessian stack plus the smoothing curvature term.
+
+The inner solver is chosen by the type of ``HomotopyConfig.inner``: a
+:class:`~mlfg.solvers.NewtonConfig` (the default) runs the semismooth
+Newton method, a :class:`~mlfg.solvers.SubgradConfig` the subgradient
+method, each with that configuration. Between stages the warm start is
+carried as the flat iterate ``(x, lambda)``; each stage's solution is
+recorded as a :class:`~mlfg.model.PrimalDualPoint`.
 """
 from __future__ import annotations
 
@@ -13,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import curvature_block, merit
+from .kkt import curvature_block, flat_point, merit
 from .model import GameSpec, PrimalDualPoint
 from .smoothing import phi_tilde_dt_deps
 from .solvers import (
-    InnerResult,
     NewtonConfig,
     SubgradConfig,
     lu_solve,
@@ -40,8 +46,7 @@ class HomotopyConfig:
     gamma: float = 0.5
     eps_min: float = 1e-6
     taylor: bool = True
-    inner: str = "newton"
-    inner_cfg: NewtonConfig | SubgradConfig | None = None
+    inner: NewtonConfig | SubgradConfig = field(default_factory=NewtonConfig)
     p: int = 2
 
     def __post_init__(self):
@@ -51,8 +56,8 @@ class HomotopyConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.eps_min < self.eps0:
             raise ValueError("eps_min must lie in (0, eps0)")
-        if self.inner not in ("newton", "subgradient"):
-            raise ValueError("inner must be 'newton' or 'subgradient'")
+        if not isinstance(self.inner, (NewtonConfig, SubgradConfig)):
+            raise ValueError("inner must be a NewtonConfig or a SubgradConfig")
 
 
 @dataclass
@@ -113,14 +118,6 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
     return d
 
 
-def _solve_inner(game, z, eps, cfg: HomotopyConfig) -> InnerResult:
-    if cfg.inner == "newton":
-        inner_cfg = cfg.inner_cfg if isinstance(cfg.inner_cfg, NewtonConfig) else NewtonConfig()
-        return newton_solve(game, z, eps, cfg.p, inner_cfg)
-    inner_cfg = cfg.inner_cfg if isinstance(cfg.inner_cfg, SubgradConfig) else SubgradConfig()
-    return subgradient_solve(game, z, eps, cfg.p, inner_cfg)
-
-
 def homotopy_solve(
     game: GameSpec,
     z0: PrimalDualPoint | None = None,
@@ -133,7 +130,8 @@ def homotopy_solve(
     to converge (the trace marks the failing stage).
     """
     cfg = cfg or HomotopyConfig()
-    z_warm = (z0 or PrimalDualPoint.zeros(game)).copy()
+    solve_inner = newton_solve if isinstance(cfg.inner, NewtonConfig) else subgradient_solve
+    z_warm = flat_point(game, z0)
     stages: list[StageRecord] = []
     predictor_norm = 0.0
     i = 0
@@ -141,7 +139,7 @@ def homotopy_solve(
         eps = cfg.eps0 * cfg.gamma**i
         warm_merit = merit(game, z_warm, eps, cfg.p)
         start = time.perf_counter()
-        res = _solve_inner(game, z_warm, eps, cfg)
+        res = solve_inner(game, z_warm, eps, cfg.p, cfg.inner)
         wall_ms = (time.perf_counter() - start) * 1e3
 
         eps_next = cfg.eps0 * cfg.gamma ** (i + 1)
@@ -168,7 +166,7 @@ def homotopy_solve(
         )
         if not res.converged or eps <= cfg.eps_min:
             break
-        x_warm = res.z.x - (eps - eps_next) * d
-        z_warm = PrimalDualPoint(x_warm, res.z.lam.copy())
+        z_warm = res.z.stack()
+        z_warm[: game.n] -= (eps - eps_next) * d
         i += 1
     return HomotopyTrace(stages=stages, converged=all(s.converged for s in stages))

@@ -24,7 +24,6 @@ __all__ = [
     "load_game",
     "save_game",
     "validate_game",
-    "slice_rows",
     "split_strategy",
     "compose_strategy",
 ]
@@ -318,14 +317,6 @@ def validate_game(game: GameSpec, dimensions_only: bool = False) -> list[str]:
     if np.any(fol.a < 0.0):
         findings.append("follower: a must be nonnegative")
     return findings
-
-
-def slice_rows(game: GameSpec, M: np.ndarray, nu: int) -> np.ndarray:
-    """Row block of an (n, m) coupling matrix belonging to leader ``nu``."""
-    M = np.asarray(M)
-    if M.shape[0] != game.n:
-        raise ValueError(f"matrix has {M.shape[0]} rows, expected {game.n}")
-    return M[game.x_slice(nu), :]
 
 
 def split_strategy(game: GameSpec, nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

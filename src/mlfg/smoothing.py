@@ -27,23 +27,18 @@ __all__ = [
     "best_response_exact",
     "best_response_smoothed",
     "leader_objective",
-    "leader_objective_smoothed",
-    "leader_gradient_smoothed",
     "smoothed_gradient_stack",
     "potential_value",
     "phi_value",
 ]
 
 
-def _check(eps: float, p: int) -> None:
+def _scaled(t, eps: float, p: int):
+    """Validate ``eps`` and ``p``; return (t/M, 2*eps/M, M) with M = max(|t|, 2*eps) > 0."""
     if not eps > 0.0:
         raise ValueError(f"smoothing parameter must be positive, got {eps}")
     if p < 2 or p % 2 != 0:
         raise ValueError(f"exponent must be an even integer >= 2, got {p}")
-
-
-def _scaled(t, eps: float):
-    """Return (t/M, 2*eps/M, M) with M = max(|t|, 2*eps) > 0."""
     t = np.asarray(t, dtype=float)
     M = np.maximum(np.abs(t), 2.0 * eps)
     return t / M, 2.0 * eps / M, M
@@ -51,36 +46,31 @@ def _scaled(t, eps: float):
 
 def phi_tilde(t, eps: float, p: int = 2):
     """Smoothed absolute value, >= |t|, even in t, -> |t| as eps -> 0."""
-    _check(eps, p)
-    u, v, M = _scaled(t, eps)
+    u, v, M = _scaled(t, eps, p)
     return M * (u**p + v**p) ** (1.0 / p)
 
 
 def phi_tilde_d1(t, eps: float, p: int = 2):
     """First t-derivative; odd, strictly increasing, range (-1, 1)."""
-    _check(eps, p)
-    u, v, M = _scaled(t, eps)
+    u, v, M = _scaled(t, eps, p)
     return u ** (p - 1) * (u**p + v**p) ** (1.0 / p - 1.0)
 
 
 def phi_tilde_d2(t, eps: float, p: int = 2):
     """Second t-derivative; strictly positive (the kernel is convex)."""
-    _check(eps, p)
-    u, v, M = _scaled(t, eps)
+    u, v, M = _scaled(t, eps, p)
     return (p - 1) * u ** (p - 2) * v**p * (u**p + v**p) ** (1.0 / p - 2.0) / M
 
 
 def phi_tilde_deps(t, eps: float, p: int = 2):
     """Derivative in the smoothing parameter; positive."""
-    _check(eps, p)
-    u, v, M = _scaled(t, eps)
+    u, v, M = _scaled(t, eps, p)
     return 2.0 * v ** (p - 1) * (u**p + v**p) ** (1.0 / p - 1.0)
 
 
 def phi_tilde_dt_deps(t, eps: float, p: int = 2):
     """Mixed second derivative d2/(dt deps); odd in t, zero at t = 0."""
-    _check(eps, p)
-    u, v, M = _scaled(t, eps)
+    u, v, M = _scaled(t, eps, p)
     return 2.0 * (1 - p) * v ** (p - 1) * u ** (p - 1) * (u**p + v**p) ** (1.0 / p - 2.0) / M
 
 
@@ -108,32 +98,17 @@ def leader_objective(game: GameSpec, nu: int, x: np.ndarray) -> float:
     return float(quad + game.follower.a @ best_response_exact(game, x))
 
 
-def leader_objective_smoothed(
-    game: GameSpec, nu: int, x: np.ndarray, eps: float, p: int = 2
-) -> float:
-    ld = game.leaders[nu - 1]
-    x_nu = np.asarray(x, dtype=float)[game.x_slice(nu)]
-    quad = 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
-    return float(quad + game.follower.a @ best_response_smoothed(game, x, eps, p))
-
-
 def smoothed_gradient_stack(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
     """Stack of every leader's own-block gradient of its smoothed objective.
 
-    Block nu equals ``grad_{x_nu} leader_objective_smoothed(nu)``; the stack
-    is the map whose uniform monotonicity gives uniqueness of the smoothed
-    equilibrium.
+    Block nu is the ``x_nu``-gradient of leader nu's objective with the
+    smoothed response substituted; the stack is the map whose uniform
+    monotonicity gives uniqueness of the smoothed equilibrium.
     """
     x = np.asarray(x, dtype=float)
     a = game.follower.a
     w = a * phi_tilde_d1(game.A_diff @ x, eps, p)
     return game.Q_block @ x + game.c_stack + 0.5 * (game.S.T @ a) + 0.5 * (game.A_diff.T @ w)
-
-
-def leader_gradient_smoothed(
-    game: GameSpec, nu: int, x: np.ndarray, eps: float, p: int = 2
-) -> np.ndarray:
-    return smoothed_gradient_stack(game, x, eps, p)[game.x_slice(nu)]
 
 
 def phi_value(game: GameSpec, x: np.ndarray) -> float:

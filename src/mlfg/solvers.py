@@ -11,6 +11,10 @@ Two methods minimize the merit (half squared residual norm):
   search against a sufficient-decrease test.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
+They iterate on the flat vector ``z = (x, lambda)`` of length
+``n + m_bar``, with the residual and Jacobian of :mod:`mlfg.kkt`. A start
+point is converted once on entry (a :class:`~mlfg.model.PrimalDualPoint`,
+a flat vector or None for zeros) and the result once on exit.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import generalized_jacobian, kkt_residual
+from .kkt import flat_point, generalized_jacobian, kkt_residual, residual_merit
 from .model import GameSpec, PrimalDualPoint
 
 __all__ = [
@@ -115,7 +119,7 @@ class InnerResult:
 
 def armijo_search(
     game: GameSpec,
-    z: PrimalDualPoint,
+    z: np.ndarray,
     s: np.ndarray,
     eps: float,
     p: int = 2,
@@ -123,17 +127,16 @@ def armijo_search(
 ) -> tuple[float, bool]:
     """Largest backtracked step t with merit(z + t*s) <= merit(z) - t*sigma*|s|^2.
 
-    Returns (0.0, False) when no trial step achieves the decrease, which
-    callers read as a no-descent flag.
+    ``z`` and ``s`` are flat ``(x, lambda)`` vectors. Returns (0.0, False)
+    when no trial step achieves the decrease, which callers read as a
+    no-descent flag.
     """
     cfg = cfg or NewtonConfig()
-    z0 = z.stack()
-    psi0 = kkt_residual(game, z, eps, p).merit
+    psi0 = residual_merit(kkt_residual(game, z, eps, p), game.n)
     slope = cfg.sigma * float(s @ s)
     t = 1.0
     for _ in range(cfg.max_backtracks + 1):
-        trial = PrimalDualPoint.from_stack(game, z0 + t * s)
-        psi_trial = kkt_residual(game, trial, eps, p).merit
+        psi_trial = residual_merit(kkt_residual(game, z + t * s, eps, p), game.n)
         # strict decrease keeps steps below float resolution from passing
         if psi_trial <= psi0 - t * slope and psi_trial < psi0:
             return t, True
@@ -143,7 +146,7 @@ def armijo_search(
 
 def newton_solve(
     game: GameSpec,
-    z0: PrimalDualPoint | None = None,
+    z0: PrimalDualPoint | np.ndarray | None = None,
     eps: float = 1.0,
     p: int = 2,
     cfg: NewtonConfig | None = None,
@@ -155,44 +158,39 @@ def newton_solve(
     safeguarded subgradient step is taken before Newton is retried.
     """
     cfg = cfg or NewtonConfig()
-    z = (z0 or PrimalDualPoint.zeros(game)).copy()
+    n = game.n
+    z = flat_point(game, z0)
     fallback_steps = 0
-    merit_history: list[float] = []
     step_norms: list[float] = []
 
-    res = kkt_residual(game, z, eps, p)
-    psi = res.merit
-    merit_history.append(psi)
+    F = kkt_residual(game, z, eps, p)
+    psi = residual_merit(F, n)
+    merit_history = [psi]
     iterations = 0
     converged = psi <= cfg.tol
     while not converged and iterations < cfg.max_iter:
-        if not np.all(np.isfinite(res.stack())):
+        if not np.all(np.isfinite(F)):
             raise FloatingPointError("residual became non-finite during Newton solve")
-        H = generalized_jacobian(game, z, eps, p).matrix()
-        step = lu_solve(H, -res.stack(), cfg.pivot_tol)
-        applied = None
-        if step is not None:
-            trial = PrimalDualPoint.from_stack(game, z.stack() + step)
-            trial_res = kkt_residual(game, trial, eps, p)
-            if trial_res.merit < psi:
-                applied = (trial, trial_res, step)
-        if applied is None:
+        H = generalized_jacobian(game, z, eps, p)
+        step = lu_solve(H, -F, cfg.pivot_tol)
+        F_trial = None if step is None else kkt_residual(game, z + step, eps, p)
+        if F_trial is None or not residual_merit(F_trial, n) < psi:
             # singular Jacobian or no-descent full step: one subgradient step
-            s = -(H.T @ res.stack())
+            s = -(H.T @ F)
             t, ok = armijo_search(game, z, s, eps, p, cfg)
             if not ok:
                 break
             fallback_steps += 1
-            trial = PrimalDualPoint.from_stack(game, z.stack() + t * s)
-            applied = (trial, kkt_residual(game, trial, eps, p), t * s)
-        z, res, taken = applied
-        psi = res.merit
+            step = t * s
+            F_trial = kkt_residual(game, z + step, eps, p)
+        z, F = z + step, F_trial
+        psi = residual_merit(F, n)
         iterations += 1
         merit_history.append(psi)
-        step_norms.append(float(np.linalg.norm(taken)))
+        step_norms.append(float(np.linalg.norm(step)))
         converged = psi <= cfg.tol
     return InnerResult(
-        z=z,
+        z=PrimalDualPoint.from_stack(game, z),
         merit=psi,
         iterations=iterations,
         converged=converged,
@@ -202,31 +200,34 @@ def newton_solve(
     )
 
 
-def _step_search(psi_at, psi0: float, v_norm: float, c2: float, sigma_min: float) -> float:
+def _step_search(game, z, d, eps, p, psi0: float, v_norm: float, cfg: SubgradConfig):
     """Doubling/halving search for the largest step passing sufficient decrease.
 
-    The test is psi(sigma) - psi0 <= -c2 * sigma * v_norm along a normalized
-    direction; returns 0.0 when even sigma_min fails.
+    The test is psi(z + sigma*d) - psi0 <= -c2 * sigma * v_norm along the
+    normalized direction ``d``. Returns the accepted step with the residual
+    at ``z + sigma*d``, or ``(0.0, None)`` when even sigma_min fails.
     """
 
-    def passes(sigma: float) -> bool:
-        return psi_at(sigma) - psi0 <= -c2 * sigma * v_norm
+    def residual_if_passes(sigma: float):
+        F = kkt_residual(game, z + sigma * d, eps, p)
+        return F if residual_merit(F, game.n) - psi0 <= -cfg.c2 * sigma * v_norm else None
 
     sigma = 1.0
-    if passes(sigma):
-        while sigma < 2.0**30 and passes(2.0 * sigma):
-            sigma *= 2.0
-        return sigma
-    while sigma > sigma_min:
+    F = residual_if_passes(sigma)
+    if F is not None:
+        while sigma < 2.0**30 and (larger := residual_if_passes(2.0 * sigma)) is not None:
+            sigma, F = 2.0 * sigma, larger
+        return sigma, F
+    while sigma > cfg.sigma_min:
         sigma *= 0.5
-        if passes(sigma):
-            return sigma
-    return 0.0
+        if (F := residual_if_passes(sigma)) is not None:
+            return sigma, F
+    return 0.0, None
 
 
 def subgradient_solve(
     game: GameSpec,
-    z0: PrimalDualPoint | None = None,
+    z0: PrimalDualPoint | np.ndarray | None = None,
     eps: float = 1.0,
     p: int = 2,
     cfg: SubgradConfig | None = None,
@@ -236,45 +237,40 @@ def subgradient_solve(
     The outer level shrinks a stationarity tolerance geometrically; the
     inner level takes normalized subgradient steps until the current
     subgradient norm falls below that tolerance. The step direction is the
-    normalized merit subgradient (a quasisecant of zero probe length).
+    normalized merit subgradient (a quasisecant of zero probe length). The
+    residual of each accepted trial point is kept from the step search.
     """
     cfg = cfg or SubgradConfig()
-    z = (z0 or PrimalDualPoint.zeros(game)).copy()
-    psi = kkt_residual(game, z, eps, p).merit
+    n = game.n
+    z = flat_point(game, z0)
+    F = kkt_residual(game, z, eps, p)
+    psi = residual_merit(F, n)
     merit_history = [psi]
     step_norms: list[float] = []
     iterations = 0
     delta = cfg.delta0
-
-    def psi_of(zs: np.ndarray) -> float:
-        return kkt_residual(game, PrimalDualPoint.from_stack(game, zs), eps, p).merit
-
     for _ in range(cfg.max_outer):
         if psi <= cfg.tol:
             break
         for _ in range(cfg.max_inner):
             if psi <= cfg.tol:
                 break
-            H = generalized_jacobian(game, z, eps, p).matrix()
-            v = H.T @ kkt_residual(game, z, eps, p).stack()
+            v = generalized_jacobian(game, z, eps, p).T @ F
             v_norm = float(np.linalg.norm(v))
             if v_norm <= delta:
                 break
             d = -v / v_norm
-            z_stacked = z.stack()
-            sigma = _step_search(
-                lambda s: psi_of(z_stacked + s * d), psi, v_norm, cfg.c2, cfg.sigma_min
-            )
+            sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm, cfg)
             if sigma == 0.0:
                 break
-            z = PrimalDualPoint.from_stack(game, z_stacked + sigma * d)
-            psi = psi_of(z.stack())
+            z, F = z + sigma * d, F_trial
+            psi = residual_merit(F, n)
             iterations += 1
             merit_history.append(psi)
             step_norms.append(sigma)
         delta *= cfg.gamma
     return InnerResult(
-        z=z,
+        z=PrimalDualPoint.from_stack(game, z),
         merit=psi,
         iterations=iterations,
         converged=psi <= cfg.tol,

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec, compose_strategy, split_strategy
-from .smoothing import (
-    best_response_exact,
-    leader_objective,
-    phi_tilde_d1,
-    potential_value,
-    smoothed_gradient_stack,
-)
+from .smoothing import best_response_exact, leader_objective, phi_tilde_d1
 from .solvers import lu_solve
 
 __all__ = [
@@ -40,8 +34,6 @@ __all__ = [
     "s_stationarity_certificate",
     "certify",
     "smoothing_drift",
-    "monotonicity_probe",
-    "potential_identity_probe",
 ]
 
 FEAS_TOL = 1e-9
@@ -340,46 +332,3 @@ def smoothing_drift(game: GameSpec, eps_final: float) -> float:
     stopped at that level can only be certified up to this drift.
     """
     return float(eps_final * np.sum(game.follower.a))
-
-
-def monotonicity_probe(
-    game: GameSpec, eps: float, p: int = 2, trials: int = 100, seed: int = 0, scale: float = 3.0
-) -> float:
-    """Smallest observed monotonicity ratio of the stacked gradient map.
-
-    The ratio (x - x')'(grad(x) - grad(x')) / |x - x'|^2 is bounded below
-    by the smallest eigenvalue of the Hessian stack; this samples random
-    distinct pairs and returns the minimum.
-    """
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(trials):
-        x = scale * rng.standard_normal(game.n)
-        x_hat = scale * rng.standard_normal(game.n)
-        diff = x - x_hat
-        nrm2 = float(diff @ diff)
-        if nrm2 == 0.0:
-            continue
-        gap = smoothed_gradient_stack(game, x, eps, p) - smoothed_gradient_stack(
-            game, x_hat, eps, p
-        )
-        worst = min(worst, float(diff @ gap) / nrm2)
-    return worst
-
-
-def potential_identity_probe(
-    game: GameSpec, trials: int = 100, seed: int = 0, scale: float = 3.0
-) -> float:
-    """Largest observed mismatch between unilateral objective and potential
-    differences over random strategy pairs; zero up to rounding."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        nu = int(rng.integers(1, game.num_leaders + 1))
-        x = scale * rng.standard_normal(game.n)
-        x_alt = x.copy()
-        x_alt[game.x_slice(nu)] = scale * rng.standard_normal(game.leaders[nu - 1].n_vars)
-        d_obj = leader_objective(game, nu, x_alt) - leader_objective(game, nu, x)
-        d_pot = potential_value(game, x_alt) - potential_value(game, x)
-        worst = max(worst, abs(d_obj - d_pot))
-    return worst

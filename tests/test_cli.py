@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from mlfg import save_game
 from mlfg.cli import BENCH_COLUMNS, ITER_LOG_COLUMNS, MULTISTART_COLUMNS, main
@@ -250,3 +251,29 @@ def test_bench_iter_rows_match_solve_log(tmp_path):
     assert solve[0] == [c for c in ITER_LOG_COLUMNS if c != "wall_ms"]
     assert len(solve) > 1
     assert bench == solve[1:]
+
+
+
+@pytest.mark.parametrize("source", ["--report", "--x"], ids=["report", "x"])
+@pytest.mark.parametrize("case", ["other_game", "short_lambda", "nan", "zero_eps"])
+def test_verify_rejects_bad_candidate(tmp_path, capsys, trace1, source, case):
+    # a dataset-1 point against dataset 2, a 3-entry lambda, a NaN entry,
+    # a zero smoothing level
+    x, lam = trace1.final.x.tolist(), trace1.final.lam.tolist()
+    args = ["--dataset", "2" if case == "other_game" else "1"]
+    eps_final = 0.0 if case == "zero_eps" else 1e-6
+    if case == "short_lambda":
+        lam = lam[:3]
+    if case == "nan":
+        x[0] = float("nan")
+    path = tmp_path / "candidate.json"
+    if source == "--report":
+        doc = {"solution": {"x": x, "lambda": lam, "eps_final": eps_final}}
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text(json.dumps(x + lam))
+        args += ["--eps-final", repr(eps_final)]
+    assert run("verify", *args, source, str(path)) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "nash gap" not in captured.out

@@ -4,6 +4,7 @@ import pytest
 from mlfg import (
     HomotopyConfig,
     NewtonConfig,
+    SubgradConfig,
     best_response_exact,
     best_response_smoothed,
     homotopy_solve,
@@ -106,18 +107,41 @@ class TestTraceConsistency:
             assert np.max(np.abs(y_eps - y_exact)) <= s.eps + 1e-12
 
     def test_failure_marks_stage_and_aborts(self, ds1):
-        cfg = HomotopyConfig(inner_cfg=NewtonConfig(tol=1e-10, max_iter=1))
+        cfg = HomotopyConfig(inner=NewtonConfig(tol=1e-10, max_iter=1))
         trace = homotopy_solve(ds1, cfg=cfg)
         assert not trace.converged
         assert not trace.stages[-1].converged
         assert len(trace.stages) == 1
 
     def test_subgradient_inner(self, ds1):
-        from mlfg import SubgradConfig
-
-        cfg = HomotopyConfig(
-            eps_min=0.4, inner="subgradient", inner_cfg=SubgradConfig(tol=1e-8)
-        )
+        cfg = HomotopyConfig(eps_min=0.4, inner=SubgradConfig(tol=1e-8))
         trace = homotopy_solve(ds1, cfg=cfg)
         assert trace.converged
         assert [round(s.eps, 12) for s in trace.stages] == [1.6, 0.8, 0.4]
+
+
+class TestStageCountsPinned:
+    """Per-stage inner iterations and fallback steps of the bundled schedules
+    (the ``mlfg solve`` defaults, and the subgradient method down to
+    eps = 0.05). A change that moves any of them changes the solver path."""
+
+    def test_newton_defaults(self, trace1, trace2):
+        expected = {
+            "ds1": [4, 2, 2, 1, 1, 1, 1, 1, 1, 0, 1] + [0] * 11,
+            "ds2": [3, 1, 1, 1, 1, 1, 1, 0, 0, 1] + [0] * 12,
+        }
+        for name, trace in (("ds1", trace1), ("ds2", trace2)):
+            assert [s.inner_iterations for s in trace.stages] == expected[name], name
+            assert [s.fallback_steps for s in trace.stages] == [1] + [0] * 21, name
+
+    def test_subgradient_to_eps_005(self, ds1, ds2):
+        cfg = HomotopyConfig(eps_min=0.05, inner=SubgradConfig())
+        expected = {
+            "ds1": [288, 218, 196, 110, 142, 61],
+            "ds2": [480, 331, 160, 150, 104, 50],
+        }
+        for name, game in (("ds1", ds1), ("ds2", ds2)):
+            trace = homotopy_solve(game, cfg=cfg)
+            assert trace.converged, name
+            assert [s.inner_iterations for s in trace.stages] == expected[name], name
+            assert [s.fallback_steps for s in trace.stages] == [0] * 6, name

@@ -1,83 +1,78 @@
 import numpy as np
 import pytest
 
-from mlfg import (
-    PrimalDualPoint,
-    generalized_jacobian,
-    kkt_residual,
-    leader_gradient_smoothed,
-    merit,
-    merit_subgradient,
-    newton_solve,
-)
+from mlfg import generalized_jacobian, kkt_residual, merit, newton_solve
+
+from helpers import leader_gradient_smoothed
 
 
 def fd_jacobian(game, z, eps, h=1e-6):
-    z0 = z.stack()
-    dim = z0.shape[0]
+    dim = z.shape[0]
     J = np.empty((dim, dim))
     for j in range(dim):
-        zp = z0.copy(); zp[j] += h
-        zm = z0.copy(); zm[j] -= h
-        Fp = kkt_residual(game, PrimalDualPoint.from_stack(game, zp), eps).stack()
-        Fm = kkt_residual(game, PrimalDualPoint.from_stack(game, zm), eps).stack()
-        J[:, j] = (Fp - Fm) / (2 * h)
+        zp = z.copy(); zp[j] += h
+        zm = z.copy(); zm[j] -= h
+        J[:, j] = (kkt_residual(game, zp, eps) - kkt_residual(game, zm, eps)) / (2 * h)
     return J
 
 
 def random_smooth_point(game, rng, eps):
-    """Iterate away from every branch boundary of the min rows."""
+    """Flat iterate away from every branch boundary of the min rows."""
     while True:
-        z = PrimalDualPoint(rng.uniform(-3, 3, game.n), rng.uniform(-2, 2, game.m_bar))
-        g = game.constraint_values(z.x)
-        if np.min(np.abs(z.lam + g)) > 1e-3:
-            return z
+        x, lam = rng.uniform(-3, 3, game.n), rng.uniform(-2, 2, game.m_bar)
+        g = game.constraint_values(x)
+        if np.min(np.abs(lam + g)) > 1e-3:
+            return np.concatenate([x, lam])
+
+
+def merit_subgradient(game, z, eps):
+    """Element H^T F of the merit subdifferential for the selected branch."""
+    return generalized_jacobian(game, z, eps).T @ kkt_residual(game, z, eps)
 
 
 class TestResidual:
     def test_dataset1_complementarity_block(self, ds1):
-        z = PrimalDualPoint(np.ones(4), np.zeros(6))
-        res = kkt_residual(ds1, z, eps=0.5)
+        z = np.concatenate([np.ones(4), np.zeros(6)])
+        F = kkt_residual(ds1, z, eps=0.5)
         np.testing.assert_allclose(
-            res.F2, [-5.8, -4.2, -3.4, -4.7, -4.3, -6.7], atol=1e-12
+            F[4:], [-5.8, -4.2, -3.4, -4.7, -4.3, -6.7], atol=1e-12
         )
 
     def test_stationarity_block_matches_gradients(self, ds1):
         # cross-check against the per-leader gradient evaluation plus the
         # multiplier term, assembled independently per block
         rng = np.random.default_rng(0)
-        z = PrimalDualPoint(rng.uniform(-2, 2, 4), rng.uniform(0, 2, 6))
-        res = kkt_residual(ds1, z, eps=0.7)
+        x, lam = rng.uniform(-2, 2, 4), rng.uniform(0, 2, 6)
+        F = kkt_residual(ds1, np.concatenate([x, lam]), eps=0.7)
         for nu in (1, 2):
             s = ds1.x_slice(nu)
             ld = ds1.leaders[nu - 1]
-            expected = leader_gradient_smoothed(ds1, nu, z.x, 0.7) + ld.A @ z.lam[
+            expected = leader_gradient_smoothed(ds1, nu, x, 0.7) + ld.A @ lam[
                 ds1.lambda_slice(nu)
             ]
-            np.testing.assert_allclose(res.F1[s], expected, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(F[s], expected, rtol=1e-13, atol=1e-14)
 
     def test_quadratic_game_root(self, quadratic_game):
         game = quadratic_game
         x_star = np.concatenate(
             [-np.linalg.solve(ld.Q, ld.c) for ld in game.leaders]
         )
-        z = PrimalDualPoint(x_star, np.zeros(game.m_bar))
-        res = kkt_residual(game, z, eps=0.3)
-        assert np.max(np.abs(res.F1)) <= 1e-12
-        np.testing.assert_array_equal(res.F2, np.zeros(game.m_bar))
+        z = np.concatenate([x_star, np.zeros(game.m_bar)])
+        F = kkt_residual(game, z, eps=0.3)
+        assert np.max(np.abs(F[: game.n])) <= 1e-12
+        np.testing.assert_array_equal(F[game.n :], np.zeros(game.m_bar))
 
     def test_residual_small_at_solution(self, ds1):
         result = newton_solve(ds1, eps=0.5)
         assert result.converged
-        res = kkt_residual(ds1, result.z, eps=0.5)
-        assert res.merit <= 1e-10
+        assert merit(ds1, result.z.stack(), eps=0.5) <= 1e-10
 
     def test_merit_definition(self, ds1):
         rng = np.random.default_rng(1)
-        z = PrimalDualPoint(rng.uniform(-3, 3, 4), rng.uniform(-1, 1, 6))
-        res = kkt_residual(ds1, z, eps=0.9)
+        z = np.concatenate([rng.uniform(-3, 3, 4), rng.uniform(-1, 1, 6)])
+        F = kkt_residual(ds1, z, eps=0.9)
         assert merit(ds1, z, eps=0.9) == pytest.approx(
-            0.5 * (res.F1 @ res.F1 + res.F2 @ res.F2), rel=1e-15
+            0.5 * (F[:4] @ F[:4] + F[4:] @ F[4:]), rel=1e-15
         )
         assert merit(ds1, z, eps=0.9) > 0.0
 
@@ -87,26 +82,23 @@ class TestGeneralizedJacobian:
         # strictly feasible x with zero multipliers: lam < -g on every row
         x = -3.0 * np.ones(4)
         assert np.all(ds1.constraint_values(x) < 0)
-        z = PrimalDualPoint(x, np.zeros(6))
-        J = generalized_jacobian(ds1, z, eps=0.4)
-        np.testing.assert_array_equal(J.ll, np.eye(6))
-        np.testing.assert_array_equal(J.lx, np.zeros((6, 4)))
+        H = generalized_jacobian(ds1, np.concatenate([x, np.zeros(6)]), eps=0.4)
+        np.testing.assert_array_equal(H[4:, 4:], np.eye(6))
+        np.testing.assert_array_equal(H[4:, :4], np.zeros((6, 4)))
 
     def test_quadratic_inactive_structure(self, quadratic_game):
         game = quadratic_game
-        z = PrimalDualPoint(np.zeros(4), np.zeros(4))
-        J = generalized_jacobian(game, z, eps=0.4)
-        np.testing.assert_array_equal(J.xx, game.Q_block)
-        np.testing.assert_array_equal(J.xl, game.constraint_gradient_block)
-        np.testing.assert_array_equal(J.ll, np.eye(4))
-        H = J.matrix()
+        H = generalized_jacobian(game, np.zeros(8), eps=0.4)
+        np.testing.assert_array_equal(H[:4, :4], game.Q_block)
+        np.testing.assert_array_equal(H[:4, 4:], game.constraint_gradient_block)
+        np.testing.assert_array_equal(H[4:, 4:], np.eye(4))
         assert np.linalg.matrix_rank(H) == 8
 
     def test_matches_finite_differences_on_smooth_points(self, ds1):
         rng = np.random.default_rng(2)
         for _ in range(50):
             z = random_smooth_point(ds1, rng, eps=0.5)
-            H = generalized_jacobian(ds1, z, eps=0.5).matrix()
+            H = generalized_jacobian(ds1, z, eps=0.5)
             J = fd_jacobian(ds1, z, eps=0.5)
             err = np.linalg.norm(H - J) / np.linalg.norm(J)
             assert err <= 1e-5
@@ -116,8 +108,8 @@ class TestGeneralizedJacobian:
         for game in (ds1, ds2):
             mu = game.min_curvature()
             for _ in range(20):
-                z = PrimalDualPoint(rng.uniform(-4, 4, game.n), np.zeros(game.m_bar))
-                xx = generalized_jacobian(game, z, eps=0.3).xx
+                z = np.concatenate([rng.uniform(-4, 4, game.n), np.zeros(game.m_bar)])
+                xx = generalized_jacobian(game, z, eps=0.3)[: game.n, : game.n]
                 assert np.max(np.abs(xx - xx.T)) <= 1e-12 * np.max(np.abs(xx))
                 v = rng.standard_normal(game.n)
                 assert v @ xx @ v >= (mu - 1e-9) * v @ v
@@ -125,26 +117,27 @@ class TestGeneralizedJacobian:
     def test_branch_coverage(self, ds1):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            z = PrimalDualPoint(rng.uniform(-3, 3, 4), rng.uniform(-1, 1, 6))
-            J = generalized_jacobian(ds1, z, eps=0.5)
+            z = np.concatenate([rng.uniform(-3, 3, 4), rng.uniform(-1, 1, 6)])
+            H = generalized_jacobian(ds1, z, eps=0.5)
+            lx, ll = H[4:, :4], H[4:, 4:]
             for i in range(6):
-                mult_branch = J.ll[i, i] == 1.0 and not J.lx[i].any()
-                cons_branch = J.ll[i, i] == 0.0 and J.lx[i].any()
+                mult_branch = ll[i, i] == 1.0 and not lx[i].any()
+                cons_branch = ll[i, i] == 0.0 and lx[i].any()
                 assert mult_branch != cons_branch
 
     def test_tie_break_selects_multiplier_branch(self, ds1):
         x = np.ones(4)
         g = ds1.constraint_values(x)
         lam = -g.copy()  # exact ties on every row
-        J = generalized_jacobian(ds1, PrimalDualPoint(x, lam), eps=0.5)
-        np.testing.assert_array_equal(J.ll, np.eye(6))
-        np.testing.assert_array_equal(J.lx, np.zeros((6, 4)))
+        H = generalized_jacobian(ds1, np.concatenate([x, lam]), eps=0.5)
+        np.testing.assert_array_equal(H[4:, 4:], np.eye(6))
+        np.testing.assert_array_equal(H[4:, :4], np.zeros((6, 4)))
 
 
 class TestMeritSubgradient:
     def test_zero_at_root(self, ds1):
         result = newton_solve(ds1, eps=0.8)
-        v = merit_subgradient(ds1, result.z, eps=0.8)
+        v = merit_subgradient(ds1, result.z.stack(), eps=0.8)
         assert np.linalg.norm(v) <= 1e-4  # scales like H times the residual
 
     def test_matches_merit_gradient_on_smooth_points(self, ds1):
@@ -153,21 +146,17 @@ class TestMeritSubgradient:
         for _ in range(25):
             z = random_smooth_point(ds1, rng, eps=0.6)
             v = merit_subgradient(ds1, z, eps=0.6)
-            z0 = z.stack()
-            fd = np.empty_like(z0)
-            for j in range(z0.shape[0]):
-                zp = z0.copy(); zp[j] += h
-                zm = z0.copy(); zm[j] -= h
-                fd[j] = (
-                    merit(ds1, PrimalDualPoint.from_stack(ds1, zp), eps=0.6)
-                    - merit(ds1, PrimalDualPoint.from_stack(ds1, zm), eps=0.6)
-                ) / (2 * h)
+            fd = np.empty_like(z)
+            for j in range(z.shape[0]):
+                zp = z.copy(); zp[j] += h
+                zm = z.copy(); zm[j] -= h
+                fd[j] = (merit(ds1, zp, eps=0.6) - merit(ds1, zm, eps=0.6)) / (2 * h)
             np.testing.assert_allclose(v, fd, rtol=1e-5, atol=1e-7)
 
     def test_linear_in_residual(self, ds1):
         rng = np.random.default_rng(6)
         z = random_smooth_point(ds1, rng, eps=0.5)
-        H = generalized_jacobian(ds1, z, eps=0.5).matrix()
-        F = kkt_residual(ds1, z, eps=0.5).stack()
+        H = generalized_jacobian(ds1, z, eps=0.5)
+        F = kkt_residual(ds1, z, eps=0.5)
         np.testing.assert_allclose(H.T @ (2.0 * F), 2.0 * (H.T @ F), rtol=1e-15)
         np.testing.assert_allclose(merit_subgradient(ds1, z, eps=0.5), H.T @ F, rtol=1e-15)

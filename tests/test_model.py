@@ -9,13 +9,13 @@ from mlfg import (
     compose_strategy,
     load_game,
     save_game,
-    slice_rows,
     split_strategy,
     validate_game,
 )
 from mlfg.model import bundled_dataset_path
 
 from conftest import make_game
+from helpers import slice_rows
 
 
 def test_dataset1_dimensions(ds1):

@@ -6,9 +6,7 @@ import pytest
 from mlfg import (
     best_response_exact,
     best_response_smoothed,
-    leader_gradient_smoothed,
     leader_objective,
-    leader_objective_smoothed,
     phi_tilde,
     phi_tilde_d1,
     phi_tilde_d2,
@@ -20,6 +18,7 @@ from mlfg import (
 )
 
 from conftest import make_game
+from helpers import leader_gradient_smoothed, leader_objective_smoothed
 
 
 def scalar_game(Qy, B_row, L_row, a=1.0):

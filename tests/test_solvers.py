@@ -9,8 +9,6 @@ from mlfg import (
     generalized_jacobian,
     kkt_residual,
     lu_solve,
-    merit,
-    merit_subgradient,
     newton_solve,
     subgradient_solve,
 )
@@ -55,8 +53,8 @@ class TestLuSolve:
 class TestArmijo:
     def test_descent_direction_accepted(self, ds1):
         rng = np.random.default_rng(1)
-        z = PrimalDualPoint(rng.uniform(-1, 1, 4), rng.uniform(0, 1, 6))
-        s = -merit_subgradient(ds1, z, eps=0.8)
+        z = np.concatenate([rng.uniform(-1, 1, 4), rng.uniform(0, 1, 6)])
+        s = -(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
         t, ok = armijo_search(ds1, z, s, eps=0.8)
         assert ok and t > 0.0
 
@@ -64,17 +62,17 @@ class TestArmijo:
         # near the root the merit is locally strictly convex, so moving
         # along the positive subgradient can only increase it
         root = newton_solve(ds1, eps=0.8).z
-        z = PrimalDualPoint(root.x + 0.01, root.lam.copy())
-        s = +merit_subgradient(ds1, z, eps=0.8)
+        z = np.concatenate([root.x + 0.01, root.lam])
+        s = +(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
         t, ok = armijo_search(ds1, z, s, eps=0.8)
         assert not ok and t == 0.0
 
     def test_full_step_near_solution(self, ds1):
         # the local phase takes unit Newton steps
         res = newton_solve(ds1, eps=0.5, cfg=NewtonConfig(tol=1e-6))
-        z = res.z
-        H = generalized_jacobian(ds1, z, eps=0.5).matrix()
-        s = lu_solve(H, -kkt_residual(ds1, z, eps=0.5).stack())
+        z = res.z.stack()
+        H = generalized_jacobian(ds1, z, eps=0.5)
+        s = lu_solve(H, -kkt_residual(ds1, z, eps=0.5))
         assert s is not None
         t, ok = armijo_search(ds1, z, s, eps=0.5)
         assert ok and t == 1.0
@@ -102,9 +100,9 @@ class TestNewton:
             for eps in (1.6, 0.1):
                 res = newton_solve(game, eps=eps)
                 assert res.converged
-                kkt = kkt_residual(game, res.z, eps=eps)
-                assert np.max(np.abs(kkt.F1)) <= 1e-5
-                assert np.max(np.abs(kkt.F2)) <= 1e-5
+                F = kkt_residual(game, res.z.stack(), eps=eps)
+                assert np.max(np.abs(F[: game.n])) <= 1e-5
+                assert np.max(np.abs(F[game.n :])) <= 1e-5
                 assert np.all(res.z.lam >= -1e-9)
                 assert np.all(game.constraint_values(res.z.x) <= 1e-9)
 

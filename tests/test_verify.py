@@ -7,8 +7,6 @@ from mlfg import (
     best_response_qp_oracle,
     certify,
     leader_objective,
-    monotonicity_probe,
-    potential_identity_probe,
     s_stationarity_certificate,
     split_strategy,
     verify_nash,
@@ -16,6 +14,7 @@ from mlfg import (
 from mlfg.verify import nash_gap_bounds
 
 from conftest import make_game
+from helpers import monotonicity_probe, potential_identity_probe
 
 
 def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=200):
