@@ -18,9 +18,7 @@ import numpy as np
 from . import __version__
 from .homotopy import HomotopyConfig, HomotopyTrace, homotopy_solve
 from .model import (
-    GameFormatError,
     GameSpec,
-    GameValidationError,
     PrimalDualPoint,
     _game_to_dict,
     bundled_dataset_path,
@@ -79,6 +77,11 @@ def _fingerprint(game: GameSpec) -> dict:
         "m_bar": game.m_bar,
         "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
+
+
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
 
 
 def _initial_point(game: GameSpec, seed: int | None) -> PrimalDualPoint:
@@ -159,9 +162,9 @@ def _build_report(
                 "converged": s.converged,
                 "fallback_steps": s.fallback_steps,
                 "wall_ms": s.wall_ms,
-                "error_to_final": float(np.linalg.norm(s.z_star.x - final.x)),
+                "error_to_final": float(error),
             }
-            for s in trace.stages
+            for s, error in zip(trace.stages, trace.errors_to_final())
         ],
         "solution": {
             "eps_final": trace.final_eps,
@@ -176,17 +179,13 @@ def _build_report(
 def cmd_solve(args) -> int:
     try:
         game, path = _load(args)
-    except (InputError, GameFormatError, GameValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         cfg = _homotopy_config(args)
+        _check_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    z0 = _initial_point(game, args.seed)
-    trace = homotopy_solve(game, z0, cfg)
+    trace = homotopy_solve(game, _initial_point(game, args.seed), cfg)
     for s in trace.stages:
         print(
             f"stage {s.index:2d}  eps={s.eps:.3e}  iters={s.inner_iterations:4d}  "
@@ -274,8 +273,7 @@ def cmd_verify(args) -> int:
         else:
             raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
-    except (InputError, GameFormatError, GameValidationError, OSError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -292,45 +290,56 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.certified else EXIT_CERT
 
 
-def _bench_schedule_rows(game: GameSpec, args) -> tuple[list[list], list[list], bool]:
+def _bench_configs(args) -> list[tuple[str, bool, HomotopyConfig]]:
+    """The comparison cells: each inner method with the predictor on and off."""
+    return [
+        (method, taylor, HomotopyConfig(
+            eps0=args.eps0,
+            gamma=args.gamma,
+            eps_min=args.bench_eps_min,
+            taylor=taylor,
+            inner=_inner_config(method, args.tol),
+        ))
+        for method in ("newton", "subgradient")
+        for taylor in (True, False)
+    ]
+
+
+def _bench_schedule_rows(game: GameSpec, configs) -> tuple[list[list], list[list], bool]:
     rows: list[list] = []
     iter_rows: list[list] = []
     ok = True
-    for method in ("newton", "subgradient"):
-        for taylor in (True, False):
-            cfg = HomotopyConfig(
-                eps0=args.eps0,
-                gamma=args.gamma,
-                eps_min=args.bench_eps_min,
-                taylor=taylor,
-                inner=_inner_config(method, args.tol),
+    for method, taylor, cfg in configs:
+        trace = homotopy_solve(game, PrimalDualPoint.zeros(game), cfg)
+        ok = ok and trace.converged
+        iter_rows.extend(_iter_log_rows(trace, method, taylor))
+        for s in trace.stages:
+            rows.append(
+                [
+                    method,
+                    "on" if taylor else "off",
+                    repr(s.eps),
+                    s.inner_iterations,
+                    repr(s.merit_final),
+                    repr(s.wall_ms),
+                ]
             )
-            trace = homotopy_solve(game, PrimalDualPoint.zeros(game), cfg)
-            ok = ok and trace.converged
-            iter_rows.extend(_iter_log_rows(trace, method, taylor))
-            for s in trace.stages:
-                rows.append(
-                    [
-                        method,
-                        "on" if taylor else "off",
-                        repr(s.eps),
-                        s.inner_iterations,
-                        repr(s.merit_final),
-                        repr(s.wall_ms),
-                    ]
-                )
     return rows, iter_rows, ok
 
 
 def cmd_bench(args) -> int:
     try:
         game, _ = _load(args)
-    except (InputError, GameFormatError, GameValidationError) as exc:
+        configs = _bench_configs(args)
+        _check_seed(args.seed)
+        if not 0.0 < args.multistart_eps < np.inf:
+            raise InputError(f"--multistart-eps must be positive, got {args.multistart_eps}")
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     out = Path(args.out)
-    rows, iter_rows, ok = _bench_schedule_rows(game, args)
+    rows, iter_rows, ok = _bench_schedule_rows(game, configs)
     _write_csv(out, BENCH_COLUMNS, rows)
     iters_path = out.with_name(out.stem + "_iters.csv")
     _write_csv(iters_path, ITER_LOG_COLUMNS, iter_rows)
@@ -382,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--eps-min", dest="eps_min", type=float, default=1e-6)
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--taylor", choices=("on", "off"), default="on")
-    solve.add_argument("--p", type=int, default=2)
+    solve.add_argument("--p", type=int, default=2, help="kernel exponent, an even integer >= 2")
     solve.add_argument("--seed", type=int, default=None, help="randomize the initial point")
     solve.add_argument("--out", help="write the solve report JSON here")
     solve.add_argument("--log", help="write the per-iteration CSV log here")

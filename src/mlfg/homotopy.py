@@ -23,13 +23,7 @@ import numpy as np
 from .kkt import curvature_block, flat_point, merit
 from .model import GameSpec, PrimalDualPoint
 from .smoothing import phi_tilde_dt_deps
-from .solvers import (
-    NewtonConfig,
-    SubgradConfig,
-    lu_solve,
-    newton_solve,
-    subgradient_solve,
-)
+from .solvers import NewtonConfig, SubgradConfig, newton_solve, subgradient_solve
 
 __all__ = [
     "HomotopyConfig",
@@ -56,6 +50,8 @@ class HomotopyConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.eps_min < self.eps0:
             raise ValueError("eps_min must lie in (0, eps0)")
+        if self.p < 2 or self.p % 2 != 0:
+            raise ValueError("p must be an even integer >= 2")
         if not isinstance(self.inner, (NewtonConfig, SubgradConfig)):
             raise ValueError("inner must be a NewtonConfig or a SubgradConfig")
 
@@ -105,17 +101,14 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
     """Sensitivity dx/deps of the stacked stationarity conditions.
 
     Implicit differentiation in ``eps``: the coefficient matrix is
-    :func:`~mlfg.kkt.curvature_block` (SPD, so the system is always
-    solvable) and the right-hand side carries the kernel's mixed second
-    derivative.
+    :func:`~mlfg.kkt.curvature_block`, SPD for valid game data, so one
+    LAPACK solve (``numpy.linalg.solve``) always succeeds; the right-hand
+    side carries the kernel's mixed second derivative.
     """
     A = game.A_diff
     t = A @ np.asarray(x, dtype=float)
     h = -0.5 * A.T @ (game.follower.a * phi_tilde_dt_deps(t, eps, p))
-    d = lu_solve(curvature_block(game, x, eps, p), h)
-    if d is None:  # cannot happen for valid game data; defensive
-        raise np.linalg.LinAlgError("predictor system unexpectedly singular")
-    return d
+    return np.linalg.solve(curvature_block(game, x, eps, p), h)
 
 
 def homotopy_solve(
@@ -133,7 +126,6 @@ def homotopy_solve(
     solve_inner = newton_solve if isinstance(cfg.inner, NewtonConfig) else subgradient_solve
     z_warm = flat_point(game, z0)
     stages: list[StageRecord] = []
-    predictor_norm = 0.0
     i = 0
     while True:
         eps = cfg.eps0 * cfg.gamma**i
@@ -146,7 +138,6 @@ def homotopy_solve(
         d = np.zeros(game.n)
         if res.converged and cfg.taylor and eps > cfg.eps_min:
             d = taylor_direction(game, res.z.x, eps_next, cfg.p)
-        predictor_norm = float(np.linalg.norm(d))
 
         stages.append(
             StageRecord(
@@ -156,7 +147,7 @@ def homotopy_solve(
                 inner_iterations=res.iterations,
                 merit_final=res.merit,
                 warm_start_merit=warm_merit,
-                predictor_norm=predictor_norm,
+                predictor_norm=float(np.linalg.norm(d)),
                 converged=res.converged,
                 wall_ms=wall_ms,
                 fallback_steps=res.fallback_steps,

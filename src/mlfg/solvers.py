@@ -14,7 +14,9 @@ Both are deterministic and keep the merit monotonically nonincreasing.
 They iterate on the flat vector ``z = (x, lambda)`` of length
 ``n + m_bar``, with the residual and Jacobian of :mod:`mlfg.kkt`. A start
 point is converted once on entry (a :class:`~mlfg.model.PrimalDualPoint`,
-a flat vector or None for zeros) and the result once on exit.
+a flat vector or None for zeros) and the result once on exit. The Newton
+step is one LAPACK solve, :func:`lu_solve`, which returns None for a
+singular or numerically singular Jacobian.
 """
 from __future__ import annotations
 
@@ -36,34 +38,35 @@ __all__ = [
 ]
 
 
-def lu_solve(M: np.ndarray, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray | None:
-    """Solve a small dense system by LU with scaled partial pivoting.
+# Fixed step controls: the fallback's halvings, and the subgradient
+# method's first stationarity tolerance and smallest step.
+MAX_BACKTRACKS = 60
+DELTA0 = 1.0
+SIGMA_MIN = 1e-12
 
-    Returns None (the singular flag) when the best available pivot falls
-    below ``pivot_tol`` times the largest initial row infinity-norm; the
-    Newton solver treats that as its fallback trigger rather than an error.
+
+def lu_solve(M: np.ndarray, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray | None:
+    """Solve a small dense system through LAPACK (``numpy.linalg.solve``).
+
+    Returns None (the singular flag) when LAPACK finds a zero pivot, when
+    the solution is not finite (so also for a NaN or inf in ``M`` or
+    ``rhs``), or when ``max|x| * pivot_tol * max|M| > max|rhs|``, an O(n) check after
+    the solve that proves the condition number above ``1 / pivot_tol``. The
+    Newton solver treats the flag as its fallback trigger, not as an error.
     """
-    A = np.array(M, dtype=float)
-    b = np.array(rhs, dtype=float)
+    A = np.asarray(M, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape != (n,):
         raise ValueError(f"incompatible shapes {A.shape} and {b.shape}")
-    if n == 0:
-        return b
-    threshold = pivot_tol * np.max(np.abs(A), initial=0.0)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if np.abs(A[piv, k]) < threshold or A[piv, k] == 0.0:
-            return None
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        mult = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(mult, A[k, k + 1 :])
-        b[k + 1 :] -= mult * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return None
+    size = np.max(np.abs(x), initial=0.0) * pivot_tol * np.max(np.abs(A), initial=0.0)
+    # written so that a NaN anywhere fails the test
+    if not (np.all(np.isfinite(x)) and size <= np.max(np.abs(b), initial=0.0)):
+        return None
     return x
 
 
@@ -73,8 +76,6 @@ class NewtonConfig:
     sigma: float = 1e-4
     tol: float = 1e-10
     max_iter: int = 200
-    pivot_tol: float = 1e-12
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -87,13 +88,11 @@ class NewtonConfig:
 
 @dataclass
 class SubgradConfig:
-    delta0: float = 1.0
     gamma: float = 0.5
     c2: float = 0.05
     max_outer: int = 50
     max_inner: int = 500
     tol: float = 1e-10
-    sigma_min: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -135,7 +134,7 @@ def armijo_search(
     psi0 = residual_merit(kkt_residual(game, z, eps, p), game.n)
     slope = cfg.sigma * float(s @ s)
     t = 1.0
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         psi_trial = residual_merit(kkt_residual(game, z + t * s, eps, p), game.n)
         # strict decrease keeps steps below float resolution from passing
         if psi_trial <= psi0 - t * slope and psi_trial < psi0:
@@ -172,7 +171,7 @@ def newton_solve(
         if not np.all(np.isfinite(F)):
             raise FloatingPointError("residual became non-finite during Newton solve")
         H = generalized_jacobian(game, z, eps, p)
-        step = lu_solve(H, -F, cfg.pivot_tol)
+        step = lu_solve(H, -F)
         F_trial = None if step is None else kkt_residual(game, z + step, eps, p)
         if F_trial is None or not residual_merit(F_trial, n) < psi:
             # singular Jacobian or no-descent full step: one subgradient step
@@ -205,7 +204,7 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float, cfg: SubgradCon
 
     The test is psi(z + sigma*d) - psi0 <= -c2 * sigma * v_norm along the
     normalized direction ``d``. Returns the accepted step with the residual
-    at ``z + sigma*d``, or ``(0.0, None)`` when even sigma_min fails.
+    at ``z + sigma*d``, or ``(0.0, None)`` when even ``SIGMA_MIN`` fails.
     """
 
     def residual_if_passes(sigma: float):
@@ -218,7 +217,7 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float, cfg: SubgradCon
         while sigma < 2.0**30 and (larger := residual_if_passes(2.0 * sigma)) is not None:
             sigma, F = 2.0 * sigma, larger
         return sigma, F
-    while sigma > cfg.sigma_min:
+    while sigma > SIGMA_MIN:
         sigma *= 0.5
         if (F := residual_if_passes(sigma)) is not None:
             return sigma, F
@@ -248,7 +247,7 @@ def subgradient_solve(
     merit_history = [psi]
     step_norms: list[float] = []
     iterations = 0
-    delta = cfg.delta0
+    delta = DELTA0
     for _ in range(cfg.max_outer):
         if psi <= cfg.tol:
             break

@@ -79,6 +79,27 @@ def test_solve_invalid_eps0():
     assert run("solve", "--dataset", "1", "--eps0", "5.0") == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "3"],
+        ["solve", "--p", "0"],
+        ["solve", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
+        ["bench", "--eps0", "3"],
+        ["bench", "--tol", "0"],
+        ["bench", "--bench-eps-min", "5"],
+        ["bench", "--multistart-eps", "0"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_input_exits_3(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "bench.csv")] if argv[0] == "bench" else []
+    assert run(*argv, "--dataset", "1", *out) == 3
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_nonconvergence_exit_code():
     # an impossible merit target stalls at float resolution
     assert run("solve", "--dataset", "1", "--tol", "1e-300") == 1

@@ -49,6 +49,13 @@ class TestLuSolve:
         with pytest.raises(ValueError):
             lu_solve(np.ones((2, 3)), np.ones(2))
 
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_flags_singular(self, where, bad):
+        M, rhs = np.eye(3) + 0.5, np.array([1.0, 2.0, 3.0])
+        (M if where == "matrix" else rhs)[1] = bad
+        assert lu_solve(M, rhs) is None
+
 
 class TestArmijo:
     def test_descent_direction_accepted(self, ds1):
