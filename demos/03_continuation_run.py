@@ -14,7 +14,7 @@ trace = homotopy_solve(game)
 errs = trace.errors_to_final()
 print("stage   eps          iters  warm-start merit  |x - x_final|")
 for s, err in zip(trace.stages, errs):
-    print(f"{s.index:4d}   {s.eps:.3e}  {s.inner_iterations:4d}   "
+    print(f"{s.index:4d}   {s.eps:.3e}  {s.result.iterations:4d}   "
           f"{s.warm_start_merit:.3e}       {err:.3e}")
 
 eps = trace.eps_values()

@@ -19,7 +19,6 @@ from .model import (
     GameSpec,
     GameValidationError,
     LeaderSpec,
-    PrimalDualPoint,
     compose_strategy,
     load_bundled,
     load_game,
@@ -74,7 +73,6 @@ __all__ = [
     "LeaderSpec",
     "NewtonConfig",
     "OracleError",
-    "PrimalDualPoint",
     "StageRecord",
     "SubgradConfig",
     "armijo_search",

@@ -11,19 +11,14 @@ import csv
 import hashlib
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .homotopy import HomotopyConfig, HomotopyTrace, homotopy_solve
-from .model import (
-    GameSpec,
-    PrimalDualPoint,
-    _game_to_dict,
-    bundled_dataset_path,
-    load_game,
-)
+from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import best_response_exact
 from .solvers import NewtonConfig, SubgradConfig, newton_solve
 from .verify import Certificate, certify, s_stationarity_certificate, smoothing_drift
@@ -84,13 +79,15 @@ def _check_seed(seed: int | None) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def _initial_point(game: GameSpec, seed: int | None) -> PrimalDualPoint:
+def _initial_point(game: GameSpec, seed: int | None) -> np.ndarray | None:
+    """A seeded random start ``(x, lambda)`` with ``lambda >= 0``; None (zeros)
+    without a seed."""
     if seed is None:
-        return PrimalDualPoint.zeros(game)
+        return None
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, game.n + game.m_bar)
     z[game.n :] = np.maximum(z[game.n :], 0.0)
-    return PrimalDualPoint.from_stack(game, z)
+    return z
 
 
 def _inner_config(method: str, tol: float) -> NewtonConfig | SubgradConfig:
@@ -118,9 +115,9 @@ def _write_csv(path: Path, columns: list[str], rows) -> None:
 def _iter_log_rows(trace: HomotopyTrace, method: str, taylor: bool):
     """Rows of the iteration log (``ITER_LOG_COLUMNS``), one per inner iterate."""
     for stage in trace.stages:
-        history = stage.merit_history or [stage.merit_final]
-        for k, psi in enumerate(history):
-            step = 0.0 if k == 0 else stage.step_norms[k - 1]
+        res = stage.result
+        for k, psi in enumerate(res.merit_history):
+            step = 0.0 if k == 0 else res.step_norms[k - 1]
             yield [
                 stage.index,
                 repr(stage.eps),
@@ -155,12 +152,12 @@ def _build_report(
             {
                 "index": s.index,
                 "eps": s.eps,
-                "inner_iterations": s.inner_iterations,
-                "merit_final": s.merit_final,
+                "inner_iterations": s.result.iterations,
+                "merit_final": s.result.merit,
                 "warm_start_merit": s.warm_start_merit,
                 "predictor_norm": s.predictor_norm,
-                "converged": s.converged,
-                "fallback_steps": s.fallback_steps,
+                "converged": s.result.converged,
+                "fallback_steps": s.result.fallback_steps,
                 "wall_ms": s.wall_ms,
                 "error_to_final": float(error),
             }
@@ -188,9 +185,9 @@ def cmd_solve(args) -> int:
     trace = homotopy_solve(game, _initial_point(game, args.seed), cfg)
     for s in trace.stages:
         print(
-            f"stage {s.index:2d}  eps={s.eps:.3e}  iters={s.inner_iterations:4d}  "
-            f"merit={s.merit_final:.3e}  warm={s.warm_start_merit:.3e}  "
-            f"converged={s.converged}"
+            f"stage {s.index:2d}  eps={s.eps:.3e}  iters={s.result.iterations:4d}  "
+            f"merit={s.result.merit:.3e}  warm={s.warm_start_merit:.3e}  "
+            f"converged={s.result.converged}"
         )
     if args.log:
         rows = _iter_log_rows(trace, args.method, cfg.taylor)
@@ -310,7 +307,7 @@ def _bench_schedule_rows(game: GameSpec, configs) -> tuple[list[list], list[list
     iter_rows: list[list] = []
     ok = True
     for method, taylor, cfg in configs:
-        trace = homotopy_solve(game, PrimalDualPoint.zeros(game), cfg)
+        trace = homotopy_solve(game, cfg=cfg)
         ok = ok and trace.converged
         iter_rows.extend(_iter_log_rows(trace, method, taylor))
         for s in trace.stages:
@@ -319,8 +316,8 @@ def _bench_schedule_rows(game: GameSpec, configs) -> tuple[list[list], list[list
                     method,
                     "on" if taylor else "off",
                     repr(s.eps),
-                    s.inner_iterations,
-                    repr(s.merit_final),
+                    s.result.iterations,
+                    repr(s.result.merit),
                     repr(s.wall_ms),
                 ]
             )
@@ -334,6 +331,9 @@ def cmd_bench(args) -> int:
         _check_seed(args.seed)
         if not 0.0 < args.multistart_eps < np.inf:
             raise InputError(f"--multistart-eps must be positive, got {args.multistart_eps}")
+        for flag, value in (("--starts", args.starts), ("--repeats", args.repeats)):
+            if value < 1:
+                raise InputError(f"{flag} must be at least 1, got {value}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -346,24 +346,21 @@ def cmd_bench(args) -> int:
 
     # multistart cells: random initials at a fixed smoothing level
     multistart_path = out.with_name(out.stem + "_multistart.csv")
-    finals = []
-    with open(multistart_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MULTISTART_COLUMNS)
-        for rep in range(args.repeats):
-            for sid in range(args.starts):
-                z0 = _initial_point(game, args.seed + 1000 * rep + sid)
-                res = newton_solve(game, z0, args.multistart_eps, cfg=NewtonConfig(tol=args.tol))
-                ok = ok and res.converged
-                finals.append(res.z.x)
-                for k, psi in enumerate(res.merit_history):
-                    writer.writerow(
-                        [rep, sid, repr(args.multistart_eps), "newton", k, repr(float(psi))]
-                    )
-    spread = 0.0
-    for i in range(len(finals)):
-        for j in range(i + 1, len(finals)):
-            spread = max(spread, float(np.linalg.norm(finals[i] - finals[j])))
+    multistart_rows, finals = [], []
+    for rep in range(args.repeats):
+        for sid in range(args.starts):
+            z0 = _initial_point(game, args.seed + 1000 * rep + sid)
+            res = newton_solve(game, z0, args.multistart_eps, cfg=NewtonConfig(tol=args.tol))
+            ok = ok and res.converged
+            finals.append(res.x)
+            multistart_rows.extend(
+                [rep, sid, repr(args.multistart_eps), "newton", k, repr(float(psi))]
+                for k, psi in enumerate(res.merit_history)
+            )
+    _write_csv(multistart_path, MULTISTART_COLUMNS, multistart_rows)
+    spread = max(
+        (float(np.linalg.norm(a - b)) for a, b in combinations(finals, 2)), default=0.0
+    )
     print(f"wrote {out}, {iters_path}, {multistart_path}")
     print(f"multistart max pairwise distance: {spread:.3e}")
     if not ok:
@@ -372,8 +369,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EXIT_INPUT`` on a bad command line; argparse's own code,
+    2, would read as a certification failure. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlfg",
         description="Equilibrium solver for quadratic multi-leader-follower games.",
     )

@@ -9,9 +9,9 @@ coefficient matrix is the Hessian stack plus the smoothing curvature term.
 The inner solver is chosen by the type of ``HomotopyConfig.inner``: a
 :class:`~mlfg.solvers.NewtonConfig` (the default) runs the semismooth
 Newton method, a :class:`~mlfg.solvers.SubgradConfig` the subgradient
-method, each with that configuration. Between stages the warm start is
-carried as the flat iterate ``(x, lambda)``; each stage's solution is
-recorded as a :class:`~mlfg.model.PrimalDualPoint`.
+method, each with that configuration. The start and every warm start are
+flat iterates ``(x, lambda)``; each stage records the inner solver's
+:class:`~mlfg.solvers.InnerResult` as it is.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kkt import curvature_block, flat_point, merit
-from .model import GameSpec, PrimalDualPoint
+from .model import GameSpec
 from .smoothing import phi_tilde_dt_deps
-from .solvers import NewtonConfig, SubgradConfig, newton_solve, subgradient_solve
+from .solvers import InnerResult, NewtonConfig, SubgradConfig, newton_solve, subgradient_solve
 
 __all__ = [
     "HomotopyConfig",
@@ -58,20 +58,15 @@ class HomotopyConfig:
 
 @dataclass
 class StageRecord:
-    """Diagnostics of one continuation stage."""
+    """One continuation stage: its inner solve, the merit of the warm start
+    it began from, and the norm of the predictor it computed for the next."""
 
     index: int
     eps: float
-    z_star: PrimalDualPoint
-    inner_iterations: int
-    merit_final: float
+    result: InnerResult
     warm_start_merit: float
     predictor_norm: float
-    converged: bool
     wall_ms: float
-    fallback_steps: int = 0
-    merit_history: list[float] = field(default_factory=list)
-    step_norms: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -82,8 +77,8 @@ class HomotopyTrace:
     converged: bool
 
     @property
-    def final(self) -> PrimalDualPoint:
-        return self.stages[-1].z_star
+    def final(self) -> InnerResult:
+        return self.stages[-1].result
 
     @property
     def final_eps(self) -> float:
@@ -94,7 +89,7 @@ class HomotopyTrace:
 
     def errors_to_final(self) -> np.ndarray:
         x_ref = self.final.x
-        return np.array([float(np.linalg.norm(s.z_star.x - x_ref)) for s in self.stages])
+        return np.array([float(np.linalg.norm(s.result.x - x_ref)) for s in self.stages])
 
 
 def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
@@ -113,14 +108,15 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
 
 def homotopy_solve(
     game: GameSpec,
-    z0: PrimalDualPoint | None = None,
+    z0: np.ndarray | None = None,
     cfg: HomotopyConfig | None = None,
 ) -> HomotopyTrace:
     """Run the full continuation down to the target smoothing level.
 
-    Stage levels follow eps0 * gamma**i exactly; the run stops after the
-    first stage at or below ``eps_min``, or immediately when a stage fails
-    to converge (the trace marks the failing stage).
+    ``z0`` is the flat start ``(x, lambda)`` of length ``n + m_bar``, None
+    for zeros. Stage levels follow eps0 * gamma**i exactly; the run stops
+    after the first stage at or below ``eps_min``, or immediately when a
+    stage fails to converge (the trace marks the failing stage).
     """
     cfg = cfg or HomotopyConfig()
     solve_inner = newton_solve if isinstance(cfg.inner, NewtonConfig) else subgradient_solve
@@ -137,27 +133,14 @@ def homotopy_solve(
         eps_next = cfg.eps0 * cfg.gamma ** (i + 1)
         d = np.zeros(game.n)
         if res.converged and cfg.taylor and eps > cfg.eps_min:
-            d = taylor_direction(game, res.z.x, eps_next, cfg.p)
+            d = taylor_direction(game, res.x, eps_next, cfg.p)
 
-        stages.append(
-            StageRecord(
-                index=i,
-                eps=eps,
-                z_star=res.z,
-                inner_iterations=res.iterations,
-                merit_final=res.merit,
-                warm_start_merit=warm_merit,
-                predictor_norm=float(np.linalg.norm(d)),
-                converged=res.converged,
-                wall_ms=wall_ms,
-                fallback_steps=res.fallback_steps,
-                merit_history=res.merit_history,
-                step_norms=res.step_norms,
-            )
-        )
+        stages.append(StageRecord(
+            index=i, eps=eps, result=res, warm_start_merit=warm_merit,
+            predictor_norm=float(np.linalg.norm(d)), wall_ms=wall_ms,
+        ))
         if not res.converged or eps <= cfg.eps_min:
             break
-        z_warm = res.z.stack()
-        z_warm[: game.n] -= (eps - eps_next) * d
+        z_warm = np.concatenate([res.x - (eps - eps_next) * d, res.lam])
         i += 1
-    return HomotopyTrace(stages=stages, converged=all(s.converged for s in stages))
+    return HomotopyTrace(stages=stages, converged=all(s.result.converged for s in stages))

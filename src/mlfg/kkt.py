@@ -1,23 +1,25 @@
 """Joint first-order system of the smoothed game and its piecewise Jacobian.
 
 Everything here works on the flat iterate ``z = (x, lambda)`` of length
-``n + m_bar``. The residual stacks every leader's stationarity rows
-(length ``n``) over the complementarity rows ``min(lambda, -g)``; its roots
-are exactly the equilibria of the smoothed game at the given smoothing
-level. The merit is half the squared residual norm. The Jacobian is a
-selected element of the Clarke generalized derivative, returned as one
-``(n + m_bar)``-square matrix: the min rows are differentiated branchwise,
-with ties resolved to the multiplier branch (keeps the lower-right block
-closer to the identity and thus the selection closer to nonsingular). Its
-upper-left block is :func:`curvature_block`, the Hessian stack plus the
-smoothing curvature; the continuation's predictor solves with the same
-matrix.
+``n + m_bar``, the only point representation of the library: the solvers
+and the continuation take it as their start (through :func:`flat_point`,
+which checks its length) and iterate on it. The residual stacks every
+leader's stationarity rows (length ``n``) over the complementarity rows
+``min(lambda, -g)``; its roots are exactly the equilibria of the smoothed
+game at the given smoothing level. The merit is half the squared residual
+norm. The Jacobian is a selected element of the Clarke generalized
+derivative, returned as one ``(n + m_bar)``-square matrix: the min rows are
+differentiated branchwise, with ties resolved to the multiplier branch
+(keeps the lower-right block closer to the identity and thus the selection
+closer to nonsingular). Its upper-left block is :func:`curvature_block`,
+the Hessian stack plus the smoothing curvature; the continuation's
+predictor solves with the same matrix.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import GameSpec, PrimalDualPoint
+from .model import GameSpec
 from .smoothing import phi_tilde_d2, smoothed_gradient_stack
 
 __all__ = [
@@ -30,13 +32,18 @@ __all__ = [
 ]
 
 
-def flat_point(game: GameSpec, z: PrimalDualPoint | np.ndarray | None) -> np.ndarray:
-    """A fresh flat iterate ``(x, lambda)`` from a start point; zeros for None."""
+def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
+    """A fresh flat iterate ``(x, lambda)`` from a start vector; zeros for None.
+
+    Raises ValueError unless the start has length ``n + m_bar``.
+    """
+    size = game.n + game.m_bar
     if z is None:
-        return np.zeros(game.n + game.m_bar)
-    if isinstance(z, PrimalDualPoint):
-        return z.stack()
-    return np.array(z, dtype=float)
+        return np.zeros(size)
+    z = np.array(z, dtype=float)
+    if z.shape != (size,):
+        raise ValueError(f"start point has shape {z.shape}, expected ({size},) = (n + m_bar,)")
+    return z
 
 
 def kkt_residual(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "LeaderSpec",
     "FollowerSpec",
     "GameSpec",
-    "PrimalDualPoint",
     "load_game",
     "save_game",
     "validate_game",
@@ -229,39 +228,6 @@ class GameSpec:
     def min_curvature(self) -> float:
         """Smallest eigenvalue of the block-diagonal Hessian stack."""
         return min(float(np.linalg.eigvalsh(ld.Q)[0]) for ld in self.leaders)
-
-
-@dataclass
-class PrimalDualPoint:
-    """Joint strategy and leader multipliers.
-
-    Iterates may carry negative multipliers; nonnegativity is only a
-    property of converged solves.
-    """
-
-    x: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-
-    @classmethod
-    def zeros(cls, game: GameSpec) -> "PrimalDualPoint":
-        return cls(np.zeros(game.n), np.zeros(game.m_bar))
-
-    @classmethod
-    def from_stack(cls, game: GameSpec, z: np.ndarray) -> "PrimalDualPoint":
-        z = np.asarray(z, dtype=float)
-        if z.shape != (game.n + game.m_bar,):
-            raise ValueError(f"expected stacked point of length {game.n + game.m_bar}")
-        return cls(z[: game.n].copy(), z[game.n :].copy())
-
-    def stack(self) -> np.ndarray:
-        return np.concatenate([self.x, self.lam])
-
-    def copy(self) -> "PrimalDualPoint":
-        return PrimalDualPoint(self.x.copy(), self.lam.copy())
 
 
 def validate_game(game: GameSpec, dimensions_only: bool = False) -> list[str]:

@@ -12,11 +12,11 @@ Two methods minimize the merit (half squared residual norm):
 
 Both are deterministic and keep the merit monotonically nonincreasing.
 They iterate on the flat vector ``z = (x, lambda)`` of length
-``n + m_bar``, with the residual and Jacobian of :mod:`mlfg.kkt`. A start
-point is converted once on entry (a :class:`~mlfg.model.PrimalDualPoint`,
-a flat vector or None for zeros) and the result once on exit. The Newton
-step is one LAPACK solve, :func:`lu_solve`, which returns None for a
-singular or numerically singular Jacobian.
+``n + m_bar``, with the residual and Jacobian of :mod:`mlfg.kkt`. The start
+is such a vector (None for zeros), and the :class:`InnerResult` splits the
+final iterate into ``x`` and ``lam``. The Newton step is one LAPACK solve,
+:func:`lu_solve`, which returns None for a singular or numerically singular
+Jacobian.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kkt import flat_point, generalized_jacobian, kkt_residual, residual_merit
-from .model import GameSpec, PrimalDualPoint
+from .model import GameSpec
 
 __all__ = [
     "NewtonConfig",
@@ -38,10 +38,15 @@ __all__ = [
 ]
 
 
-# Fixed step controls: the fallback's halvings, and the subgradient
-# method's first stationarity tolerance and smallest step.
+# Fixed step controls: the Newton fallback's Armijo search (halvings,
+# shrink factor, slope), and the subgradient method's stationarity
+# tolerance (first value, shrink factor), decrease slope and smallest step.
 MAX_BACKTRACKS = 60
+BACKTRACK_FACTOR = 0.5
+ARMIJO_SLOPE = 1e-4
 DELTA0 = 1.0
+DELTA_FACTOR = 0.5
+SUBGRAD_SLOPE = 0.05
 SIGMA_MIN = 1e-12
 
 
@@ -72,42 +77,32 @@ def lu_solve(M: np.ndarray, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np.nda
 
 @dataclass
 class NewtonConfig:
-    beta: float = 0.5
-    sigma: float = 1e-4
     tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.sigma < 0.5:
-            raise ValueError("sigma must lie in (0, 0.5)")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
 
 @dataclass
 class SubgradConfig:
-    gamma: float = 0.5
-    c2: float = 0.05
     max_outer: int = 50
     max_inner: int = 500
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.c2 <= 1.0:
-            raise ValueError("c2 must lie in (0, 1]")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
 
 @dataclass
 class InnerResult:
-    """Outcome of one fixed-smoothing solve."""
+    """Outcome of one fixed-smoothing solve: the final iterate split into
+    strategy ``x`` and multipliers ``lam``, and its merit trace."""
 
-    z: PrimalDualPoint
+    x: np.ndarray
+    lam: np.ndarray
     merit: float
     iterations: int
     converged: bool
@@ -117,35 +112,29 @@ class InnerResult:
 
 
 def armijo_search(
-    game: GameSpec,
-    z: np.ndarray,
-    s: np.ndarray,
-    eps: float,
-    p: int = 2,
-    cfg: NewtonConfig | None = None,
+    game: GameSpec, z: np.ndarray, s: np.ndarray, eps: float, p: int = 2
 ) -> tuple[float, bool]:
-    """Largest backtracked step t with merit(z + t*s) <= merit(z) - t*sigma*|s|^2.
+    """Largest backtracked step t with merit(z + t*s) <= merit(z) - t*ARMIJO_SLOPE*|s|^2.
 
     ``z`` and ``s`` are flat ``(x, lambda)`` vectors. Returns (0.0, False)
     when no trial step achieves the decrease, which callers read as a
     no-descent flag.
     """
-    cfg = cfg or NewtonConfig()
     psi0 = residual_merit(kkt_residual(game, z, eps, p), game.n)
-    slope = cfg.sigma * float(s @ s)
+    slope = ARMIJO_SLOPE * float(s @ s)
     t = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
         psi_trial = residual_merit(kkt_residual(game, z + t * s, eps, p), game.n)
         # strict decrease keeps steps below float resolution from passing
         if psi_trial <= psi0 - t * slope and psi_trial < psi0:
             return t, True
-        t *= cfg.beta
+        t *= BACKTRACK_FACTOR
     return 0.0, False
 
 
 def newton_solve(
     game: GameSpec,
-    z0: PrimalDualPoint | np.ndarray | None = None,
+    z0: np.ndarray | None = None,
     eps: float = 1.0,
     p: int = 2,
     cfg: NewtonConfig | None = None,
@@ -176,7 +165,7 @@ def newton_solve(
         if F_trial is None or not residual_merit(F_trial, n) < psi:
             # singular Jacobian or no-descent full step: one subgradient step
             s = -(H.T @ F)
-            t, ok = armijo_search(game, z, s, eps, p, cfg)
+            t, ok = armijo_search(game, z, s, eps, p)
             if not ok:
                 break
             fallback_steps += 1
@@ -189,7 +178,8 @@ def newton_solve(
         step_norms.append(float(np.linalg.norm(step)))
         converged = psi <= cfg.tol
     return InnerResult(
-        z=PrimalDualPoint.from_stack(game, z),
+        x=z[:n],
+        lam=z[n:],
         merit=psi,
         iterations=iterations,
         converged=converged,
@@ -199,17 +189,18 @@ def newton_solve(
     )
 
 
-def _step_search(game, z, d, eps, p, psi0: float, v_norm: float, cfg: SubgradConfig):
+def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
     """Doubling/halving search for the largest step passing sufficient decrease.
 
-    The test is psi(z + sigma*d) - psi0 <= -c2 * sigma * v_norm along the
-    normalized direction ``d``. Returns the accepted step with the residual
-    at ``z + sigma*d``, or ``(0.0, None)`` when even ``SIGMA_MIN`` fails.
+    The test is psi(z + sigma*d) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
+    along the normalized direction ``d``. Returns the accepted step with the
+    residual at ``z + sigma*d``, or ``(0.0, None)`` when even ``SIGMA_MIN``
+    fails.
     """
 
     def residual_if_passes(sigma: float):
         F = kkt_residual(game, z + sigma * d, eps, p)
-        return F if residual_merit(F, game.n) - psi0 <= -cfg.c2 * sigma * v_norm else None
+        return F if residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm else None
 
     sigma = 1.0
     F = residual_if_passes(sigma)
@@ -226,7 +217,7 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float, cfg: SubgradCon
 
 def subgradient_solve(
     game: GameSpec,
-    z0: PrimalDualPoint | np.ndarray | None = None,
+    z0: np.ndarray | None = None,
     eps: float = 1.0,
     p: int = 2,
     cfg: SubgradConfig | None = None,
@@ -259,7 +250,7 @@ def subgradient_solve(
             if v_norm <= delta:
                 break
             d = -v / v_norm
-            sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm, cfg)
+            sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm)
             if sigma == 0.0:
                 break
             z, F = z + sigma * d, F_trial
@@ -267,13 +258,13 @@ def subgradient_solve(
             iterations += 1
             merit_history.append(psi)
             step_norms.append(sigma)
-        delta *= cfg.gamma
+        delta *= DELTA_FACTOR
     return InnerResult(
-        z=PrimalDualPoint.from_stack(game, z),
+        x=z[:n],
+        lam=z[n:],
         merit=psi,
         iterations=iterations,
         converged=psi <= cfg.tol,
-        fallback_steps=0,
         merit_history=merit_history,
         step_norms=step_norms,
     )

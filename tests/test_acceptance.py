@@ -8,7 +8,6 @@ import pytest
 
 from mlfg import (
     NewtonConfig,
-    PrimalDualPoint,
     SubgradConfig,
     best_response_exact,
     best_response_smoothed,
@@ -56,7 +55,7 @@ def random_starts(game):
     for _ in range(20):
         z = rng.uniform(-1.0, 1.0, game.n + game.m_bar)
         z[game.n :] = np.maximum(z[game.n :], 0.0)
-        yield PrimalDualPoint.from_stack(game, z)
+        yield z
 
 
 def smallest_kink_distance(game, x):
@@ -71,7 +70,7 @@ def test_criterion_1_dataset_reproduction(timed_traces):
     details = []
     for name in ("ds1", "ds2"):
         trace, wall = timed_traces[name]
-        stage_ok = all(s.converged and s.merit_final <= 1e-10 for s in trace.stages)
+        stage_ok = all(s.result.converged and s.result.merit <= 1e-10 for s in trace.stages)
         depth_ok = trace.final_eps <= 1e-6
         time_ok = wall < 5.0
         ok = ok and stage_ok and depth_ok and time_ok
@@ -103,7 +102,7 @@ def test_criterion_3_uniqueness_at_fixed_smoothing(ds1, ds2):
         for z in random_starts(game):
             res = newton_solve(game, z, eps=0.5, cfg=cfg)
             ok = ok and res.converged
-            finals.append(res.z.x)
+            finals.append(res.x)
         spread = max(
             np.linalg.norm(a - b) for i, a in enumerate(finals) for b in finals[i + 1 :]
         )
@@ -130,7 +129,7 @@ def test_criterion_4_method_difficulty_ordering(ds1, kink_game):
     for eps in levels:
         res = newton_solve(ds1, eps=eps, cfg=cfg)
         counts[("newton", eps)] = res.iterations
-        ds1_dist[eps] = smallest_kink_distance(ds1, res.z.x)
+        ds1_dist[eps] = smallest_kink_distance(ds1, res.x)
         counts[("subgradient", eps)] = subgradient_solve(
             ds1, eps=eps, cfg=SubgradConfig(tol=1e-10)
         ).iterations
@@ -146,7 +145,7 @@ def test_criterion_4_method_difficulty_ordering(ds1, kink_game):
         runs = [newton_solve(kink_game, z, eps=eps, cfg=cfg) for z in random_starts(kink_game)]
         converged = converged and all(r.converged for r in runs)
         median[eps] = float(np.median([r.iterations for r in runs]))
-        kink_dist[eps] = max(smallest_kink_distance(kink_game, r.z.x) for r in runs)
+        kink_dist[eps] = max(smallest_kink_distance(kink_game, r.x) for r in runs)
     in_band = all(kink_dist[eps] < 2 * eps for eps in levels)
     newton_order_ok = converged and median[0.1] > median[1.6]
 
@@ -171,8 +170,8 @@ def test_criterion_4_method_difficulty_ordering(ds1, kink_game):
 
 def test_criterion_5_predictor_value(ds1, trace1, trace1_no_predictor):
     """The first-order warm-start predictor reduces effort on the schedule."""
-    mean_on = np.mean([s.inner_iterations for s in trace1.stages])
-    mean_off = np.mean([s.inner_iterations for s in trace1_no_predictor.stages])
+    mean_on = np.mean([s.result.iterations for s in trace1.stages])
+    mean_off = np.mean([s.result.iterations for s in trace1_no_predictor.stages])
     on = [s.warm_start_merit for s in trace1.stages[1:]]
     off = [s.warm_start_merit for s in trace1_no_predictor.stages[1:]]
     better = sum(1 for a, b in zip(on, off) if a <= b) / len(on)
@@ -268,10 +267,11 @@ def test_criterion_9_structural_properties(ds1, timed_traces):
     eps, delta = 0.8, 1e-3
     cfg = NewtonConfig(tol=1e-16, max_iter=400)
     base = newton_solve(ds1, eps=eps, cfg=cfg)
-    up = newton_solve(ds1, base.z, eps=eps + delta, cfg=cfg)
-    down = newton_solve(ds1, base.z, eps=eps - delta, cfg=cfg)
-    fd = (up.z.x - down.z.x) / (2 * delta)
-    d = taylor_direction(ds1, base.z.x, eps)
+    z_base = np.concatenate([base.x, base.lam])
+    up = newton_solve(ds1, z_base, eps=eps + delta, cfg=cfg)
+    down = newton_solve(ds1, z_base, eps=eps - delta, cfg=cfg)
+    fd = (up.x - down.x) / (2 * delta)
+    d = taylor_direction(ds1, base.x, eps)
     taylor_err = np.linalg.norm(d - fd) / np.linalg.norm(fd)
 
     report(

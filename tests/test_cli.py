@@ -62,7 +62,7 @@ def test_solve_report_fields(tmp_path, trace1):
     assert run("solve", "--dataset", "1", "--out", str(report)) == 0
     doc = json.loads(report.read_text())
     assert [s["fallback_steps"] for s in doc["stages"]] == [
-        s.fallback_steps for s in trace1.stages
+        s.result.fallback_steps for s in trace1.stages
     ]
     assert doc["certificate"]["nash_method"] == "weak_duality"
 
@@ -90,14 +90,33 @@ def test_solve_invalid_eps0():
         ["bench", "--tol", "0"],
         ["bench", "--bench-eps-min", "5"],
         ["bench", "--multistart-eps", "0"],
+        ["bench", "--starts", "0"],
+        ["bench", "--starts", "-1", "--repeats", "0"],
+        ["bench", "--repeats", "0"],
+        # command-line parse errors, which argparse would exit with 2
+        ["solve", "--dataset", "3"],
+        ["solve", "--p", "abc"],
+        pytest.param([], id="no command"),
     ],
     ids=" ".join,
 )
 def test_rejected_input_exits_3(tmp_path, capsys, argv):
-    out = ["--out", str(tmp_path / "bench.csv")] if argv[0] == "bench" else []
-    assert run(*argv, "--dataset", "1", *out) == 3
+    game = ["--dataset", "1"] if argv else []
+    out = ["--out", str(tmp_path / "bench.csv")] if argv[:1] == ["bench"] else []
+    try:
+        code = run(*argv, *game, *out)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 3
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=" ".join)
+def test_help_exits_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
 
 
 def test_solve_nonconvergence_exit_code():

@@ -24,8 +24,8 @@ class TestSchedule:
     def test_all_stages_converge(self, trace1, trace2):
         for trace in (trace1, trace2):
             assert trace.converged
-            assert all(s.converged for s in trace.stages)
-            assert all(s.merit_final <= 1e-10 for s in trace.stages)
+            assert all(s.result.converged for s in trace.stages)
+            assert all(s.result.merit <= 1e-10 for s in trace.stages)
 
     def test_errors_decrease(self, trace1):
         errs = trace1.errors_to_final()
@@ -49,10 +49,10 @@ class TestZeroWeightGame:
         assert trace.converged
         x_ref = trace.final.x
         for s in trace.stages:
-            np.testing.assert_allclose(s.z_star.x, x_ref, atol=1e-9)
+            np.testing.assert_allclose(s.result.x, x_ref, atol=1e-9)
             assert s.predictor_norm == 0.0
         # warm starts are exact solutions, so later stages need no steps
-        assert all(s.inner_iterations == 0 for s in trace.stages[1:])
+        assert all(s.result.iterations == 0 for s in trace.stages[1:])
 
     def test_direction_zero(self, quadratic_game):
         d = taylor_direction(quadratic_game, np.ones(4), eps=0.5)
@@ -65,10 +65,11 @@ class TestTaylorDirection:
         eps, delta = 0.8, 1e-3
         cfg = NewtonConfig(tol=1e-16, max_iter=400)
         base = newton_solve(ds1, eps=eps, cfg=cfg)
-        up = newton_solve(ds1, base.z, eps=eps + delta, cfg=cfg)
-        down = newton_solve(ds1, base.z, eps=eps - delta, cfg=cfg)
-        fd = (up.z.x - down.z.x) / (2 * delta)
-        d = taylor_direction(ds1, base.z.x, eps)
+        z_base = np.concatenate([base.x, base.lam])
+        up = newton_solve(ds1, z_base, eps=eps + delta, cfg=cfg)
+        down = newton_solve(ds1, z_base, eps=eps - delta, cfg=cfg)
+        fd = (up.x - down.x) / (2 * delta)
+        d = taylor_direction(ds1, base.x, eps)
         assert np.linalg.norm(d - fd) / np.linalg.norm(fd) <= 1e-2
 
     def test_coefficient_matrix_positive_definite(self, ds1, ds2):
@@ -94,23 +95,23 @@ class TestPredictorValue:
         assert better >= 0.8 * len(on)
 
     def test_mean_iterations_not_worse(self, trace1, trace1_no_predictor):
-        mean_on = np.mean([s.inner_iterations for s in trace1.stages])
-        mean_off = np.mean([s.inner_iterations for s in trace1_no_predictor.stages])
+        mean_on = np.mean([s.result.iterations for s in trace1.stages])
+        mean_off = np.mean([s.result.iterations for s in trace1_no_predictor.stages])
         assert mean_on <= mean_off
 
 
 class TestTraceConsistency:
     def test_smoothed_response_near_exact_along_path(self, trace1, ds1):
         for s in trace1.stages:
-            y_eps = best_response_smoothed(ds1, s.z_star.x, s.eps)
-            y_exact = best_response_exact(ds1, s.z_star.x)
+            y_eps = best_response_smoothed(ds1, s.result.x, s.eps)
+            y_exact = best_response_exact(ds1, s.result.x)
             assert np.max(np.abs(y_eps - y_exact)) <= s.eps + 1e-12
 
     def test_failure_marks_stage_and_aborts(self, ds1):
         cfg = HomotopyConfig(inner=NewtonConfig(tol=1e-10, max_iter=1))
         trace = homotopy_solve(ds1, cfg=cfg)
         assert not trace.converged
-        assert not trace.stages[-1].converged
+        assert not trace.stages[-1].result.converged
         assert len(trace.stages) == 1
 
     def test_subgradient_inner(self, ds1):
@@ -131,8 +132,8 @@ class TestStageCountsPinned:
             "ds2": [3, 1, 1, 1, 1, 1, 1, 0, 0, 1] + [0] * 12,
         }
         for name, trace in (("ds1", trace1), ("ds2", trace2)):
-            assert [s.inner_iterations for s in trace.stages] == expected[name], name
-            assert [s.fallback_steps for s in trace.stages] == [1] + [0] * 21, name
+            assert [s.result.iterations for s in trace.stages] == expected[name], name
+            assert [s.result.fallback_steps for s in trace.stages] == [1] + [0] * 21, name
 
     def test_subgradient_to_eps_005(self, ds1, ds2):
         cfg = HomotopyConfig(eps_min=0.05, inner=SubgradConfig())
@@ -143,5 +144,5 @@ class TestStageCountsPinned:
         for name, game in (("ds1", ds1), ("ds2", ds2)):
             trace = homotopy_solve(game, cfg=cfg)
             assert trace.converged, name
-            assert [s.inner_iterations for s in trace.stages] == expected[name], name
-            assert [s.fallback_steps for s in trace.stages] == [0] * 6, name
+            assert [s.result.iterations for s in trace.stages] == expected[name], name
+            assert [s.result.fallback_steps for s in trace.stages] == [0] * 6, name

@@ -65,7 +65,7 @@ class TestResidual:
     def test_residual_small_at_solution(self, ds1):
         result = newton_solve(ds1, eps=0.5)
         assert result.converged
-        assert merit(ds1, result.z.stack(), eps=0.5) <= 1e-10
+        assert merit(ds1, np.concatenate([result.x, result.lam]), eps=0.5) <= 1e-10
 
     def test_merit_definition(self, ds1):
         rng = np.random.default_rng(1)
@@ -137,7 +137,7 @@ class TestGeneralizedJacobian:
 class TestMeritSubgradient:
     def test_zero_at_root(self, ds1):
         result = newton_solve(ds1, eps=0.8)
-        v = merit_subgradient(ds1, result.z.stack(), eps=0.8)
+        v = merit_subgradient(ds1, np.concatenate([result.x, result.lam]), eps=0.8)
         assert np.linalg.norm(v) <= 1e-4  # scales like H times the residual
 
     def test_matches_merit_gradient_on_smooth_points(self, ds1):
