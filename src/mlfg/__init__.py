@@ -43,7 +43,6 @@ from .solvers import (
     InnerResult,
     NewtonConfig,
     SubgradConfig,
-    armijo_search,
     lu_solve,
     newton_solve,
     subgradient_solve,
@@ -75,7 +74,6 @@ __all__ = [
     "OracleError",
     "StageRecord",
     "SubgradConfig",
-    "armijo_search",
     "best_response_exact",
     "best_response_qp_oracle",
     "best_response_smoothed",

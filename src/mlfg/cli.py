@@ -257,6 +257,8 @@ def _check_candidate(game: GameSpec, x, lam, eps_final: float) -> None:
 
 def cmd_verify(args) -> int:
     try:
+        if not 0.0 < args.tol < np.inf:
+            raise InputError(f"--tol must be positive and finite, got {args.tol}")
         game, _ = _load(args)
         if args.report:
             doc = json.loads(Path(args.report).read_text())

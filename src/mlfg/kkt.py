@@ -3,17 +3,17 @@
 Everything here works on the flat iterate ``z = (x, lambda)`` of length
 ``n + m_bar``, the only point representation of the library: the solvers
 and the continuation take it as their start (through :func:`flat_point`,
-which checks its length) and iterate on it. The residual stacks every
-leader's stationarity rows (length ``n``) over the complementarity rows
-``min(lambda, -g)``; its roots are exactly the equilibria of the smoothed
-game at the given smoothing level. The merit is half the squared residual
-norm. The Jacobian is a selected element of the Clarke generalized
-derivative, returned as one ``(n + m_bar)``-square matrix: the min rows are
-differentiated branchwise, with ties resolved to the multiplier branch
-(keeps the lower-right block closer to the identity and thus the selection
-closer to nonsingular). Its upper-left block is :func:`curvature_block`,
-the Hessian stack plus the smoothing curvature; the continuation's
-predictor solves with the same matrix.
+which checks its length and that it is finite) and iterate on it. The
+residual stacks every leader's stationarity rows (length ``n``) over the
+complementarity rows ``min(lambda, -g)``; its roots are exactly the
+equilibria of the smoothed game at the given smoothing level. The merit is
+half the squared residual norm. The Jacobian is a selected element of the
+Clarke generalized derivative, returned as one ``(n + m_bar)``-square
+matrix: the min rows are differentiated branchwise, with ties resolved to
+the multiplier branch (keeps the lower-right block closer to the identity
+and thus the selection closer to nonsingular). Its upper-left block is
+:func:`curvature_block`, the Hessian stack plus the smoothing curvature;
+the continuation's predictor solves with the same matrix.
 """
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ __all__ = [
 def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
     """A fresh flat iterate ``(x, lambda)`` from a start vector; zeros for None.
 
-    Raises ValueError unless the start has length ``n + m_bar``.
+    Raises ValueError unless the start has length ``n + m_bar`` and finite
+    entries.
     """
     size = game.n + game.m_bar
     if z is None:
@@ -43,6 +44,8 @@ def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
     z = np.array(z, dtype=float)
     if z.shape != (size,):
         raise ValueError(f"start point has shape {z.shape}, expected ({size},) = (n + m_bar,)")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("start point has non-finite entries")
     return z
 
 

@@ -117,7 +117,7 @@ class GameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "leaders", tuple(self.leaders))
-        problems = validate_game(self, dimensions_only=True)
+        problems = _dimension_findings(self)
         if problems:
             raise GameFormatError("; ".join(problems))
 
@@ -230,13 +230,8 @@ class GameSpec:
         return min(float(np.linalg.eigvalsh(ld.Q)[0]) for ld in self.leaders)
 
 
-def validate_game(game: GameSpec, dimensions_only: bool = False) -> list[str]:
-    """Check every model assumption that is decidable from the data.
-
-    Returns a list of human-readable findings; an empty list means the game
-    is valid. With ``dimensions_only`` the (cheaper) shape bookkeeping is
-    checked and assumption-level findings are skipped.
-    """
+def _dimension_findings(game: GameSpec) -> list[str]:
+    """Shape bookkeeping of a game under construction; empty when consistent."""
     findings: list[str] = []
     if game.num_leaders < 1:
         findings.append("game must have at least one leader")
@@ -268,16 +263,24 @@ def validate_game(game: GameSpec, dimensions_only: bool = False) -> list[str]:
         findings.append(f"follower: L has shape {fol.L.shape}, expected {(n, m)}")
     if fol.a.shape != (m,):
         findings.append(f"follower: a has length {fol.a.shape[0]}, expected {m}")
+    return findings
 
-    if findings or dimensions_only:
-        return findings
 
+def validate_game(game: GameSpec) -> list[str]:
+    """Check every model assumption that is decidable from the data.
+
+    Returns a list of human-readable findings; an empty list means the game
+    is valid. The dimensions are checked when the :class:`GameSpec` is
+    built, so only the assumptions on the values are checked here.
+    """
+    findings: list[str] = []
     for nu, ld in enumerate(game.leaders, start=1):
         scale = np.max(np.abs(ld.Q)) or 1.0
         if np.max(np.abs(ld.Q - ld.Q.T)) > SYMMETRY_RTOL * scale:
             findings.append(f"leader {nu}: Q not symmetric")
         elif np.linalg.eigvalsh(ld.Q)[0] <= SPD_PIVOT_RTOL * scale:
             findings.append(f"leader {nu}: Q not positive definite")
+    fol = game.follower
     if np.any(fol.Qy_diag <= 0.0):
         findings.append("follower: Qy_diag must be strictly positive")
     if np.any(fol.a < 0.0):

@@ -2,10 +2,10 @@
 
 Two methods minimize the merit (half squared residual norm):
 
-* a semismooth Newton iteration on the joint system, taking full steps on
-  a selected generalized Jacobian and falling back to a single safeguarded
-  subgradient step whenever the Jacobian is singular or the full step fails
-  to decrease the merit;
+* a semismooth Newton iteration on the joint system, globalized by one
+  backtracking Armijo search on the merit per iteration: along the Newton
+  direction of a selected generalized Jacobian, or along the negative merit
+  gradient when that Jacobian is singular or no Newton step passes;
 * a two-level subgradient descent that drives a shrinking stationarity
   tolerance, with normalized directions and a doubling/halving step length
   search against a sufficient-decrease test.
@@ -34,13 +34,12 @@ __all__ = [
     "lu_solve",
     "newton_solve",
     "subgradient_solve",
-    "armijo_search",
 ]
 
 
-# Fixed step controls: the Newton fallback's Armijo search (halvings,
-# shrink factor, slope), and the subgradient method's stationarity
-# tolerance (first value, shrink factor), decrease slope and smallest step.
+# Fixed step controls: the Newton method's Armijo search (halvings, shrink
+# factor, slope), and the subgradient method's stationarity tolerance (first
+# value, shrink factor), decrease slope and smallest step.
 MAX_BACKTRACKS = 60
 BACKTRACK_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -112,24 +111,25 @@ class InnerResult:
 
 
 def armijo_search(
-    game: GameSpec, z: np.ndarray, s: np.ndarray, eps: float, p: int = 2
-) -> tuple[float, bool]:
-    """Largest backtracked step t with merit(z + t*s) <= merit(z) - t*ARMIJO_SLOPE*|s|^2.
+    game: GameSpec, z: np.ndarray, d: np.ndarray, psi0: float, slope: float, eps: float, p: int = 2
+) -> tuple[float, np.ndarray | None]:
+    """Backtracking Armijo search on the merit along ``d`` from ``z``.
 
-    ``z`` and ``s`` are flat ``(x, lambda)`` vectors. Returns (0.0, False)
-    when no trial step achieves the decrease, which callers read as a
-    no-descent flag.
+    ``psi0`` is the merit at ``z`` and ``slope`` its directional derivative
+    ``g @ d`` with ``g = H.T @ F``. Tries ``t = 1, 1/2, ...`` and accepts the
+    first with ``merit(z + t*d) <= psi0 + t*ARMIJO_SLOPE*slope`` and
+    ``merit(z + t*d) < psi0``. Returns ``t`` with the residual at ``z + t*d``,
+    or ``(0.0, None)`` when no trial step passes.
     """
-    psi0 = residual_merit(kkt_residual(game, z, eps, p), game.n)
-    slope = ARMIJO_SLOPE * float(s @ s)
     t = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
-        psi_trial = residual_merit(kkt_residual(game, z + t * s, eps, p), game.n)
+        F = kkt_residual(game, z + t * d, eps, p)
+        psi = residual_merit(F, game.n)
         # strict decrease keeps steps below float resolution from passing
-        if psi_trial <= psi0 - t * slope and psi_trial < psi0:
-            return t, True
+        if psi <= psi0 + t * (ARMIJO_SLOPE * slope) and psi < psi0:
+            return t, F
         t *= BACKTRACK_FACTOR
-    return 0.0, False
+    return 0.0, None
 
 
 def newton_solve(
@@ -141,9 +141,11 @@ def newton_solve(
 ) -> InnerResult:
     """Globalized semismooth Newton iteration on the joint system.
 
-    Full Newton steps are accepted whenever the selected Jacobian is
-    nonsingular and the step decreases the merit; otherwise a single
-    safeguarded subgradient step is taken before Newton is retried.
+    Each iteration runs one :func:`armijo_search` on the merit: along the
+    Newton direction of the selected Jacobian ``H``, or along the merit's
+    negative gradient ``-H.T @ F`` (a fallback step) when ``H`` is singular
+    or no backtracked Newton step passes. Raises FloatingPointError when
+    the residual at the start is not finite.
     """
     cfg = cfg or NewtonConfig()
     n = game.n
@@ -152,37 +154,34 @@ def newton_solve(
     step_norms: list[float] = []
 
     F = kkt_residual(game, z, eps, p)
+    if not np.all(np.isfinite(F)):
+        raise FloatingPointError("residual is not finite at the Newton start")
     psi = residual_merit(F, n)
     merit_history = [psi]
     iterations = 0
-    converged = psi <= cfg.tol
-    while not converged and iterations < cfg.max_iter:
-        if not np.all(np.isfinite(F)):
-            raise FloatingPointError("residual became non-finite during Newton solve")
+    while psi > cfg.tol and iterations < cfg.max_iter:
         H = generalized_jacobian(game, z, eps, p)
-        step = lu_solve(H, -F)
-        F_trial = None if step is None else kkt_residual(game, z + step, eps, p)
-        if F_trial is None or not residual_merit(F_trial, n) < psi:
-            # singular Jacobian or no-descent full step: one subgradient step
-            s = -(H.T @ F)
-            t, ok = armijo_search(game, z, s, eps, p)
-            if not ok:
+        g = H.T @ F
+        d = lu_solve(H, -F)
+        t, F_trial = (0.0, None) if d is None else armijo_search(game, z, d, psi, g @ d, eps, p)
+        if F_trial is None:
+            d = -g
+            t, F_trial = armijo_search(game, z, d, psi, g @ d, eps, p)
+            if F_trial is None:
                 break
             fallback_steps += 1
-            step = t * s
-            F_trial = kkt_residual(game, z + step, eps, p)
+        step = t * d
         z, F = z + step, F_trial
         psi = residual_merit(F, n)
         iterations += 1
         merit_history.append(psi)
         step_norms.append(float(np.linalg.norm(step)))
-        converged = psi <= cfg.tol
     return InnerResult(
         x=z[:n],
         lam=z[n:],
         merit=psi,
         iterations=iterations,
-        converged=converged,
+        converged=psi <= cfg.tol,
         fallback_steps=fallback_steps,
         merit_history=merit_history,
         step_norms=step_norms,

@@ -247,10 +247,9 @@ def s_stationarity_certificate(
 ) -> Certificate:
     """Strong stationarity residuals with constructed multipliers.
 
-    The limit derivative values of the smoothing kernel are read off at the
-    final smoothing level and snapped to +/-1 outside ``1 - 10*eps_final``;
-    the complementarity multipliers split the response weights between the
-    two branches accordingly. ``branch_consistent=False`` selects the
+    The kernel's derivative values at the final smoothing level, unrounded,
+    split the response weights between the two branches into the
+    complementarity multipliers. ``branch_consistent=False`` selects the
     swapped (drive/bound interchanged) split for comparison.
     """
     x = np.asarray(x, dtype=float)
@@ -259,11 +258,7 @@ def s_stationarity_certificate(
     a = fol.a
 
     t = game.A_diff @ x
-    xi = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
-    # snap near-saturated derivative values to the strict-branch limits;
-    # the floor keeps the threshold meaningful at coarse smoothing levels
-    thr = max(1.0 - 10.0 * eps_final, 0.5)
-    xi_bar = np.where(xi >= thr, 1.0, np.where(xi <= -thr, -1.0, xi))
+    xi_bar = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
 
     if branch_consistent:
         Gamma1 = 0.5 * a * (1.0 - xi_bar)

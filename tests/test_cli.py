@@ -79,6 +79,15 @@ def test_solve_invalid_eps0():
     assert run("solve", "--dataset", "1", "--eps0", "5.0") == 3
 
 
+@pytest.fixture(scope="module")
+def candidate_report(tmp_path_factory, trace1):
+    """The dataset-1 equilibrium as a verify report, outside each test's tmp_path."""
+    path = tmp_path_factory.mktemp("candidate") / "report.json"
+    solution = {"x": trace1.final.x.tolist(), "lambda": trace1.final.lam.tolist()}
+    path.write_text(json.dumps({"solution": {**solution, "eps_final": trace1.final_eps}}))
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -93,6 +102,10 @@ def test_solve_invalid_eps0():
         ["bench", "--starts", "0"],
         ["bench", "--starts", "-1", "--repeats", "0"],
         ["bench", "--repeats", "0"],
+        ["verify", "--tol", "-1"],
+        ["verify", "--tol", "0"],
+        ["verify", "--tol", "inf"],
+        ["verify", "--tol", "nan"],
         # command-line parse errors, which argparse would exit with 2
         ["solve", "--dataset", "3"],
         ["solve", "--p", "abc"],
@@ -100,11 +113,13 @@ def test_solve_invalid_eps0():
     ],
     ids=" ".join,
 )
-def test_rejected_input_exits_3(tmp_path, capsys, argv):
+def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
     game = ["--dataset", "1"] if argv else []
     out = ["--out", str(tmp_path / "bench.csv")] if argv[:1] == ["bench"] else []
+    # a valid candidate, so that only the flag under test is out of range
+    report = ["--report", str(candidate_report)] if argv[:1] == ["verify"] else []
     try:
-        code = run(*argv, *game, *out)
+        code = run(*argv, *game, *out, *report)
     except SystemExit as exc:
         code = exc.code
     assert code == 3

@@ -1,0 +1,57 @@
+"""Solves of the benchmark's generated games (``perfbench/gen.py``).
+
+The generator is loaded from its file and only called: its seed-3 ladder of
+42 games is built in memory, with near-kink follower components and active
+leader constraints that the bundled datasets never reach.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from mlfg import certify, homotopy_solve, smoothing_drift
+from mlfg.cli import NASH_TOL_BASE, STAT_TOL_BASE
+
+from conftest import make_game
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+@pytest.fixture(scope="module")
+def ladder3():
+    """{name: game} for ``generate_ladder(3)``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    games = {}
+    for name, doc, _ in gen.generate_ladder(3):
+        lds, fol = doc["leaders"], doc["follower"]
+        games[name] = make_game(
+            *([ld[key] for ld in lds] for key in ("Q", "c", "A", "b")),
+            fol["Qy_diag"], fol["B"], fol["L"], fol["a"],
+        )
+    return games
+
+
+def test_newton_continuation_converges_on_seed3_ladder(ladder3):
+    # g07 has a stage-0 start from which every full Newton step raises the
+    # merit; without backtracking along the Newton direction it ran out of
+    # iterations on subgradient fallbacks
+    assert len(ladder3) == 42
+    failed = [name for name, game in ladder3.items() if not homotopy_solve(game).converged]
+    assert failed == []
+
+
+def test_near_kink_equilibrium_certifies(ladder3):
+    # g06 ends with a follower component near the kink, where the kernel
+    # derivative is close to but not at +-1; its branch multipliers must use
+    # that value as it is
+    game = ladder3["g06_N3_v3_c2_m2"]
+    trace = homotopy_solve(game)
+    assert trace.converged
+    drift = smoothing_drift(game, trace.final_eps)
+    cert = certify(
+        game, trace.final.x, trace.final.lam, trace.final_eps,
+        nash_tol=max(NASH_TOL_BASE, drift), s_tol=max(STAT_TOL_BASE, drift),
+    )
+    assert cert.certified, cert.s_stat_residuals

@@ -4,14 +4,15 @@ import pytest
 from mlfg import (
     NewtonConfig,
     SubgradConfig,
-    armijo_search,
     generalized_jacobian,
     homotopy_solve,
     kkt_residual,
     lu_solve,
+    merit,
     newton_solve,
     subgradient_solve,
 )
+from mlfg.solvers import armijo_search
 
 from conftest import make_game
 
@@ -62,6 +63,18 @@ def test_wrong_length_start_rejected(ds1, solve):
     # an x-only start for a game with n = 4 and m_bar = 6
     with pytest.raises(ValueError, match=r"expected \(10,\)"):
         solve(ds1, np.zeros(4))
+    # a full-length start with a NaN entry
+    start = np.zeros(10)
+    start[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(ds1, start)
+
+
+def _armijo(game, z, s, eps):
+    """``armijo_search`` from ``z`` along ``s``, with the merit and slope there."""
+    F = kkt_residual(game, z, eps=eps)
+    g = generalized_jacobian(game, z, eps=eps).T @ F
+    return armijo_search(game, z, s, merit(game, z, eps=eps), g @ s, eps)
 
 
 class TestArmijo:
@@ -69,8 +82,8 @@ class TestArmijo:
         rng = np.random.default_rng(1)
         z = np.concatenate([rng.uniform(-1, 1, 4), rng.uniform(0, 1, 6)])
         s = -(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
-        t, ok = armijo_search(ds1, z, s, eps=0.8)
-        assert ok and t > 0.0
+        t, F = _armijo(ds1, z, s, eps=0.8)
+        assert F is not None and t > 0.0
 
     def test_ascent_direction_flagged(self, ds1):
         # near the root the merit is locally strictly convex, so moving
@@ -78,8 +91,8 @@ class TestArmijo:
         root = newton_solve(ds1, eps=0.8)
         z = np.concatenate([root.x + 0.01, root.lam])
         s = +(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
-        t, ok = armijo_search(ds1, z, s, eps=0.8)
-        assert not ok and t == 0.0
+        t, F = _armijo(ds1, z, s, eps=0.8)
+        assert F is None and t == 0.0
 
     def test_full_step_near_solution(self, ds1):
         # the local phase takes unit Newton steps
@@ -88,8 +101,8 @@ class TestArmijo:
         H = generalized_jacobian(ds1, z, eps=0.5)
         s = lu_solve(H, -kkt_residual(ds1, z, eps=0.5))
         assert s is not None
-        t, ok = armijo_search(ds1, z, s, eps=0.5)
-        assert ok and t == 1.0
+        t, F = _armijo(ds1, z, s, eps=0.5)
+        assert F is not None and t == 1.0
 
 
 class TestNewton:

@@ -200,8 +200,8 @@ class TestStationarityCertificate:
         assert cert.s_stat_residuals["branch2_complementarity"] <= 1e-12
 
     def test_biactive_splits_weight_evenly(self, ds1):
-        # at the joint kink the limit derivative is zero at any smoothing
-        # level, including coarse ones where the snap threshold floors out
+        # at the joint kink the kernel derivative is zero at any smoothing
+        # level, fine or coarse
         for eps_final in (1e-6, 0.2):
             cert = s_stationarity_certificate(ds1, np.zeros(4), np.zeros(6), eps_final)
             np.testing.assert_array_equal(cert.xi_bar, np.zeros(3))
