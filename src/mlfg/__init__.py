@@ -35,14 +35,10 @@ from .smoothing import (
     phi_tilde_d2,
     phi_tilde_deps,
     phi_tilde_dt_deps,
-    phi_value,
-    potential_value,
     smoothed_gradient_stack,
 )
 from .solvers import (
     InnerResult,
-    NewtonConfig,
-    SubgradConfig,
     lu_solve,
     newton_solve,
     subgradient_solve,
@@ -70,10 +66,8 @@ __all__ = [
     "HomotopyTrace",
     "InnerResult",
     "LeaderSpec",
-    "NewtonConfig",
     "OracleError",
     "StageRecord",
-    "SubgradConfig",
     "best_response_exact",
     "best_response_qp_oracle",
     "best_response_smoothed",
@@ -93,8 +87,6 @@ __all__ = [
     "phi_tilde_d2",
     "phi_tilde_deps",
     "phi_tilde_dt_deps",
-    "phi_value",
-    "potential_value",
     "s_stationarity_certificate",
     "save_game",
     "smoothed_gradient_stack",

@@ -20,7 +20,7 @@ from . import __version__
 from .homotopy import HomotopyConfig, HomotopyTrace, homotopy_solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import best_response_exact
-from .solvers import NewtonConfig, SubgradConfig, newton_solve
+from .solvers import newton_solve
 from .verify import Certificate, certify, s_stationarity_certificate, smoothing_drift
 
 NASH_TOL_BASE = 1e-5
@@ -90,17 +90,14 @@ def _initial_point(game: GameSpec, seed: int | None) -> np.ndarray | None:
     return z
 
 
-def _inner_config(method: str, tol: float) -> NewtonConfig | SubgradConfig:
-    return NewtonConfig(tol=tol) if method == "newton" else SubgradConfig(tol=tol)
-
-
 def _homotopy_config(args) -> HomotopyConfig:
     return HomotopyConfig(
         eps0=args.eps0,
         gamma=args.gamma,
         eps_min=args.eps_min,
         taylor=args.taylor == "on",
-        inner=_inner_config(args.method, args.tol),
+        method=args.method,
+        tol=args.tol,
         p=args.p,
     )
 
@@ -297,7 +294,8 @@ def _bench_configs(args) -> list[tuple[str, bool, HomotopyConfig]]:
             gamma=args.gamma,
             eps_min=args.bench_eps_min,
             taylor=taylor,
-            inner=_inner_config(method, args.tol),
+            method=method,
+            tol=args.tol,
         ))
         for method in ("newton", "subgradient")
         for taylor in (True, False)
@@ -352,7 +350,7 @@ def cmd_bench(args) -> int:
     for rep in range(args.repeats):
         for sid in range(args.starts):
             z0 = _initial_point(game, args.seed + 1000 * rep + sid)
-            res = newton_solve(game, z0, args.multistart_eps, cfg=NewtonConfig(tol=args.tol))
+            res = newton_solve(game, z0, args.multistart_eps, tol=args.tol)
             ok = ok and res.converged
             finals.append(res.x)
             multistart_rows.extend(

@@ -6,24 +6,24 @@ start: differentiating the stacked stationarity conditions along the
 smoothing parameter yields a small SPD linear system for dx/deps whose
 coefficient matrix is the Hessian stack plus the smoothing curvature term.
 
-The inner solver is chosen by the type of ``HomotopyConfig.inner``: a
-:class:`~mlfg.solvers.NewtonConfig` (the default) runs the semismooth
-Newton method, a :class:`~mlfg.solvers.SubgradConfig` the subgradient
-method, each with that configuration. The start and every warm start are
-flat iterates ``(x, lambda)``; each stage records the inner solver's
+``HomotopyConfig.method`` names the inner solver, ``"newton"`` (the
+default, :func:`~mlfg.solvers.newton_solve`) or ``"subgradient"``
+(:func:`~mlfg.solvers.subgradient_solve`), and ``HomotopyConfig.tol`` is
+the merit tolerance every stage must reach. The start and every warm start
+are flat iterates ``(x, lambda)``; each stage records the inner solver's
 :class:`~mlfg.solvers.InnerResult` as it is.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kkt import curvature_block, flat_point, merit
 from .model import GameSpec
 from .smoothing import phi_tilde_dt_deps
-from .solvers import InnerResult, NewtonConfig, SubgradConfig, newton_solve, subgradient_solve
+from .solvers import InnerResult, check_tol, newton_solve, subgradient_solve
 
 __all__ = [
     "HomotopyConfig",
@@ -40,7 +40,8 @@ class HomotopyConfig:
     gamma: float = 0.5
     eps_min: float = 1e-6
     taylor: bool = True
-    inner: NewtonConfig | SubgradConfig = field(default_factory=NewtonConfig)
+    method: str = "newton"
+    tol: float = 1e-10
     p: int = 2
 
     def __post_init__(self):
@@ -52,8 +53,9 @@ class HomotopyConfig:
             raise ValueError("eps_min must lie in (0, eps0)")
         if self.p < 2 or self.p % 2 != 0:
             raise ValueError("p must be an even integer >= 2")
-        if not isinstance(self.inner, (NewtonConfig, SubgradConfig)):
-            raise ValueError("inner must be a NewtonConfig or a SubgradConfig")
+        if self.method not in ("newton", "subgradient"):
+            raise ValueError(f"method must be 'newton' or 'subgradient', got {self.method!r}")
+        check_tol(self.tol)
 
 
 @dataclass
@@ -74,7 +76,11 @@ class HomotopyTrace:
     """Full continuation record; the last stage holds the candidate equilibrium."""
 
     stages: list[StageRecord]
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        """Whether every stage converged; the run stops at the first that does not."""
+        return self.final.converged
 
     @property
     def final(self) -> InnerResult:
@@ -119,7 +125,7 @@ def homotopy_solve(
     stage fails to converge (the trace marks the failing stage).
     """
     cfg = cfg or HomotopyConfig()
-    solve_inner = newton_solve if isinstance(cfg.inner, NewtonConfig) else subgradient_solve
+    solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
     z_warm = flat_point(game, z0)
     stages: list[StageRecord] = []
     i = 0
@@ -127,7 +133,7 @@ def homotopy_solve(
         eps = cfg.eps0 * cfg.gamma**i
         warm_merit = merit(game, z_warm, eps, cfg.p)
         start = time.perf_counter()
-        res = solve_inner(game, z_warm, eps, cfg.p, cfg.inner)
+        res = solve_inner(game, z_warm, eps, cfg.p, tol=cfg.tol)
         wall_ms = (time.perf_counter() - start) * 1e3
 
         eps_next = cfg.eps0 * cfg.gamma ** (i + 1)
@@ -143,4 +149,4 @@ def homotopy_solve(
             break
         z_warm = np.concatenate([res.x - (eps - eps_next) * d, res.lam])
         i += 1
-    return HomotopyTrace(stages=stages, converged=all(s.result.converged for s in stages))
+    return HomotopyTrace(stages=stages)

@@ -225,10 +225,6 @@ class GameSpec:
             [ld.constraints(x[self.x_slice(nu)]) for nu, ld in enumerate(self.leaders, start=1)]
         )
 
-    def min_curvature(self) -> float:
-        """Smallest eigenvalue of the block-diagonal Hessian stack."""
-        return min(float(np.linalg.eigvalsh(ld.Q)[0]) for ld in self.leaders)
-
 
 def _dimension_findings(game: GameSpec) -> list[str]:
     """Shape bookkeeping of a game under construction; empty when consistent."""

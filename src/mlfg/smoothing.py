@@ -28,8 +28,6 @@ __all__ = [
     "best_response_smoothed",
     "leader_objective",
     "smoothed_gradient_stack",
-    "potential_value",
-    "phi_value",
 ]
 
 
@@ -110,17 +108,3 @@ def smoothed_gradient_stack(game: GameSpec, x: np.ndarray, eps: float, p: int = 
     w = a * phi_tilde_d1(game.A_diff @ x, eps, p)
     return game.Q_block @ x + game.c_stack + 0.5 * (game.S.T @ a) + 0.5 * (game.A_diff.T @ w)
 
-
-def phi_value(game: GameSpec, x: np.ndarray) -> float:
-    """Weighted follower response sum, the nonsmooth part of the potential."""
-    return float(game.follower.a @ best_response_exact(game, x))
-
-
-def potential_value(game: GameSpec, x: np.ndarray) -> float:
-    """Exact potential: unilateral objective differences equal its differences."""
-    x = np.asarray(x, dtype=float)
-    quad = 0.0
-    for nu, ld in enumerate(game.leaders, start=1):
-        x_nu = x[game.x_slice(nu)]
-        quad += 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
-    return float(quad + phi_value(game, x))

@@ -14,9 +14,12 @@ Both are deterministic and keep the merit monotonically nonincreasing.
 They iterate on the flat vector ``z = (x, lambda)`` of length
 ``n + m_bar``, with the residual and Jacobian of :mod:`mlfg.kkt`. The start
 is such a vector (None for zeros), and the :class:`InnerResult` splits the
-final iterate into ``x`` and ``lam``. The Newton step is one LAPACK solve,
-:func:`lu_solve`, which returns None for a singular or numerically singular
-Jacobian.
+final iterate into ``x`` and ``lam``. Each stops once the merit reaches the
+``tol`` keyword, which :func:`check_tol` requires to lie in ``(0, inf)``, or
+at its iteration caps (``NEWTON_MAX_ITER``; ``SUBGRAD_MAX_OUTER`` outer
+rounds of at most ``SUBGRAD_MAX_INNER`` steps). The Newton step is one
+LAPACK solve, :func:`lu_solve`, which returns None for a singular or
+numerically singular Jacobian.
 """
 from __future__ import annotations
 
@@ -28,8 +31,6 @@ from .kkt import flat_point, generalized_jacobian, kkt_residual, residual_merit
 from .model import GameSpec
 
 __all__ = [
-    "NewtonConfig",
-    "SubgradConfig",
     "InnerResult",
     "lu_solve",
     "newton_solve",
@@ -37,9 +38,13 @@ __all__ = [
 ]
 
 
-# Fixed step controls: the Newton method's Armijo search (halvings, shrink
-# factor, slope), and the subgradient method's stationarity tolerance (first
-# value, shrink factor), decrease slope and smallest step.
+# Fixed step controls: the iteration caps, the Newton method's Armijo search
+# (halvings, shrink factor, slope), the subgradient method's stationarity
+# tolerance (first value, shrink factor), decrease slope and smallest step,
+# and the relative pivot size below which lu_solve reports a singular matrix.
+NEWTON_MAX_ITER = 200
+SUBGRAD_MAX_OUTER = 50
+SUBGRAD_MAX_INNER = 500
 MAX_BACKTRACKS = 60
 BACKTRACK_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -47,16 +52,24 @@ DELTA0 = 1.0
 DELTA_FACTOR = 0.5
 SUBGRAD_SLOPE = 0.05
 SIGMA_MIN = 1e-12
+PIVOT_TOL = 1e-12
 
 
-def lu_solve(M: np.ndarray, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray | None:
+def check_tol(tol: float) -> None:
+    """Reject a merit tolerance outside ``(0, inf)`` (NaN included)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve a small dense system through LAPACK (``numpy.linalg.solve``).
 
     Returns None (the singular flag) when LAPACK finds a zero pivot, when
     the solution is not finite (so also for a NaN or inf in ``M`` or
-    ``rhs``), or when ``max|x| * pivot_tol * max|M| > max|rhs|``, an O(n) check after
-    the solve that proves the condition number above ``1 / pivot_tol``. The
-    Newton solver treats the flag as its fallback trigger, not as an error.
+    ``rhs``), or when ``max|x| * PIVOT_TOL * max|M| > max|rhs|``, an O(n)
+    check after the solve that proves the condition number above
+    ``1 / PIVOT_TOL``. The Newton solver treats the flag as its fallback
+    trigger, not as an error.
     """
     A = np.asarray(M, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -67,32 +80,11 @@ def lu_solve(M: np.ndarray, rhs: np.ndarray, pivot_tol: float = 1e-12) -> np.nda
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         return None
-    size = np.max(np.abs(x), initial=0.0) * pivot_tol * np.max(np.abs(A), initial=0.0)
+    size = np.max(np.abs(x), initial=0.0) * PIVOT_TOL * np.max(np.abs(A), initial=0.0)
     # written so that a NaN anywhere fails the test
     if not (np.all(np.isfinite(x)) and size <= np.max(np.abs(b), initial=0.0)):
         return None
     return x
-
-
-@dataclass
-class NewtonConfig:
-    tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-
-
-@dataclass
-class SubgradConfig:
-    max_outer: int = 50
-    max_inner: int = 500
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -137,7 +129,7 @@ def newton_solve(
     z0: np.ndarray | None = None,
     eps: float = 1.0,
     p: int = 2,
-    cfg: NewtonConfig | None = None,
+    tol: float = 1e-10,
 ) -> InnerResult:
     """Globalized semismooth Newton iteration on the joint system.
 
@@ -147,7 +139,7 @@ def newton_solve(
     or no backtracked Newton step passes. Raises FloatingPointError when
     the residual at the start is not finite.
     """
-    cfg = cfg or NewtonConfig()
+    check_tol(tol)
     n = game.n
     z = flat_point(game, z0)
     fallback_steps = 0
@@ -159,7 +151,7 @@ def newton_solve(
     psi = residual_merit(F, n)
     merit_history = [psi]
     iterations = 0
-    while psi > cfg.tol and iterations < cfg.max_iter:
+    while psi > tol and iterations < NEWTON_MAX_ITER:
         H = generalized_jacobian(game, z, eps, p)
         g = H.T @ F
         d = lu_solve(H, -F)
@@ -181,7 +173,7 @@ def newton_solve(
         lam=z[n:],
         merit=psi,
         iterations=iterations,
-        converged=psi <= cfg.tol,
+        converged=psi <= tol,
         fallback_steps=fallback_steps,
         merit_history=merit_history,
         step_norms=step_norms,
@@ -219,7 +211,7 @@ def subgradient_solve(
     z0: np.ndarray | None = None,
     eps: float = 1.0,
     p: int = 2,
-    cfg: SubgradConfig | None = None,
+    tol: float = 1e-10,
 ) -> InnerResult:
     """Two-level subgradient descent on the merit.
 
@@ -229,7 +221,7 @@ def subgradient_solve(
     normalized merit subgradient (a quasisecant of zero probe length). The
     residual of each accepted trial point is kept from the step search.
     """
-    cfg = cfg or SubgradConfig()
+    check_tol(tol)
     n = game.n
     z = flat_point(game, z0)
     F = kkt_residual(game, z, eps, p)
@@ -238,11 +230,11 @@ def subgradient_solve(
     step_norms: list[float] = []
     iterations = 0
     delta = DELTA0
-    for _ in range(cfg.max_outer):
-        if psi <= cfg.tol:
+    for _ in range(SUBGRAD_MAX_OUTER):
+        if psi <= tol:
             break
-        for _ in range(cfg.max_inner):
-            if psi <= cfg.tol:
+        for _ in range(SUBGRAD_MAX_INNER):
+            if psi <= tol:
                 break
             v = generalized_jacobian(game, z, eps, p).T @ F
             v_norm = float(np.linalg.norm(v))
@@ -263,7 +255,7 @@ def subgradient_solve(
         lam=z[n:],
         merit=psi,
         iterations=iterations,
-        converged=psi <= cfg.tol,
+        converged=psi <= tol,
         merit_history=merit_history,
         step_norms=step_norms,
     )

@@ -2,16 +2,17 @@
 
 They re-derive quantities the library computes in stacked form (a single
 leader's smoothed objective and gradient, one leader's rows of a coupling
-matrix) or sample structural properties of a game (monotonicity of the
-stacked gradient map, the exact-potential identity).
+matrix), evaluate the game's exact potential and the smallest curvature of
+its Hessian stack, or sample structural properties of a game (monotonicity
+of the stacked gradient map, the exact-potential identity).
 """
 import numpy as np
 
 from mlfg import (
     GameSpec,
+    best_response_exact,
     best_response_smoothed,
     leader_objective,
-    potential_value,
     smoothed_gradient_stack,
 )
 
@@ -22,6 +23,26 @@ def slice_rows(game: GameSpec, M: np.ndarray, nu: int) -> np.ndarray:
     if M.shape[0] != game.n:
         raise ValueError(f"matrix has {M.shape[0]} rows, expected {game.n}")
     return M[game.x_slice(nu), :]
+
+
+def min_curvature(game: GameSpec) -> float:
+    """Smallest eigenvalue of the block-diagonal Hessian stack."""
+    return min(float(np.linalg.eigvalsh(ld.Q)[0]) for ld in game.leaders)
+
+
+def phi_value(game: GameSpec, x: np.ndarray) -> float:
+    """Weighted follower response sum, the nonsmooth part of the potential."""
+    return float(game.follower.a @ best_response_exact(game, x))
+
+
+def potential_value(game: GameSpec, x: np.ndarray) -> float:
+    """Exact potential: unilateral objective differences equal its differences."""
+    x = np.asarray(x, dtype=float)
+    quad = 0.0
+    for nu, ld in enumerate(game.leaders, start=1):
+        x_nu = x[game.x_slice(nu)]
+        quad += 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
+    return float(quad + phi_value(game, x))
 
 
 def leader_objective_smoothed(

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from mlfg import (
-    NewtonConfig,
-    SubgradConfig,
     best_response_exact,
     best_response_smoothed,
     best_response_qp_oracle,
@@ -23,6 +21,7 @@ from mlfg import (
 from helpers import (
     leader_gradient_smoothed,
     leader_objective_smoothed,
+    min_curvature,
     monotonicity_probe,
     potential_identity_probe,
 )
@@ -96,11 +95,10 @@ def test_criterion_3_uniqueness_at_fixed_smoothing(ds1, ds2):
     """Twenty random starts agree on the equilibrium at a fixed level."""
     ok = True
     details = []
-    cfg = NewtonConfig(tol=1e-12)
     for name, game in (("ds1", ds1), ("ds2", ds2)):
         finals = []
         for z in random_starts(game):
-            res = newton_solve(game, z, eps=0.5, cfg=cfg)
+            res = newton_solve(game, z, eps=0.5, tol=1e-12)
             ok = ok and res.converged
             finals.append(res.x)
         spread = max(
@@ -123,15 +121,14 @@ def test_criterion_4_method_difficulty_ordering(ds1, kink_game):
     the system is almost piecewise affine and Newton needs no more steps.
     """
     levels = (1.6, 0.1)
-    cfg = NewtonConfig(tol=1e-10)
     counts = {}
     ds1_dist = {}
     for eps in levels:
-        res = newton_solve(ds1, eps=eps, cfg=cfg)
+        res = newton_solve(ds1, eps=eps, tol=1e-10)
         counts[("newton", eps)] = res.iterations
         ds1_dist[eps] = smallest_kink_distance(ds1, res.x)
         counts[("subgradient", eps)] = subgradient_solve(
-            ds1, eps=eps, cfg=SubgradConfig(tol=1e-10)
+            ds1, eps=eps, tol=1e-10
         ).iterations
     factor_ok = all(
         counts[("subgradient", eps)] >= 5 * counts[("newton", eps)] for eps in levels
@@ -142,7 +139,7 @@ def test_criterion_4_method_difficulty_ordering(ds1, kink_game):
     kink_dist = {}
     converged = True
     for eps in levels:
-        runs = [newton_solve(kink_game, z, eps=eps, cfg=cfg) for z in random_starts(kink_game)]
+        runs = [newton_solve(kink_game, z, eps=eps, tol=1e-10) for z in random_starts(kink_game)]
         converged = converged and all(r.converged for r in runs)
         median[eps] = float(np.median([r.iterations for r in runs]))
         kink_dist[eps] = max(smallest_kink_distance(kink_game, r.x) for r in runs)
@@ -249,7 +246,7 @@ def test_criterion_8_derivative_correctness(ds1):
 def test_criterion_9_structural_properties(ds1, timed_traces):
     """Monotonicity, response bound, potential identity, predictor accuracy."""
     ratio = monotonicity_probe(ds1, eps=0.5, trials=100, seed=5)
-    mono_ok = ratio >= ds1.min_curvature() - 1e-9
+    mono_ok = ratio >= min_curvature(ds1) - 1e-9
 
     rng = np.random.default_rng(6)
     bound_ok = True
@@ -265,11 +262,11 @@ def test_criterion_9_structural_properties(ds1, timed_traces):
     pot_ok = pot <= 1e-10
 
     eps, delta = 0.8, 1e-3
-    cfg = NewtonConfig(tol=1e-16, max_iter=400)
-    base = newton_solve(ds1, eps=eps, cfg=cfg)
+    tol = 1e-16
+    base = newton_solve(ds1, eps=eps, tol=tol)
     z_base = np.concatenate([base.x, base.lam])
-    up = newton_solve(ds1, z_base, eps=eps + delta, cfg=cfg)
-    down = newton_solve(ds1, z_base, eps=eps - delta, cfg=cfg)
+    up = newton_solve(ds1, z_base, eps=eps + delta, tol=tol)
+    down = newton_solve(ds1, z_base, eps=eps - delta, tol=tol)
     fd = (up.x - down.x) / (2 * delta)
     d = taylor_direction(ds1, base.x, eps)
     taylor_err = np.linalg.norm(d - fd) / np.linalg.norm(fd)

@@ -94,9 +94,11 @@ def candidate_report(tmp_path_factory, trace1):
         ["solve", "--p", "3"],
         ["solve", "--p", "0"],
         ["solve", "--seed", "-1"],
+        ["solve", "--tol", "inf"],
         ["bench", "--seed", "-1"],
         ["bench", "--eps0", "3"],
         ["bench", "--tol", "0"],
+        ["bench", "--tol", "inf"],
         ["bench", "--bench-eps-min", "5"],
         ["bench", "--multistart-eps", "0"],
         ["bench", "--starts", "0"],

@@ -3,14 +3,14 @@ import pytest
 
 from mlfg import (
     HomotopyConfig,
-    NewtonConfig,
-    SubgradConfig,
     best_response_exact,
     best_response_smoothed,
     homotopy_solve,
     newton_solve,
     taylor_direction,
 )
+
+from helpers import min_curvature
 
 
 class TestSchedule:
@@ -40,7 +40,9 @@ class TestSchedule:
         with pytest.raises(ValueError):
             HomotopyConfig(gamma=1.0)
         with pytest.raises(ValueError):
-            HomotopyConfig(inner="simplex")
+            HomotopyConfig(method="simplex")
+        with pytest.raises(ValueError):
+            HomotopyConfig(tol=float("inf"))
 
 
 class TestZeroWeightGame:
@@ -63,11 +65,11 @@ class TestTaylorDirection:
     def test_matches_solution_path_derivative(self, ds1):
         # oracle: two full solves bracketing the smoothing level
         eps, delta = 0.8, 1e-3
-        cfg = NewtonConfig(tol=1e-16, max_iter=400)
-        base = newton_solve(ds1, eps=eps, cfg=cfg)
+        tol = 1e-16
+        base = newton_solve(ds1, eps=eps, tol=tol)
         z_base = np.concatenate([base.x, base.lam])
-        up = newton_solve(ds1, z_base, eps=eps + delta, cfg=cfg)
-        down = newton_solve(ds1, z_base, eps=eps - delta, cfg=cfg)
+        up = newton_solve(ds1, z_base, eps=eps + delta, tol=tol)
+        down = newton_solve(ds1, z_base, eps=eps - delta, tol=tol)
         fd = (up.x - down.x) / (2 * delta)
         d = taylor_direction(ds1, base.x, eps)
         assert np.linalg.norm(d - fd) / np.linalg.norm(fd) <= 1e-2
@@ -78,7 +80,7 @@ class TestTaylorDirection:
         rng = np.random.default_rng(0)
         for game in (ds1, ds2):
             a = game.follower.a
-            mu = game.min_curvature()
+            mu = min_curvature(game)
             for _ in range(20):
                 x = rng.uniform(-4, 4, game.n)
                 curv = a * phi_tilde_d2(game.A_diff @ x, 0.37, 2)
@@ -107,15 +109,15 @@ class TestTraceConsistency:
             y_exact = best_response_exact(ds1, s.result.x)
             assert np.max(np.abs(y_eps - y_exact)) <= s.eps + 1e-12
 
-    def test_failure_marks_stage_and_aborts(self, ds1):
-        cfg = HomotopyConfig(inner=NewtonConfig(tol=1e-10, max_iter=1))
-        trace = homotopy_solve(ds1, cfg=cfg)
+    def test_failure_marks_stage_and_aborts(self, ds1, monkeypatch):
+        monkeypatch.setattr("mlfg.solvers.NEWTON_MAX_ITER", 1)
+        trace = homotopy_solve(ds1, cfg=HomotopyConfig(tol=1e-10))
         assert not trace.converged
         assert not trace.stages[-1].result.converged
         assert len(trace.stages) == 1
 
     def test_subgradient_inner(self, ds1):
-        cfg = HomotopyConfig(eps_min=0.4, inner=SubgradConfig(tol=1e-8))
+        cfg = HomotopyConfig(eps_min=0.4, method="subgradient", tol=1e-8)
         trace = homotopy_solve(ds1, cfg=cfg)
         assert trace.converged
         assert [round(s.eps, 12) for s in trace.stages] == [1.6, 0.8, 0.4]
@@ -136,7 +138,7 @@ class TestStageCountsPinned:
             assert [s.result.fallback_steps for s in trace.stages] == [1] + [0] * 21, name
 
     def test_subgradient_to_eps_005(self, ds1, ds2):
-        cfg = HomotopyConfig(eps_min=0.05, inner=SubgradConfig())
+        cfg = HomotopyConfig(eps_min=0.05, method="subgradient")
         expected = {
             "ds1": [288, 218, 196, 110, 142, 60],
             "ds2": [480, 331, 160, 150, 104, 50],

@@ -3,7 +3,7 @@ import pytest
 
 from mlfg import generalized_jacobian, kkt_residual, merit, newton_solve
 
-from helpers import leader_gradient_smoothed
+from helpers import leader_gradient_smoothed, min_curvature
 
 
 def fd_jacobian(game, z, eps, h=1e-6):
@@ -106,7 +106,7 @@ class TestGeneralizedJacobian:
     def test_xx_symmetric_positive_definite(self, ds1, ds2):
         rng = np.random.default_rng(3)
         for game in (ds1, ds2):
-            mu = game.min_curvature()
+            mu = min_curvature(game)
             for _ in range(20):
                 z = np.concatenate([rng.uniform(-4, 4, game.n), np.zeros(game.m_bar)])
                 xx = generalized_jacobian(game, z, eps=0.3)[: game.n, : game.n]

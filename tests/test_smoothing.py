@@ -12,13 +12,17 @@ from mlfg import (
     phi_tilde_d2,
     phi_tilde_deps,
     phi_tilde_dt_deps,
-    phi_value,
-    potential_value,
     smoothed_gradient_stack,
 )
 
 from conftest import make_game
-from helpers import leader_gradient_smoothed, leader_objective_smoothed
+from helpers import (
+    leader_gradient_smoothed,
+    leader_objective_smoothed,
+    min_curvature,
+    phi_value,
+    potential_value,
+)
 
 
 def scalar_game(Qy, B_row, L_row, a=1.0):
@@ -329,7 +333,7 @@ class TestUniformMonotonicity:
     def test_ratio_bounded_by_min_curvature(self, ds1, ds2):
         rng = np.random.default_rng(15)
         for game in (ds1, ds2):
-            mu = game.min_curvature()
+            mu = min_curvature(game)
             for eps in (0.1, 0.5, 1.6):
                 for _ in range(30):
                     x = rng.uniform(-5, 5, game.n)

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mlfg import (
-    NewtonConfig,
-    SubgradConfig,
     generalized_jacobian,
     homotopy_solve,
     kkt_residual,
@@ -41,10 +39,11 @@ class TestLuSolve:
         M = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(lu_solve(M, np.array([2.0, 5.0])), [5.0, 2.0])
 
-    def test_near_singular_threshold(self):
+    def test_near_singular_threshold(self, monkeypatch):
         M = np.array([[1.0, 0.0], [0.0, 1e-15]])
         assert lu_solve(M, np.ones(2)) is None
-        assert lu_solve(M, np.ones(2), pivot_tol=1e-18) is not None
+        monkeypatch.setattr("mlfg.solvers.PIVOT_TOL", 1e-18)
+        assert lu_solve(M, np.ones(2)) is not None
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -96,7 +95,7 @@ class TestArmijo:
 
     def test_full_step_near_solution(self, ds1):
         # the local phase takes unit Newton steps
-        res = newton_solve(ds1, eps=0.5, cfg=NewtonConfig(tol=1e-6))
+        res = newton_solve(ds1, eps=0.5, tol=1e-6)
         z = np.concatenate([res.x, res.lam])
         H = generalized_jacobian(ds1, z, eps=0.5)
         s = lu_solve(H, -kkt_residual(ds1, z, eps=0.5))
@@ -137,12 +136,11 @@ class TestNewton:
         # a merit of 1e-10 still allows x-errors near 3e-6 through the
         # Jacobian's smallest singular value, so agreement to 1e-6 needs
         # the tighter stop
-        cfg = NewtonConfig(tol=1e-12)
         rng = np.random.default_rng(3)
         finals = []
         for _ in range(20):
             z0 = np.concatenate([rng.uniform(-1, 1, 4), np.maximum(rng.uniform(-1, 1, 6), 0)])
-            res = newton_solve(ds1, z0, eps=0.5, cfg=cfg)
+            res = newton_solve(ds1, z0, eps=0.5, tol=1e-12)
             assert res.converged
             finals.append(res.x)
         spread = max(
@@ -169,15 +167,16 @@ class TestNewton:
         np.testing.assert_array_equal(r1.x, r2.x)
         np.testing.assert_array_equal(r1.lam, r2.lam)
 
-    def test_iteration_cap(self, ds1):
-        res = newton_solve(ds1, eps=0.5, cfg=NewtonConfig(tol=1e-10, max_iter=1))
+    def test_iteration_cap(self, ds1, monkeypatch):
+        monkeypatch.setattr("mlfg.solvers.NEWTON_MAX_ITER", 1)
+        res = newton_solve(ds1, eps=0.5, tol=1e-10)
         assert not res.converged
         assert res.iterations == 1
         assert np.all(np.isfinite(np.concatenate([res.x, res.lam])))
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, ds1):
         with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
+            newton_solve(ds1, tol=0.0)
 
 
 class TestSubgradient:
@@ -201,38 +200,37 @@ class TestSubgradient:
             np.array([0.0]),
         )
         z0 = np.array([1.0, 0.0])
-        res = subgradient_solve(game, z0, eps=0.5, cfg=SubgradConfig(tol=1e-12))
+        res = subgradient_solve(game, z0, eps=0.5, tol=1e-12)
         assert res.converged
         assert abs(res.x[0]) <= 1e-5
         hist = np.array(res.merit_history)
         assert np.all(np.diff(hist) < 0.0)
 
     def test_harder_at_smaller_smoothing(self, ds1):
-        cfg = SubgradConfig(tol=1e-8)
-        easy = subgradient_solve(ds1, eps=1.6, cfg=cfg)
-        hard = subgradient_solve(ds1, eps=0.1, cfg=cfg)
+        easy = subgradient_solve(ds1, eps=1.6, tol=1e-8)
+        hard = subgradient_solve(ds1, eps=0.1, tol=1e-8)
         assert easy.converged and hard.converged
         assert hard.iterations > easy.iterations
 
     def test_monotone_merit(self, ds1):
-        res = subgradient_solve(ds1, eps=0.8, cfg=SubgradConfig(tol=1e-8))
+        res = subgradient_solve(ds1, eps=0.8, tol=1e-8)
         hist = np.array(res.merit_history)
         assert np.all(np.diff(hist) <= 0.0)
 
-    def test_caps_return_best_iterate(self, ds1):
-        cfg = SubgradConfig(tol=1e-14, max_outer=2, max_inner=5)
-        res = subgradient_solve(ds1, eps=0.5, cfg=cfg)
+    def test_caps_return_best_iterate(self, ds1, monkeypatch):
+        monkeypatch.setattr("mlfg.solvers.SUBGRAD_MAX_OUTER", 2)
+        monkeypatch.setattr("mlfg.solvers.SUBGRAD_MAX_INNER", 5)
+        res = subgradient_solve(ds1, eps=0.5, tol=1e-14)
         assert not res.converged
         assert res.merit <= res.merit_history[0]
         assert np.all(np.isfinite(np.concatenate([res.x, res.lam])))
 
     def test_determinism(self, ds1):
-        cfg = SubgradConfig(tol=1e-6)
-        r1 = subgradient_solve(ds1, eps=0.7, cfg=cfg)
-        r2 = subgradient_solve(ds1, eps=0.7, cfg=cfg)
+        r1 = subgradient_solve(ds1, eps=0.7, tol=1e-6)
+        r2 = subgradient_solve(ds1, eps=0.7, tol=1e-6)
         assert r1.merit_history == r2.merit_history
         np.testing.assert_array_equal(r1.x, r2.x)
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, ds1):
         with pytest.raises(ValueError):
-            SubgradConfig(tol=0.0)
+            subgradient_solve(ds1, tol=0.0)

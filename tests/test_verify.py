@@ -14,7 +14,7 @@ from mlfg import (
 from mlfg.verify import nash_gap_bounds
 
 from conftest import make_game
-from helpers import monotonicity_probe, potential_identity_probe
+from helpers import min_curvature, monotonicity_probe, potential_identity_probe
 
 
 def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=200):
@@ -321,13 +321,13 @@ class TestActiveConstraints:
 class TestProbes:
     def test_monotonicity_bounded_below(self, ds1, ds2):
         for game in (ds1, ds2):
-            mu = game.min_curvature()
+            mu = min_curvature(game)
             ratio = monotonicity_probe(game, eps=0.5, trials=100, seed=7)
             assert ratio >= mu - 1e-9
 
     def test_monotonicity_zero_weights_rayleigh(self, quadratic_game):
         game = quadratic_game
-        mu = game.min_curvature()
+        mu = min_curvature(game)
         ratio = monotonicity_probe(game, eps=0.5, trials=200, seed=8)
         assert ratio >= mu - 1e-9
         # with zero weights the gradient map is exactly linear, so the
