@@ -269,7 +269,8 @@ def cmd_verify(args) -> int:
         else:
             raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
-    except (OSError, KeyError, ValueError) as exc:
+    # a TypeError is a document of the wrong shape, such as a list for the report
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

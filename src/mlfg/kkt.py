@@ -13,13 +13,16 @@ matrix: the min rows are differentiated branchwise, with ties resolved to
 the multiplier branch (keeps the lower-right block closer to the identity
 and thus the selection closer to nonsingular). Its upper-left block is
 :func:`curvature_block`, the Hessian stack plus the smoothing curvature;
-the continuation's predictor solves with the same matrix.
+the continuation's predictor solves with the same matrix. The residual and
+the merit also take a stack of points, one per row, and give each row's
+value bit for bit as for that point alone; the subgradient step search
+evaluates its whole halving ladder in one such call.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import GameSpec
+from .model import GameSpec, matvec
 from .smoothing import phi_tilde_d2, smoothed_gradient_stack
 
 __all__ = [
@@ -50,16 +53,20 @@ def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
 
 
 def kkt_residual(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
-    """Stationarity rows (length n) stacked over complementarity rows (m_bar)."""
-    x, lam = z[: game.n], z[game.n :]
-    F1 = smoothed_gradient_stack(game, x, eps, p) + game.constraint_gradient_block @ lam
+    """Stationarity rows (length n) stacked over complementarity rows (m_bar);
+    a stack of points ``z``, shape (k, n + m_bar), gives one residual per row."""
+    x, lam = z[..., : game.n], z[..., game.n :]
+    F1 = smoothed_gradient_stack(game, x, eps, p) + matvec(game.constraint_gradient_block, lam)
     F2 = np.minimum(lam, -game.constraint_values(x))
-    return np.concatenate([F1, F2])
+    return np.concatenate([F1, F2], axis=-1)
 
 
-def residual_merit(F: np.ndarray, n: int) -> float:
-    """Half the squared norm of a stacked residual, summed block by block."""
-    return 0.5 * (float(F[:n] @ F[:n]) + float(F[n:] @ F[n:]))
+def residual_merit(F: np.ndarray, n: int) -> float | np.ndarray:
+    """Half the squared norm of a residual, summed block by block; one merit
+    per row of a stack of residuals."""
+    F1, F2 = F[..., :n], F[..., n:]
+    psi = 0.5 * ((F1[..., None, :] @ F1[..., None]) + (F2[..., None, :] @ F2[..., None]))[..., 0, 0]
+    return psi if F.ndim > 1 else float(psi)
 
 
 def merit(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> float:

@@ -32,6 +32,12 @@ SPD_PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-12
 
 
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for one point or for each row of a stack of points: one
+    matrix-vector product per row, so each row equals its point's bit for bit."""
+    return (M @ x[..., None])[..., 0]
+
+
 class GameFormatError(ValueError):
     """Malformed game document: parse failure or inconsistent dimensions."""
 
@@ -77,10 +83,6 @@ class LeaderSpec:
     def n_constraints(self) -> int:
         return self.A.shape[1]
 
-    def constraints(self, x_nu: np.ndarray) -> np.ndarray:
-        """Constraint values g(x_nu) = A.T x_nu + b (feasible iff <= 0)."""
-        return self.A.T @ x_nu + self.b
-
 
 @dataclass(frozen=True)
 class FollowerSpec:
@@ -107,9 +109,9 @@ class FollowerSpec:
 class GameSpec:
     """Validated multi-leader-follower game. Immutable after construction.
 
-    Derived arrays (the Hessian stack and the follower maps ``drive``, ``S``
-    and ``A_diff``) are computed on first use, cached and read-only, so every
-    solve of the game shares them.
+    Derived arrays (the Hessian stack, the follower maps ``drive``, ``S`` and
+    ``A_diff``, and the stacked constants) are computed on first use, cached
+    and read-only, so every solve of the game shares them.
     """
 
     leaders: tuple[LeaderSpec, ...]
@@ -211,6 +213,19 @@ class GameSpec:
         return c
 
     @cached_property
+    def b_stack(self) -> np.ndarray:
+        b = np.concatenate([ld.b for ld in self.leaders])
+        b.setflags(write=False)
+        return b
+
+    @cached_property
+    def half_St_a(self) -> np.ndarray:
+        """The constant ``0.5 * S' a`` of every smoothed gradient, shape (n,)."""
+        h = 0.5 * (self.S.T @ self.follower.a)
+        h.setflags(write=False)
+        return h
+
+    @cached_property
     def constraint_gradient_block(self) -> np.ndarray:
         """Block-diagonal stack of the constraint gradients, shape (n, m_bar)."""
         G = np.zeros((self.n, self.m_bar))
@@ -220,10 +235,11 @@ class GameSpec:
         return G
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
-        """Stacked constraint values over all leaders, shape (m_bar,)."""
-        return np.concatenate(
-            [ld.constraints(x[self.x_slice(nu)]) for nu, ld in enumerate(self.leaders, start=1)]
-        )
+        """Stacked values ``A_nu' x_nu + b_nu`` over all leaders (feasible iff
+        <= 0), shape (m_bar,); a stack of points, shape (k, n), gives (k, m_bar)."""
+        o = self.x_offsets
+        Ax = [matvec(ld.A.T, x[..., o[i] : o[i + 1]]) for i, ld in enumerate(self.leaders)]
+        return np.concatenate(Ax, axis=-1) + self.b_stack
 
 
 def _dimension_findings(game: GameSpec) -> list[str]:

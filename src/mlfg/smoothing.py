@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GameSpec
+from .model import GameSpec, matvec
 
 __all__ = [
     "phi_tilde",
@@ -101,10 +101,9 @@ def smoothed_gradient_stack(game: GameSpec, x: np.ndarray, eps: float, p: int = 
 
     Block nu is the ``x_nu``-gradient of leader nu's objective with the
     smoothed response substituted; the stack is the map whose uniform
-    monotonicity gives uniqueness of the smoothed equilibrium.
+    monotonicity gives uniqueness of the smoothed equilibrium. A stack of
+    points ``x``, shape (k, n), gives one row per point.
     """
     x = np.asarray(x, dtype=float)
-    a = game.follower.a
-    w = a * phi_tilde_d1(game.A_diff @ x, eps, p)
-    return game.Q_block @ x + game.c_stack + 0.5 * (game.S.T @ a) + 0.5 * (game.A_diff.T @ w)
-
+    w = game.follower.a * phi_tilde_d1(matvec(game.A_diff, x), eps, p)
+    return matvec(game.Q_block, x) + game.c_stack + game.half_St_a + 0.5 * matvec(game.A_diff.T, w)

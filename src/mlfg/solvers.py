@@ -8,7 +8,8 @@ Two methods minimize the merit (half squared residual norm):
   gradient when that Jacobian is singular or no Newton step passes;
 * a two-level subgradient descent that drives a shrinking stationarity
   tolerance, with normalized directions and a doubling/halving step length
-  search against a sufficient-decrease test.
+  search against a sufficient-decrease test, whose halving ladder is one
+  stacked residual call.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
 They iterate on the flat vector ``z = (x, lambda)`` of length
@@ -59,6 +60,18 @@ def check_tol(tol: float) -> None:
     """Reject a merit tolerance outside ``(0, inf)`` (NaN included)."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _start(game: GameSpec, z0, eps: float, p: int, tol: float):
+    """Check ``tol`` and the start; return the start, its residual and merit.
+    Raises FloatingPointError when that merit is not finite."""
+    check_tol(tol)
+    z = flat_point(game, z0)
+    F = kkt_residual(game, z, eps, p)
+    psi = residual_merit(F, game.n)
+    if not np.isfinite(psi):
+        raise FloatingPointError(f"merit is not finite at the start, got {psi}")
+    return z, F, psi
 
 
 def lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -137,18 +150,12 @@ def newton_solve(
     Newton direction of the selected Jacobian ``H``, or along the merit's
     negative gradient ``-H.T @ F`` (a fallback step) when ``H`` is singular
     or no backtracked Newton step passes. Raises FloatingPointError when
-    the residual at the start is not finite.
+    the merit at the start is not finite.
     """
-    check_tol(tol)
     n = game.n
-    z = flat_point(game, z0)
+    z, F, psi = _start(game, z0, eps, p, tol)
     fallback_steps = 0
     step_norms: list[float] = []
-
-    F = kkt_residual(game, z, eps, p)
-    if not np.all(np.isfinite(F)):
-        raise FloatingPointError("residual is not finite at the Newton start")
-    psi = residual_merit(F, n)
     merit_history = [psi]
     iterations = 0
     while psi > tol and iterations < NEWTON_MAX_ITER:
@@ -184,26 +191,32 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
     """Doubling/halving search for the largest step passing sufficient decrease.
 
     The test is psi(z + sigma*d) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
-    along the normalized direction ``d``. Returns the accepted step with the
-    residual at ``z + sigma*d``, or ``(0.0, None)`` when even ``SIGMA_MIN``
-    fails.
+    along the normalized direction ``d``. When ``sigma = 1`` passes, the step
+    doubles while it keeps passing. Otherwise the halving ladder
+    ``sigma = 1/2, 1/4, ...`` down to the first power of two at or below
+    ``SIGMA_MIN`` is evaluated in one stacked residual call, and the largest
+    step that passes is accepted. Returns the accepted step with the residual
+    at ``z + sigma*d``, or ``(0.0, None)`` when every step fails.
     """
 
-    def residual_if_passes(sigma: float):
-        F = kkt_residual(game, z + sigma * d, eps, p)
-        return F if residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm else None
+    def trial(sigma):
+        """Residuals at ``z + sigma*d``, one per step, and which steps pass."""
+        F = kkt_residual(game, z + np.multiply.outer(sigma, d), eps, p)
+        return F, residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
 
     sigma = 1.0
-    F = residual_if_passes(sigma)
-    if F is not None:
-        while sigma < 2.0**30 and (larger := residual_if_passes(2.0 * sigma)) is not None:
-            sigma, F = 2.0 * sigma, larger
+    F, ok = trial(sigma)
+    if ok:
+        while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[1]:
+            sigma, F = 2.0 * sigma, larger[0]
         return sigma, F
-    while sigma > SIGMA_MIN:
-        sigma *= 0.5
-        if (F := residual_if_passes(sigma)) is not None:
-            return sigma, F
-    return 0.0, None
+    # every step that halving until sigma <= SIGMA_MIN visits (down to 2**-40 for 1e-12)
+    ladder = 0.5 ** np.arange(1, np.ceil(-np.log2(SIGMA_MIN)) + 1)
+    F, ok = trial(ladder)
+    if not ok.any():
+        return 0.0, None
+    first = int(np.argmax(ok))
+    return float(ladder[first]), F[first]
 
 
 def subgradient_solve(
@@ -220,12 +233,10 @@ def subgradient_solve(
     subgradient norm falls below that tolerance. The step direction is the
     normalized merit subgradient (a quasisecant of zero probe length). The
     residual of each accepted trial point is kept from the step search.
+    Raises FloatingPointError when the merit at the start is not finite.
     """
-    check_tol(tol)
     n = game.n
-    z = flat_point(game, z0)
-    F = kkt_residual(game, z, eps, p)
-    psi = residual_merit(F, n)
+    z, F, psi = _start(game, z0, eps, p, tol)
     merit_history = [psi]
     step_norms: list[float] = []
     iterations = 0

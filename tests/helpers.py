@@ -2,9 +2,10 @@
 
 They re-derive quantities the library computes in stacked form (a single
 leader's smoothed objective and gradient, one leader's rows of a coupling
-matrix), evaluate the game's exact potential and the smallest curvature of
-its Hessian stack, or sample structural properties of a game (monotonicity
-of the stacked gradient map, the exact-potential identity).
+matrix, the subgradient step search one trial point at a time), evaluate
+the game's exact potential and the smallest curvature of its Hessian stack,
+or sample structural properties of a game (monotonicity of the stacked
+gradient map, the exact-potential identity).
 """
 import numpy as np
 
@@ -15,6 +16,8 @@ from mlfg import (
     leader_objective,
     smoothed_gradient_stack,
 )
+from mlfg.kkt import kkt_residual, residual_merit
+from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE
 
 
 def slice_rows(game: GameSpec, M: np.ndarray, nu: int) -> np.ndarray:
@@ -101,3 +104,28 @@ def potential_identity_probe(
         d_pot = potential_value(game, x_alt) - potential_value(game, x)
         worst = max(worst, abs(d_obj - d_pot))
     return worst
+
+
+def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):
+    """The subgradient step search with one residual call per trial step.
+
+    Same test and step sequence as ``mlfg.solvers._step_search``: sigma = 1,
+    then doubling while it passes, or else halving until the first pass or
+    until sigma <= SIGMA_MIN. Returns (sigma, residual) or (0.0, None).
+    """
+
+    def residual_if_passes(sigma: float):
+        F = kkt_residual(game, z + sigma * d, eps, p)
+        return F if residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm else None
+
+    sigma = 1.0
+    F = residual_if_passes(sigma)
+    if F is not None:
+        while sigma < 2.0**30 and (larger := residual_if_passes(2.0 * sigma)) is not None:
+            sigma, F = 2.0 * sigma, larger
+        return sigma, F
+    while sigma > SIGMA_MIN:
+        sigma *= 0.5
+        if (F := residual_if_passes(sigma)) is not None:
+            return sigma, F
+    return 0.0, None

@@ -312,10 +312,13 @@ def test_bench_iter_rows_match_solve_log(tmp_path):
 
 
 @pytest.mark.parametrize("source", ["--report", "--x"], ids=["report", "x"])
-@pytest.mark.parametrize("case", ["other_game", "short_lambda", "nan", "zero_eps"])
+@pytest.mark.parametrize(
+    "case", ["other_game", "short_lambda", "nan", "zero_eps", "not_object", "null", "x_object"]
+)
 def test_verify_rejects_bad_candidate(tmp_path, capsys, trace1, source, case):
     # a dataset-1 point against dataset 2, a 3-entry lambda, a NaN entry,
-    # a zero smoothing level
+    # a zero smoothing level; files of the wrong JSON type: a list for the
+    # report and a number for the vector, null, and an object for x
     x, lam = trace1.final.x.tolist(), trace1.final.lam.tolist()
     args = ["--dataset", "2" if case == "other_game" else "1"]
     eps_final = 0.0 if case == "zero_eps" else 1e-6
@@ -323,12 +326,16 @@ def test_verify_rejects_bad_candidate(tmp_path, capsys, trace1, source, case):
         lam = lam[:3]
     if case == "nan":
         x[0] = float("nan")
+    if case == "x_object":
+        x = {"0": 1.0}
     path = tmp_path / "candidate.json"
     if source == "--report":
         doc = {"solution": {"x": x, "lambda": lam, "eps_final": eps_final}}
+        doc = {"not_object": [1, 2], "null": None}.get(case, doc)
         path.write_text(json.dumps(doc))
     else:
-        path.write_text(json.dumps(x + lam))
+        vec = x if case == "x_object" else x + lam
+        path.write_text(json.dumps({"not_object": 5, "null": None}.get(case, vec)))
         args += ["--eps-final", repr(eps_final)]
     assert run("verify", *args, source, str(path)) == 3
     captured = capsys.readouterr()

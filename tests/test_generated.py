@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mlfg import certify, homotopy_solve, smoothing_drift
+from mlfg import HomotopyConfig, certify, homotopy_solve, smoothing_drift
 from mlfg.cli import NASH_TOL_BASE, STAT_TOL_BASE
 
 from conftest import make_game
@@ -55,3 +55,21 @@ def test_near_kink_equilibrium_certifies(ladder3):
         nash_tol=max(NASH_TOL_BASE, drift), s_tol=max(STAT_TOL_BASE, drift),
     )
     assert cert.certified, cert.s_stat_residuals
+
+
+@pytest.mark.parametrize(
+    "name, iterations, converged",
+    [
+        # five active constraints at the end
+        ("g04_N2_v3_c3_m1", [89, 72, 69, 81, 102, 87], True),
+        # stage 2 ends above the merit target, and the run stops there
+        ("g05_N2_v3_c3_m1", [71, 51, 18561], False),
+        # the near-kink game of the test above
+        ("g06_N3_v3_c2_m2", [989, 417, 2527, 2202, 1535, 1701], True),
+    ],
+)
+def test_subgradient_stage_counts_pinned(ladder3, name, iterations, converged):
+    cfg = HomotopyConfig(method="subgradient", eps_min=0.05)
+    trace = homotopy_solve(ladder3[name], cfg=cfg)
+    assert [s.result.iterations for s in trace.stages] == iterations
+    assert trace.converged is converged

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlfg import generalized_jacobian, kkt_residual, merit, newton_solve
+from mlfg.kkt import residual_merit
 
 from helpers import leader_gradient_smoothed, min_curvature
 
@@ -75,6 +76,33 @@ class TestResidual:
             0.5 * (F[:4] @ F[:4] + F[4:] @ F[4:]), rel=1e-15
         )
         assert merit(ds1, z, eps=0.9) > 0.0
+
+
+class TestStackedResidual:
+    GAMES = ["ds1", "ds2", "active_game", "kink_game"]
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("name", GAMES)
+    def test_rows_equal_single_points(self, request, name, p):
+        # points at scales from 1e-6 (inside the smoothing band of the
+        # kink game's equilibrium) to 1e2, at four smoothing levels
+        game = request.getfixturevalue(name)
+        rng = np.random.default_rng(7)
+        size = game.n + game.m_bar
+        Z = rng.standard_normal((24, size)) * 10.0 ** rng.uniform(-6, 2, (24, 1))
+        for eps in (1.6, 0.1, 1e-3, 1e-6):
+            F = kkt_residual(game, Z, eps, p)
+            psi = residual_merit(F, game.n)
+            assert F.shape == (24, size) and psi.shape == (24,)
+            for z, F_row, psi_row in zip(Z, F, psi):
+                F_single = kkt_residual(game, z, eps, p)
+                assert np.array_equal(F_row, F_single)
+                assert psi_row == residual_merit(F_single, game.n) == merit(game, z, eps, p)
+
+    @pytest.mark.parametrize("eps, p", [(0.0, 2), (-1.0, 2), (0.5, 3)])
+    def test_stack_rejects_bad_kernel_parameters(self, ds1, eps, p):
+        with pytest.raises(ValueError):
+            kkt_residual(ds1, np.zeros((3, 10)), eps, p)
 
 
 class TestGeneralizedJacobian:

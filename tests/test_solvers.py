@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlfg import (
+    HomotopyConfig,
     generalized_jacobian,
     homotopy_solve,
     kkt_residual,
@@ -10,9 +11,11 @@ from mlfg import (
     newton_solve,
     subgradient_solve,
 )
-from mlfg.solvers import armijo_search
+from mlfg.kkt import residual_merit
+from mlfg.solvers import _step_search, armijo_search
 
 from conftest import make_game
+from helpers import step_search_sequential
 
 
 class TestLuSolve:
@@ -67,6 +70,13 @@ def test_wrong_length_start_rejected(ds1, solve):
     start[0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         solve(ds1, start)
+
+
+@pytest.mark.parametrize("solve", [newton_solve, subgradient_solve])
+def test_start_with_infinite_merit_rejected(ds1, solve):
+    # every residual entry is finite at 1e200, their squares are not
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        solve(ds1, np.full(10, 1e200))
 
 
 def _armijo(game, z, s, eps):
@@ -234,3 +244,76 @@ class TestSubgradient:
     def test_invalid_config(self, ds1):
         with pytest.raises(ValueError):
             subgradient_solve(ds1, tol=0.0)
+
+
+def _search_inputs(game, z, eps, direction=None):
+    """(z, d, eps, p, psi0, v_norm) of a step search from ``z``, along the
+    normalized negative merit subgradient unless a direction is given."""
+    F = kkt_residual(game, z, eps)
+    v = generalized_jacobian(game, z, eps).T @ F
+    v_norm = float(np.linalg.norm(v))
+    d = -v / v_norm if direction is None else direction / np.linalg.norm(direction)
+    return z, d, eps, 2, residual_merit(F, game.n), v_norm
+
+
+def _same_search(game, args):
+    """Run both searches, require the same step and bit-identical residual."""
+    sigma, F = _step_search(game, *args)
+    sigma_ref, F_ref = step_search_sequential(game, *args)
+    assert sigma == sigma_ref
+    assert (F is None and F_ref is None) or np.array_equal(F, F_ref)
+    return sigma
+
+
+class TestStepSearch:
+    def test_matches_sequential_search(self, ds1, ds2):
+        # points around each root, along the descent direction or a random one
+        kinds = set()
+        for seed, game in enumerate((ds1, ds2)):
+            rng = np.random.default_rng(seed)
+            size = game.n + game.m_bar
+            for eps in (1.6, 0.2, 0.05):
+                root = newton_solve(game, eps=eps)
+                for k in range(20):
+                    z = np.concatenate([root.x, root.lam])
+                    z = z + 10 ** rng.uniform(-4, 0.5) * rng.standard_normal(size)
+                    direction = rng.standard_normal(size) if k % 2 else None
+                    sigma = _same_search(game, _search_inputs(game, z, eps, direction))
+                    kinds.add("fail" if sigma == 0 else "halve" if sigma < 1 else "double")
+        assert kinds == {"fail", "halve", "double"}
+
+    def test_all_fail(self, ds1):
+        # near the root the merit rises along the positive subgradient
+        root = newton_solve(ds1, eps=0.8)
+        z = np.concatenate([root.x + 0.01, root.lam])
+        args = _search_inputs(ds1, z, 0.8)
+        args = (z, -args[1], *args[2:])
+        assert step_search_sequential(ds1, *args) == (0.0, None)
+        assert _step_search(ds1, *args) == (0.0, None)
+
+    def test_doubling_branch(self, ds1):
+        # far from the root a unit step is short and the search doubles it
+        z = np.concatenate([np.full(4, 50.0), np.zeros(6)])
+        assert _same_search(ds1, _search_inputs(ds1, z, 0.8)) > 1.0
+
+    def test_halving_ladder_is_one_residual_call(self, ds1, monkeypatch):
+        root = newton_solve(ds1, eps=0.8)
+        args = _search_inputs(ds1, np.concatenate([root.x + 1e-3, root.lam]), 0.8)
+        calls = []
+        monkeypatch.setattr(
+            "mlfg.solvers.kkt_residual", lambda *a: calls.append(a[1].shape) or kkt_residual(*a)
+        )
+        sigma, _ = _step_search(ds1, *args)
+        assert 0.0 < sigma < 1.0
+        assert calls == [(10,), (40, 10)]
+
+    def test_dataset1_stage0_step_lengths(self, ds1):
+        # log2 of every accepted step of stage 0 (eps = 1.6), with counts
+        trace = homotopy_solve(ds1, cfg=HomotopyConfig(method="subgradient", eps_min=0.05))
+        steps = trace.stages[0].result.step_norms
+        assert all(2.0 ** int(np.log2(s)) == s for s in steps)
+        histogram = dict(zip(*np.unique(np.log2(steps).astype(int), return_counts=True)))
+        assert histogram == {
+            -19: 2, -18: 29, -17: 2, -16: 30, -15: 2, -14: 23, -13: 2, -12: 50, -11: 3,
+            -10: 24, -9: 19, -8: 18, -7: 13, -6: 20, -5: 29, -4: 4, -3: 14, -1: 2, 0: 1, 1: 1,
+        }
