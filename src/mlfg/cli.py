@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -77,6 +78,20 @@ def _fingerprint(game: GameSpec) -> dict:
 def _check_seed(seed: int | None) -> None:
     if seed is not None and seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+
+
+def _check_out_path(flag: str, path: str | None) -> None:
+    """Reject an output path that cannot be written, before any solve: its
+    directory is missing or read-only, or the path is a directory or a
+    read-only file."""
+    if not path:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise InputError(f"{flag} {path}: directory {target.parent} does not exist")
+    writable = os.access(target if target.exists() else target.parent, os.W_OK)
+    if target.is_dir() or not writable:
+        raise InputError(f"{flag} {path}: not a writable file")
 
 
 def _initial_point(game: GameSpec, seed: int | None) -> np.ndarray | None:
@@ -175,6 +190,8 @@ def cmd_solve(args) -> int:
         game, path = _load(args)
         cfg = _homotopy_config(args)
         _check_seed(args.seed)
+        _check_out_path("--out", args.out)
+        _check_out_path("--log", args.log)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -335,6 +352,7 @@ def cmd_bench(args) -> int:
         for flag, value in (("--starts", args.starts), ("--repeats", args.repeats)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
+        _check_out_path("--out", args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

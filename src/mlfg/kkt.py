@@ -16,7 +16,7 @@ and thus the selection closer to nonsingular). Its upper-left block is
 the continuation's predictor solves with the same matrix. The residual and
 the merit also take a stack of points, one per row, and give each row's
 value bit for bit as for that point alone; the subgradient step search
-evaluates its whole halving ladder in one such call.
+evaluates the unit step and its whole halving ladder in one such call.
 """
 from __future__ import annotations
 

@@ -8,8 +8,10 @@ Two methods minimize the merit (half squared residual norm):
   gradient when that Jacobian is singular or no Newton step passes;
 * a two-level subgradient descent that drives a shrinking stationarity
   tolerance, with normalized directions and a doubling/halving step length
-  search against a sufficient-decrease test, whose halving ladder is one
-  stacked residual call.
+  search against a sufficient-decrease test. Each step evaluates the unit
+  step and the halving ladder in one stacked residual call, doubles one
+  point at a time only when the unit step passes, and assembles one
+  Jacobian per iterate; a search in which every step fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
 They iterate on the flat vector ``z = (x, lambda)`` of length
@@ -191,12 +193,13 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
     """Doubling/halving search for the largest step passing sufficient decrease.
 
     The test is psi(z + sigma*d) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
-    along the normalized direction ``d``. When ``sigma = 1`` passes, the step
-    doubles while it keeps passing. Otherwise the halving ladder
-    ``sigma = 1/2, 1/4, ...`` down to the first power of two at or below
-    ``SIGMA_MIN`` is evaluated in one stacked residual call, and the largest
-    step that passes is accepted. Returns the accepted step with the residual
-    at ``z + sigma*d``, or ``(0.0, None)`` when every step fails.
+    along the normalized direction ``d``. One stacked residual call evaluates
+    ``sigma = 1`` and the halving ladder ``1/2, 1/4, ...`` down to the first
+    power of two at or below ``SIGMA_MIN``. When ``sigma = 1`` passes, the
+    step doubles, one point at a time, while it keeps passing; otherwise the
+    largest step of the ladder that passes is accepted. Returns the accepted
+    step with the residual at ``z + sigma*d``, or ``(0.0, None)`` when every
+    step fails.
     """
 
     def trial(sigma):
@@ -204,15 +207,14 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
         F = kkt_residual(game, z + np.multiply.outer(sigma, d), eps, p)
         return F, residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
 
-    sigma = 1.0
-    F, ok = trial(sigma)
-    if ok:
+    # every step that halving from 1 until sigma <= SIGMA_MIN visits (down to 2**-40 for 1e-12)
+    ladder = 0.5 ** np.arange(np.ceil(-np.log2(SIGMA_MIN)) + 1)
+    F, ok = trial(ladder)
+    if ok[0]:
+        sigma, F = 1.0, F[0]
         while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[1]:
             sigma, F = 2.0 * sigma, larger[0]
         return sigma, F
-    # every step that halving until sigma <= SIGMA_MIN visits (down to 2**-40 for 1e-12)
-    ladder = 0.5 ** np.arange(1, np.ceil(-np.log2(SIGMA_MIN)) + 1)
-    F, ok = trial(ladder)
     if not ok.any():
         return 0.0, None
     first = int(np.argmax(ok))
@@ -232,8 +234,10 @@ def subgradient_solve(
     inner level takes normalized subgradient steps until the current
     subgradient norm falls below that tolerance. The step direction is the
     normalized merit subgradient (a quasisecant of zero probe length). The
-    residual of each accepted trial point is kept from the step search.
-    Raises FloatingPointError when the merit at the start is not finite.
+    residual of each accepted trial point is kept from the step search, and
+    the subgradient is formed once per iterate. A step search in which every
+    step fails ends the solve. Raises FloatingPointError when the merit at
+    the start is not finite.
     """
     n = game.n
     z, F, psi = _start(game, z0, eps, p, tol)
@@ -241,21 +245,26 @@ def subgradient_solve(
     step_norms: list[float] = []
     iterations = 0
     delta = DELTA0
+    v = None  # the merit subgradient at z, formed when first needed
+    stalled = False
     for _ in range(SUBGRAD_MAX_OUTER):
-        if psi <= tol:
+        if psi <= tol or stalled:
             break
         for _ in range(SUBGRAD_MAX_INNER):
             if psi <= tol:
                 break
-            v = generalized_jacobian(game, z, eps, p).T @ F
-            v_norm = float(np.linalg.norm(v))
+            if v is None:
+                v = generalized_jacobian(game, z, eps, p).T @ F
+                v_norm = float(np.linalg.norm(v))
             if v_norm <= delta:
                 break
             d = -v / v_norm
             sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm)
+            # the search does not depend on delta, so a later round would fail the same way
             if sigma == 0.0:
+                stalled = True
                 break
-            z, F = z + sigma * d, F_trial
+            z, F, v = z + sigma * d, F_trial, None
             psi = residual_merit(F, n)
             iterations += 1
             merit_history.append(psi)

@@ -129,6 +129,20 @@ def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "--out"], ["solve", "--log"], ["bench", "--out"]], ids=" ".join
+)
+def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr("mlfg.cli.homotopy_solve", no_solve)
+    code = run(*argv, str(tmp_path / "no-such-dir" / "r.json"), "--dataset", "1")
+    assert code == 3
+    assert f"error: {argv[1]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=" ".join)
 def test_help_exits_0(argv):
     with pytest.raises(SystemExit) as exc:

@@ -245,6 +245,31 @@ class TestSubgradient:
         with pytest.raises(ValueError):
             subgradient_solve(ds1, tol=0.0)
 
+    def test_one_jacobian_per_iterate(self, ds1, monkeypatch):
+        # some inner rounds of this solve end on the stationarity tolerance,
+        # and the next round starts from the same point
+        points = []
+        monkeypatch.setattr(
+            "mlfg.solvers.generalized_jacobian",
+            lambda *a: points.append(a[1].tobytes()) or generalized_jacobian(*a),
+        )
+        res = subgradient_solve(ds1, eps=0.8, tol=1e-8)
+        assert res.converged
+        # at the start and after every step but the last, which converged
+        assert len(points) == res.iterations
+        assert len(set(points)) == len(points)
+
+    def test_failed_step_search_ends_solve(self, ds1, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "mlfg.solvers._step_search", lambda *a: calls.append(a) or (0.0, None)
+        )
+        res = subgradient_solve(ds1, eps=0.8)
+        assert len(calls) == 1
+        assert res.iterations == 0 and not res.converged
+        np.testing.assert_array_equal(np.concatenate([res.x, res.lam]), np.zeros(10))
+        assert res.merit_history == [merit(ds1, np.zeros(10), eps=0.8)] == [res.merit]
+
 
 def _search_inputs(game, z, eps, direction=None):
     """(z, d, eps, p, psi0, v_norm) of a step search from ``z``, along the
@@ -296,16 +321,32 @@ class TestStepSearch:
         z = np.concatenate([np.full(4, 50.0), np.zeros(6)])
         assert _same_search(ds1, _search_inputs(ds1, z, 0.8)) > 1.0
 
-    def test_halving_ladder_is_one_residual_call(self, ds1, monkeypatch):
-        root = newton_solve(ds1, eps=0.8)
-        args = _search_inputs(ds1, np.concatenate([root.x + 1e-3, root.lam]), 0.8)
+    @staticmethod
+    def _residual_shapes(monkeypatch):
+        """The shapes of the points of every residual call, in call order."""
         calls = []
         monkeypatch.setattr(
             "mlfg.solvers.kkt_residual", lambda *a: calls.append(a[1].shape) or kkt_residual(*a)
         )
+        return calls
+
+    def test_halving_ladder_is_one_residual_call(self, ds1, monkeypatch):
+        root = newton_solve(ds1, eps=0.8)
+        args = _search_inputs(ds1, np.concatenate([root.x + 1e-3, root.lam]), 0.8)
+        calls = self._residual_shapes(monkeypatch)
         sigma, _ = _step_search(ds1, *args)
         assert 0.0 < sigma < 1.0
-        assert calls == [(10,), (40, 10)]
+        # sigma = 1 and the ladder 1/2 ... 2**-40
+        assert calls == [(41, 10)]
+
+    def test_doubling_evaluates_single_points(self, ds1, monkeypatch):
+        # the start of test_doubling_branch
+        args = _search_inputs(ds1, np.concatenate([np.full(4, 50.0), np.zeros(6)]), 0.8)
+        calls = self._residual_shapes(monkeypatch)
+        sigma, _ = _step_search(ds1, *args)
+        assert sigma > 1.0
+        # one trial per doubling that passed, and the one that failed
+        assert calls == [(41, 10)] + [(10,)] * (int(np.log2(sigma)) + 1)
 
     def test_dataset1_stage0_step_lengths(self, ds1):
         # log2 of every accepted step of stage 0 (eps = 1.6), with counts
