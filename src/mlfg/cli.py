@@ -22,10 +22,7 @@ from .homotopy import HomotopyConfig, HomotopyTrace, homotopy_solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import best_response_exact
 from .solvers import newton_solve
-from .verify import Certificate, certify, s_stationarity_certificate, smoothing_drift
-
-NASH_TOL_BASE = 1e-5
-STAT_TOL_BASE = 1e-6
+from .verify import NASH_TOL, Certificate, certify
 
 ITER_LOG_COLUMNS = [
     "stage",
@@ -211,13 +208,7 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
 
     final = trace.final
-    # a run stopped at a coarse smoothing level is only certifiable up to
-    # the payoff drift of that level
-    drift = smoothing_drift(game, trace.final_eps)
-    cert = certify(
-        game, final.x, final.lam, trace.final_eps, p=args.p,
-        nash_tol=max(NASH_TOL_BASE, drift), s_tol=max(STAT_TOL_BASE, drift),
-    )
+    cert = certify(game, final.x, final.lam, trace.final_eps, p=args.p)
     print(f"nash gaps: {np.array2string(cert.nash_gaps, precision=3)}")
     print(f"max stationarity residual: {max(cert.s_stat_residuals.values()):.3e}")
     print(f"certified: {cert.certified}")
@@ -234,25 +225,6 @@ def _read_vector(path: Path) -> np.ndarray:
     except json.JSONDecodeError:
         data = text.split()
     return np.asarray([float(v) for v in data], dtype=float)
-
-
-def _recover_multipliers(game: GameSpec, x: np.ndarray, eps_final: float, tol: float):
-    """Leader multipliers that best fit the stationarity rows at ``x``.
-
-    The branch multipliers are those of :func:`s_stationarity_certificate`;
-    only constraints with ``g >= -tol`` may carry weight, and the
-    least-squares fit is clipped at zero. The certificate judges the result
-    like any supplied ``lam``; its Nash-gap bound holds for every ``lam >= 0``.
-    """
-    split = s_stationarity_certificate(game, x, np.zeros(game.m_bar), eps_final)
-    r = game.Q_block @ x + game.c_stack
-    r += game.drive.T @ split.Gamma1 + game.follower.L @ split.Gamma2
-    active = game.constraint_values(x) >= -tol
-    lam = np.zeros(game.m_bar)
-    if np.any(active):
-        G = game.constraint_gradient_block[:, active]
-        lam[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
-    return lam
 
 
 def _check_candidate(game: GameSpec, x, lam, eps_final: float) -> None:
@@ -279,10 +251,13 @@ def cmd_verify(args) -> int:
             x = np.asarray(doc["solution"]["x"], dtype=float)
             lam = np.asarray(doc["solution"]["lambda"], dtype=float)
             eps_final = float(doc["solution"]["eps_final"])
+            p = doc["config"]["p"]
+            if not isinstance(p, int) or p < 2 or p % 2:
+                raise InputError(f"report config.p must be an even integer >= 2, got {p!r}")
         elif args.x:
             vec = _read_vector(Path(args.x))
             x, lam = vec[: game.n], (vec[game.n :] if vec.shape[0] > game.n else None)
-            eps_final = args.eps_final
+            eps_final, p = args.eps_final, 2
         else:
             raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
@@ -291,11 +266,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    drift = smoothing_drift(game, eps_final)
-    s_tol = max(STAT_TOL_BASE, drift)
-    if lam is None:
-        lam = _recover_multipliers(game, x, eps_final, s_tol)
-    cert = certify(game, x, lam, eps_final, nash_tol=max(args.tol, drift), s_tol=s_tol)
+    cert = certify(game, x, lam, eps_final, p, nash_tol=args.tol)
     for nu, gap in enumerate(cert.nash_gaps, start=1):
         print(f"leader {nu}: nash gap = {gap:.6e}")
     for name, value in cert.s_stat_residuals.items():
@@ -426,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_args(verify)
     verify.add_argument("--x", help="file with the candidate (JSON array or whitespace list)")
     verify.add_argument("--report", help="verify the solution embedded in a solve report")
-    verify.add_argument("--tol", type=float, default=1e-5, help="nash gap tolerance")
+    verify.add_argument("--tol", type=float, default=NASH_TOL, help="nash gap tolerance")
     verify.add_argument(
         "--eps-final", dest="eps_final", type=float, default=1e-6,
         help="smoothing level used to read off limit derivative values",

@@ -9,6 +9,8 @@ weak duality at those same multipliers: one small dense solve per leader.
 The bound holds for any ``lam >= 0`` and any branch split of the response
 weights, so its soundness does not depend on the solver path that produced
 the candidate; a loose multiplier can only make it refuse, never pass.
+:func:`certify` alone decides the verdict, gates scaled by the smoothing
+level's payoff drift; ``lam=None`` fits the constraint multipliers.
 
 :func:`verify_nash` re-solves each epigraph QP globally by exhaustive
 active-set enumeration. It is exponential in the follower dimension and
@@ -38,6 +40,9 @@ __all__ = [
 
 FEAS_TOL = 1e-9
 MULT_TOL = 1e-9
+# the Nash-gap and stationarity gates of :func:`certify` before drift scaling
+NASH_TOL = 1e-5
+STAT_TOL = 1e-6
 
 
 class OracleError(RuntimeError):
@@ -54,13 +59,13 @@ class Certificate:
     """
 
     nash_gaps: np.ndarray | None = None
-    nash_tol: float = 1e-5
+    nash_tol: float = NASH_TOL
     nash_method: str | None = None
     xi_bar: np.ndarray | None = None
     Gamma1: np.ndarray | None = None
     Gamma2: np.ndarray | None = None
     s_stat_residuals: dict[str, float] | None = None
-    s_tol: float = 1e-6
+    s_tol: float = STAT_TOL
 
     @property
     def nash_certified(self) -> bool:
@@ -185,7 +190,7 @@ def best_response_qp_oracle(
     return w[:n_nu].copy(), float(value)
 
 
-def verify_nash(game: GameSpec, x: np.ndarray, tol: float = 1e-5) -> Certificate:
+def verify_nash(game: GameSpec, x: np.ndarray, tol: float = NASH_TOL) -> Certificate:
     """Per-leader optimality gaps against the epigraph oracle.
 
     A gap is the candidate objective minus the oracle optimum with rivals
@@ -242,15 +247,13 @@ def s_stationarity_certificate(
     lam: np.ndarray,
     eps_final: float,
     p: int = 2,
-    tol: float = 1e-6,
-    branch_consistent: bool = True,
+    tol: float = STAT_TOL,
 ) -> Certificate:
     """Strong stationarity residuals with constructed multipliers.
 
     The kernel's derivative values at the final smoothing level, unrounded,
     split the response weights between the two branches into the
-    complementarity multipliers. ``branch_consistent=False`` selects the
-    swapped (drive/bound interchanged) split for comparison.
+    complementarity multipliers.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -259,11 +262,7 @@ def s_stationarity_certificate(
 
     t = game.A_diff @ x
     xi_bar = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
-
-    if branch_consistent:
-        Gamma1 = 0.5 * a * (1.0 - xi_bar)
-    else:
-        Gamma1 = 0.5 * a * (1.0 + xi_bar)
+    Gamma1 = 0.5 * a * (1.0 - xi_bar)
     Gamma2 = a - Gamma1
 
     y = best_response_exact(game, x)
@@ -298,22 +297,39 @@ def s_stationarity_certificate(
 def certify(
     game: GameSpec,
     x: np.ndarray,
-    lam: np.ndarray,
+    lam: np.ndarray | None,
     eps_final: float,
     p: int = 2,
-    nash_tol: float = 1e-5,
-    s_tol: float = 1e-6,
+    nash_tol: float = NASH_TOL,
 ) -> Certificate:
-    """Combined Nash-gap and strong-stationarity certificate.
+    """Combined Nash-gap and strong-stationarity certificate; the one place
+    a candidate's verdict is decided.
 
-    The strong-stationarity residuals use the constructed branch
-    multipliers; the same multipliers and ``lam`` then give each leader's
-    Nash gap as a weak-duality upper bound (:func:`nash_gap_bounds`), so a
-    certified verdict implies true gaps within ``nash_tol``.
+    A candidate from a run stopped at ``eps_final`` is certifiable only up
+    to that level's payoff drift (:func:`smoothing_drift`), so the gates are
+    ``max(nash_tol, drift)`` and ``max(STAT_TOL, drift)``; the gaps and
+    residuals are reported raw. ``lam=None`` fits the constraint
+    multipliers: least squares on the stationarity rows over the
+    constraints with ``g >= -s_tol``, clipped at zero. The residuals use
+    the constructed branch multipliers; those and ``lam`` then bound each
+    leader's Nash gap from above by weak duality (:func:`nash_gap_bounds`)
+    for every ``lam >= 0``, so a certified verdict implies true gaps within
+    the Nash gate.
     """
+    x = np.asarray(x, dtype=float)
+    drift = smoothing_drift(game, eps_final)
+    s_tol = max(STAT_TOL, drift)
+    if lam is None:
+        split = s_stationarity_certificate(game, x, np.zeros(game.m_bar), eps_final, p)
+        r = game.Q_block @ x + game.c_stack
+        r += game.drive.T @ split.Gamma1 + game.follower.L @ split.Gamma2
+        active = game.constraint_values(x) >= -s_tol
+        lam = np.zeros(game.m_bar)
+        G = game.constraint_gradient_block[:, active]
+        lam[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
     cert = s_stationarity_certificate(game, x, lam, eps_final, p, s_tol)
     cert.nash_gaps = nash_gap_bounds(game, x, lam, cert.Gamma1)
-    cert.nash_tol = nash_tol
+    cert.nash_tol = max(nash_tol, drift)
     cert.nash_method = "weak_duality"
     return cert
 

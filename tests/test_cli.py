@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mlfg import save_game
+from mlfg import certify, save_game
 from mlfg.cli import BENCH_COLUMNS, ITER_LOG_COLUMNS, MULTISTART_COLUMNS, main
 
 from conftest import make_game
@@ -84,7 +84,8 @@ def candidate_report(tmp_path_factory, trace1):
     """The dataset-1 equilibrium as a verify report, outside each test's tmp_path."""
     path = tmp_path_factory.mktemp("candidate") / "report.json"
     solution = {"x": trace1.final.x.tolist(), "lambda": trace1.final.lam.tolist()}
-    path.write_text(json.dumps({"solution": {**solution, "eps_final": trace1.final_eps}}))
+    solution["eps_final"] = trace1.final_eps
+    path.write_text(json.dumps({"config": {"p": 2}, "solution": solution}))
     return path
 
 
@@ -251,6 +252,35 @@ def test_verify_x_file_recovers_active_multipliers(tmp_path, active_game):
     assert run("verify", "--data", str(path), "--x", str(xfile)) == 2
 
 
+@pytest.mark.parametrize(
+    "config", [{}, {"config": {}}, {"config": {"p": 3}}], ids=["no_config", "missing_p", "odd_p"]
+)
+def test_verify_report_rejects_bad_p(tmp_path, capsys, candidate_report, config):
+    doc = json.loads(candidate_report.read_text())
+    del doc["config"]
+    doc.update(config)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", "--dataset", "1", "--report", str(path)) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "nash gap" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--method", "subgradient", "--eps-min", "0.05"]], ids=["newton", "subgradient"]
+)
+def test_library_certificate_matches_report(tmp_path, ds1, flags):
+    # the report's verdict is the library's on the same inputs
+    report = tmp_path / "report.json"
+    assert run("solve", "--dataset", "1", *flags, "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    sol = doc["solution"]
+    x, lam = np.asarray(sol["x"]), np.asarray(sol["lambda"])
+    cert = certify(ds1, x, lam, sol["eps_final"], doc["config"]["p"])
+    assert cert.to_dict() == doc["certificate"]
+
+
 def test_verify_requires_candidate():
     assert run("verify", "--dataset", "1") == 3
 
@@ -344,7 +374,7 @@ def test_verify_rejects_bad_candidate(tmp_path, capsys, trace1, source, case):
         x = {"0": 1.0}
     path = tmp_path / "candidate.json"
     if source == "--report":
-        doc = {"solution": {"x": x, "lambda": lam, "eps_final": eps_final}}
+        doc = {"config": {"p": 2}, "solution": {"x": x, "lambda": lam, "eps_final": eps_final}}
         doc = {"not_object": [1, 2], "null": None}.get(case, doc)
         path.write_text(json.dumps(doc))
     else:

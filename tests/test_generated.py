@@ -5,12 +5,13 @@ The generator is loaded from its file and only called: its seed-3 ladder of
 leader constraints that the bundled datasets never reach.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from mlfg import HomotopyConfig, certify, homotopy_solve, smoothing_drift
-from mlfg.cli import NASH_TOL_BASE, STAT_TOL_BASE
+from mlfg import HomotopyConfig, certify, homotopy_solve, save_game
+from mlfg.cli import main
 
 from conftest import make_game
 
@@ -49,12 +50,18 @@ def test_near_kink_equilibrium_certifies(ladder3):
     game = ladder3["g06_N3_v3_c2_m2"]
     trace = homotopy_solve(game)
     assert trace.converged
-    drift = smoothing_drift(game, trace.final_eps)
-    cert = certify(
-        game, trace.final.x, trace.final.lam, trace.final_eps,
-        nash_tol=max(NASH_TOL_BASE, drift), s_tol=max(STAT_TOL_BASE, drift),
-    )
+    cert = certify(game, trace.final.x, trace.final.lam, trace.final_eps)
     assert cert.certified, cert.s_stat_residuals
+
+
+def test_verify_report_certifies_at_report_p(ladder3, tmp_path):
+    # verify --report judges the solution with the kernel exponent it was
+    # solved with; at p = 2 this p = 4 equilibrium is refused
+    game, report = tmp_path / "g06.json", tmp_path / "report.json"
+    save_game(ladder3["g06_N3_v3_c2_m2"], game)
+    assert main(["solve", "--data", str(game), "--p", "4", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["p"] == 4
+    assert main(["verify", "--data", str(game), "--report", str(report)]) == 0
 
 
 @pytest.mark.parametrize(

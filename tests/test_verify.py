@@ -231,25 +231,12 @@ class TestStationarityCertificate:
             assert np.all(cert.Gamma1[slack_drive > 1e-6] <= 1e-8)
             assert np.all(cert.Gamma2[slack_bound > 1e-6] <= 1e-8)
 
-    def test_swapped_assignment_breaks_complementarity(self, ds1, trace1):
-        # the drive/bound-interchanged split violates branch complementarity
-        # wherever a branch is strictly active, which is why it is not the
-        # default
-        cert = s_stationarity_certificate(
-            ds1, trace1.final.x, trace1.final.lam, trace1.final_eps, branch_consistent=False
-        )
-        assert not cert.s_certified
-        assert max(
-            cert.s_stat_residuals["branch1_complementarity"],
-            cert.s_stat_residuals["branch2_complementarity"],
-        ) > 1e-2
-
     def test_certified_point_also_passes_nash(self, ds1, trace1, ds2, trace2):
         for game, trace in ((ds1, trace1), (ds2, trace2)):
             cert = certify(
-                game, trace.final.x, trace.final.lam, trace.final_eps,
-                nash_tol=1e-4, s_tol=1e-6,
+                game, trace.final.x, trace.final.lam, trace.final_eps, nash_tol=1e-4
             )
+            assert max(cert.s_stat_residuals.values()) <= 1e-6
             assert cert.s_certified
             assert cert.nash_certified
             assert cert.certified
@@ -306,6 +293,14 @@ class TestActiveConstraints:
         np.testing.assert_allclose(
             cert.nash_gaps, verify_nash(active_game, final.x).nash_gaps, rtol=0.0, atol=1e-9
         )
+
+    def test_fitted_multipliers_certify(self, active_game, active_trace):
+        # lam=None fits the multipliers the dropped ones below lack
+        final = active_trace.final
+        fitted = certify(active_game, final.x, None, active_trace.final_eps)
+        assert fitted.certified, (fitted.nash_gaps, fitted.s_stat_residuals)
+        solved = certify(active_game, final.x, final.lam, active_trace.final_eps)
+        np.testing.assert_allclose(fitted.nash_gaps, solved.nash_gaps, rtol=0.0, atol=1e-9)
 
     def test_dropping_multipliers_refuses(self, active_game, active_trace):
         # without the constraint multipliers the dual point ignores the
