@@ -189,6 +189,8 @@ def cmd_solve(args) -> int:
         _check_seed(args.seed)
         _check_out_path("--out", args.out)
         _check_out_path("--log", args.log)
+        if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
+            raise InputError(f"--log {args.log}: the same file as --out")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -227,6 +229,15 @@ def _read_vector(path: Path) -> np.ndarray:
     return np.asarray([float(v) for v in data], dtype=float)
 
 
+def _report_field(doc, report: str, key: str):
+    """The value at the dotted ``key`` of a report; InputError naming both if missing."""
+    for part in key.split("."):
+        if not isinstance(doc, dict) or part not in doc:
+            raise InputError(f"report {report}: missing key {key}")
+        doc = doc[part]
+    return doc
+
+
 def _check_candidate(game: GameSpec, x, lam, eps_final: float) -> None:
     """Require ``x`` of length n, ``lam`` (if given) of length m_bar, all
     entries finite, and a positive finite smoothing level."""
@@ -248,12 +259,12 @@ def cmd_verify(args) -> int:
         game, _ = _load(args)
         if args.report:
             doc = json.loads(Path(args.report).read_text())
-            x = np.asarray(doc["solution"]["x"], dtype=float)
-            lam = np.asarray(doc["solution"]["lambda"], dtype=float)
-            eps_final = float(doc["solution"]["eps_final"])
-            p = doc["config"]["p"]
+            x = np.asarray(_report_field(doc, args.report, "solution.x"), dtype=float)
+            lam = np.asarray(_report_field(doc, args.report, "solution.lambda"), dtype=float)
+            eps_final = float(_report_field(doc, args.report, "solution.eps_final"))
+            p = _report_field(doc, args.report, "config.p")
             if not isinstance(p, int) or p < 2 or p % 2:
-                raise InputError(f"report config.p must be an even integer >= 2, got {p!r}")
+                raise InputError(f"report {args.report}: config.p {p!r} is not an even integer >= 2")
         elif args.x:
             vec = _read_vector(Path(args.x))
             x, lam = vec[: game.n], (vec[game.n :] if vec.shape[0] > game.n else None)
@@ -261,8 +272,8 @@ def cmd_verify(args) -> int:
         else:
             raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
-    # a TypeError is a document of the wrong shape, such as a list for the report
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    # a TypeError is a value of the wrong shape, such as an object for x
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -323,19 +334,21 @@ def cmd_bench(args) -> int:
         for flag, value in (("--starts", args.starts), ("--repeats", args.repeats)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
-        _check_out_path("--out", args.out)
+        # the comparison table, and the iteration and multistart tables beside it
+        out = Path(args.out)
+        paths = [out] + [out.with_name(f"{out.stem}_{t}.csv") for t in ("iters", "multistart")]
+        for path in paths:
+            _check_out_path("--out", str(path))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    out = Path(args.out)
+    _, iters_path, multistart_path = paths
     rows, iter_rows, ok = _bench_schedule_rows(game, configs)
     _write_csv(out, BENCH_COLUMNS, rows)
-    iters_path = out.with_name(out.stem + "_iters.csv")
     _write_csv(iters_path, ITER_LOG_COLUMNS, iter_rows)
 
     # multistart cells: random initials at a fixed smoothing level
-    multistart_path = out.with_name(out.stem + "_multistart.csv")
     multistart_rows, finals = [], []
     for rep in range(args.repeats):
         for sid in range(args.starts):

@@ -6,12 +6,12 @@ Two methods minimize the merit (half squared residual norm):
   backtracking Armijo search on the merit per iteration: along the Newton
   direction of a selected generalized Jacobian, or along the negative merit
   gradient when that Jacobian is singular or no Newton step passes;
-* a two-level subgradient descent that drives a shrinking stationarity
-  tolerance, with normalized directions and a doubling/halving step length
-  search against a sufficient-decrease test. Each step evaluates the unit
-  step and the halving ladder in one stacked residual call, doubles one
-  point at a time only when the unit step passes, and assembles one
-  Jacobian per iterate; a search in which every step fails ends the solve.
+* a subgradient descent along the normalized negative merit subgradient,
+  with a doubling/halving step length search against a sufficient-decrease
+  test. Each step evaluates the unit step and the halving ladder in one
+  stacked residual call, doubles one point at a time only when the unit
+  step passes, and assembles one Jacobian per iterate; a zero subgradient
+  or a search in which every step fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
 They iterate on the flat vector ``z = (x, lambda)`` of length
@@ -19,10 +19,9 @@ They iterate on the flat vector ``z = (x, lambda)`` of length
 is such a vector (None for zeros), and the :class:`InnerResult` splits the
 final iterate into ``x`` and ``lam``. Each stops once the merit reaches the
 ``tol`` keyword, which :func:`check_tol` requires to lie in ``(0, inf)``, or
-at its iteration caps (``NEWTON_MAX_ITER``; ``SUBGRAD_MAX_OUTER`` outer
-rounds of at most ``SUBGRAD_MAX_INNER`` steps). The Newton step is one
-LAPACK solve, :func:`lu_solve`, which returns None for a singular or
-numerically singular Jacobian.
+at its iteration cap (``NEWTON_MAX_ITER`` or ``SUBGRAD_MAX_ITER``). The
+Newton step is one LAPACK solve, :func:`lu_solve`, which returns None for a
+singular or numerically singular Jacobian.
 """
 from __future__ import annotations
 
@@ -42,17 +41,14 @@ __all__ = [
 
 
 # Fixed step controls: the iteration caps, the Newton method's Armijo search
-# (halvings, shrink factor, slope), the subgradient method's stationarity
-# tolerance (first value, shrink factor), decrease slope and smallest step,
-# and the relative pivot size below which lu_solve reports a singular matrix.
+# (halvings, shrink factor, slope), the subgradient method's decrease slope
+# and smallest step, and the relative pivot size below which lu_solve
+# reports a singular matrix.
 NEWTON_MAX_ITER = 200
-SUBGRAD_MAX_OUTER = 50
-SUBGRAD_MAX_INNER = 500
+SUBGRAD_MAX_ITER = 25_000
 MAX_BACKTRACKS = 60
 BACKTRACK_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
-DELTA0 = 1.0
-DELTA_FACTOR = 0.5
 SUBGRAD_SLOPE = 0.05
 SIGMA_MIN = 1e-12
 PIVOT_TOL = 1e-12
@@ -228,48 +224,34 @@ def subgradient_solve(
     p: int = 2,
     tol: float = 1e-10,
 ) -> InnerResult:
-    """Two-level subgradient descent on the merit.
+    """Subgradient descent on the merit, at most ``SUBGRAD_MAX_ITER`` steps.
 
-    The outer level shrinks a stationarity tolerance geometrically; the
-    inner level takes normalized subgradient steps until the current
-    subgradient norm falls below that tolerance. The step direction is the
-    normalized merit subgradient (a quasisecant of zero probe length). The
-    residual of each accepted trial point is kept from the step search, and
-    the subgradient is formed once per iterate. A step search in which every
-    step fails ends the solve. Raises FloatingPointError when the merit at
-    the start is not finite.
+    Each step forms the merit subgradient ``v = H.T @ F`` once and searches
+    along ``-v / |v|`` (a quasisecant of zero probe length) with
+    :func:`_step_search`; the residual of the accepted trial point is kept
+    from the search. A zero subgradient, or a search in which every step
+    fails, ends the solve. Raises FloatingPointError when the merit at the
+    start is not finite.
     """
     n = game.n
     z, F, psi = _start(game, z0, eps, p, tol)
     merit_history = [psi]
     step_norms: list[float] = []
     iterations = 0
-    delta = DELTA0
-    v = None  # the merit subgradient at z, formed when first needed
-    stalled = False
-    for _ in range(SUBGRAD_MAX_OUTER):
-        if psi <= tol or stalled:
+    while psi > tol and iterations < SUBGRAD_MAX_ITER:
+        v = generalized_jacobian(game, z, eps, p).T @ F
+        v_norm = float(np.linalg.norm(v))
+        if v_norm == 0.0:
             break
-        for _ in range(SUBGRAD_MAX_INNER):
-            if psi <= tol:
-                break
-            if v is None:
-                v = generalized_jacobian(game, z, eps, p).T @ F
-                v_norm = float(np.linalg.norm(v))
-            if v_norm <= delta:
-                break
-            d = -v / v_norm
-            sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm)
-            # the search does not depend on delta, so a later round would fail the same way
-            if sigma == 0.0:
-                stalled = True
-                break
-            z, F, v = z + sigma * d, F_trial, None
-            psi = residual_merit(F, n)
-            iterations += 1
-            merit_history.append(psi)
-            step_norms.append(sigma)
-        delta *= DELTA_FACTOR
+        d = -v / v_norm
+        sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm)
+        if F_trial is None:
+            break
+        z, F = z + sigma * d, F_trial
+        psi = residual_merit(F, n)
+        iterations += 1
+        merit_history.append(psi)
+        step_norms.append(sigma)
     return InnerResult(
         x=z[:n],
         lam=z[n:],

@@ -131,17 +131,34 @@ def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["solve", "--out"], ["solve", "--log"], ["bench", "--out"]], ids=" ".join
+    "argv, made, flag",
+    [
+        pytest.param(["solve", "--out", "no-such-dir/r.json"], [], "--out", id="solve --out"),
+        pytest.param(["solve", "--log", "no-such-dir/r.csv"], [], "--log", id="solve --log"),
+        pytest.param(["bench", "--out", "no-such-dir/b.csv"], [], "--out", id="bench --out"),
+        # a table that bench derives from --out and cannot write
+        pytest.param(["bench", "--out", "b.csv"], ["b_iters.csv"], "--out", id="bench iters"),
+        pytest.param(
+            ["bench", "--out", "b.csv"], ["b_multistart.csv"], "--out", id="bench multistart"
+        ),
+        # the report would overwrite the log
+        pytest.param(
+            ["solve", "--out", "r.json", "--log", "./r.json"], [], "--log", id="solve --log = --out"
+        ),
+    ],
 )
-def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch, argv):
+def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch, argv, made, flag):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the output path")
 
     monkeypatch.setattr("mlfg.cli.homotopy_solve", no_solve)
-    code = run(*argv, str(tmp_path / "no-such-dir" / "r.json"), "--dataset", "1")
+    monkeypatch.chdir(tmp_path)
+    for name in made:
+        (tmp_path / name).mkdir()
+    code = run(*argv, "--dataset", "1")
     assert code == 3
-    assert f"error: {argv[1]}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == made
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=" ".join)
@@ -253,17 +270,25 @@ def test_verify_x_file_recovers_active_multipliers(tmp_path, active_game):
 
 
 @pytest.mark.parametrize(
-    "config", [{}, {"config": {}}, {"config": {"p": 3}}], ids=["no_config", "missing_p", "odd_p"]
+    "edit, message",
+    [
+        (lambda doc: doc.pop("config"), "missing key config.p"),
+        (lambda doc: doc.update(config={}), "missing key config.p"),
+        (lambda doc: doc.update(config={"p": 3}), "config.p 3 is not an even integer >= 2"),
+        (lambda doc: doc.pop("solution"), "missing key solution.x"),
+        (lambda doc: doc["solution"].pop("eps_final"), "missing key solution.eps_final"),
+    ],
+    ids=["no_config", "missing_p", "odd_p", "no_solution", "missing_eps_final"],
 )
-def test_verify_report_rejects_bad_p(tmp_path, capsys, candidate_report, config):
+def test_verify_report_rejects_bad_p(tmp_path, capsys, candidate_report, edit, message):
+    # the error names the report file and the dotted key it lacks
     doc = json.loads(candidate_report.read_text())
-    del doc["config"]
-    doc.update(config)
+    edit(doc)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(doc))
     assert run("verify", "--dataset", "1", "--report", str(path)) == 3
     captured = capsys.readouterr()
-    assert "error:" in captured.err
+    assert f"error: report {path}: {message}" in captured.err
     assert "nash gap" not in captured.out
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from mlfg import HomotopyConfig, certify, homotopy_solve, save_game
 from mlfg.cli import main
+from mlfg.solvers import subgradient_solve
 
 from conftest import make_game
 
@@ -69,8 +70,8 @@ def test_verify_report_certifies_at_report_p(ladder3, tmp_path):
     [
         # five active constraints at the end
         ("g04_N2_v3_c3_m1", [89, 72, 69, 81, 102, 87], True),
-        # stage 2 ends above the merit target, and the run stops there
-        ("g05_N2_v3_c3_m1", [71, 51, 18561], False),
+        # stage 2 ends above the merit target at the step cap, and the run stops there
+        ("g05_N2_v3_c3_m1", [71, 51, 25000], False),
         # the near-kink game of the test above
         ("g06_N3_v3_c2_m2", [989, 417, 2527, 2202, 1535, 1701], True),
     ],
@@ -80,3 +81,11 @@ def test_subgradient_stage_counts_pinned(ladder3, name, iterations, converged):
     trace = homotopy_solve(ladder3[name], cfg=cfg)
     assert [s.result.iterations for s in trace.stages] == iterations
     assert trace.converged is converged
+
+
+def test_subgradient_runs_to_its_step_cap(ladder3):
+    # the first stage of g13 needs 23,630 steps; nothing but the step cap
+    # may end a descent that keeps decreasing the merit
+    res = subgradient_solve(ladder3["g13_N4_v3_c3_m1"], eps=1.6)
+    assert res.converged
+    assert res.iterations == 23630

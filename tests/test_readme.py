@@ -1,9 +1,13 @@
-"""The README's Quick start example runs against the current public API."""
+"""The README's Quick start example runs against the current public API, and
+the module constants it names exist."""
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import mlfg.solvers
+import mlfg.verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +32,12 @@ def test_quick_start_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("True")
+
+
+def test_named_constants_exist():
+    # a backticked ALL_CAPS name in the README is a constant of mlfg.solvers
+    # or mlfg.verify; a rename must not leave the old name in the docs
+    names = set(re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`", (ROOT / "README.md").read_text()))
+    assert names, "no backticked constant names in the README"
+    missing = {n for n in names if not any(hasattr(m, n) for m in (mlfg.solvers, mlfg.verify))}
+    assert missing == set()

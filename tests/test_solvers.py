@@ -228,10 +228,10 @@ class TestSubgradient:
         assert np.all(np.diff(hist) <= 0.0)
 
     def test_caps_return_best_iterate(self, ds1, monkeypatch):
-        monkeypatch.setattr("mlfg.solvers.SUBGRAD_MAX_OUTER", 2)
-        monkeypatch.setattr("mlfg.solvers.SUBGRAD_MAX_INNER", 5)
+        monkeypatch.setattr("mlfg.solvers.SUBGRAD_MAX_ITER", 10)
         res = subgradient_solve(ds1, eps=0.5, tol=1e-14)
         assert not res.converged
+        assert res.iterations == 10
         assert res.merit <= res.merit_history[0]
         assert np.all(np.isfinite(np.concatenate([res.x, res.lam])))
 
@@ -246,8 +246,7 @@ class TestSubgradient:
             subgradient_solve(ds1, tol=0.0)
 
     def test_one_jacobian_per_iterate(self, ds1, monkeypatch):
-        # some inner rounds of this solve end on the stationarity tolerance,
-        # and the next round starts from the same point
+        # the subgradient is formed once per iterate, and never twice at one point
         points = []
         monkeypatch.setattr(
             "mlfg.solvers.generalized_jacobian",
@@ -269,6 +268,17 @@ class TestSubgradient:
         assert res.iterations == 0 and not res.converged
         np.testing.assert_array_equal(np.concatenate([res.x, res.lam]), np.zeros(10))
         assert res.merit_history == [merit(ds1, np.zeros(10), eps=0.8)] == [res.merit]
+
+    def test_zero_subgradient_ends_solve(self, ds1, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "mlfg.solvers.generalized_jacobian", lambda game, z, *a: np.zeros((z.size, z.size))
+        )
+        monkeypatch.setattr("mlfg.solvers._step_search", lambda *a: calls.append(a))
+        res = subgradient_solve(ds1, eps=0.8)
+        assert calls == []
+        assert res.iterations == 0 and not res.converged
+        assert np.all(np.isfinite(np.concatenate([res.x, res.lam])))
 
 
 def _search_inputs(game, z, eps, direction=None):
