@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -77,13 +78,15 @@ def _check_seed(seed: int | None) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def _check_out_path(flag: str, path: str | None) -> None:
+def _check_out_path(flag: str, path: str | None, game_path: Path) -> None:
     """Reject an output path that cannot be written, before any solve: its
-    directory is missing or read-only, or the path is a directory or a
-    read-only file."""
+    directory is missing or read-only, the path is a directory or a
+    read-only file, or it is the game file itself."""
     if not path:
         return
     target = Path(path)
+    if target.resolve() == game_path.resolve():
+        raise InputError(f"{flag} {path}: the same file as the game {game_path}")
     if not target.parent.is_dir():
         raise InputError(f"{flag} {path}: directory {target.parent} does not exist")
     writable = os.access(target if target.exists() else target.parent, os.W_OK)
@@ -187,8 +190,8 @@ def cmd_solve(args) -> int:
         game, path = _load(args)
         cfg = _homotopy_config(args)
         _check_seed(args.seed)
-        _check_out_path("--out", args.out)
-        _check_out_path("--log", args.log)
+        _check_out_path("--out", args.out, path)
+        _check_out_path("--log", args.log, path)
         if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
             raise InputError(f"--log {args.log}: the same file as --out")
     except ValueError as exc:
@@ -229,13 +232,19 @@ def _read_vector(path: Path) -> np.ndarray:
     return np.asarray([float(v) for v in data], dtype=float)
 
 
-def _report_field(doc, report: str, key: str):
-    """The value at the dotted ``key`` of a report; InputError naming both if missing."""
+def _report_field(doc, report: str, key: str, convert=None):
+    """The value at the dotted ``key`` of a report, passed through ``convert``
+    if given; InputError naming both if it is missing or does not convert."""
     for part in key.split("."):
         if not isinstance(doc, dict) or part not in doc:
             raise InputError(f"report {report}: missing key {key}")
         doc = doc[part]
-    return doc
+    if convert is None:
+        return doc
+    try:
+        return convert(doc)
+    except (TypeError, ValueError):
+        raise InputError(f"report {report}: {key} is not numeric") from None
 
 
 def _check_candidate(game: GameSpec, x, lam, eps_final: float) -> None:
@@ -259,9 +268,10 @@ def cmd_verify(args) -> int:
         game, _ = _load(args)
         if args.report:
             doc = json.loads(Path(args.report).read_text())
-            x = np.asarray(_report_field(doc, args.report, "solution.x"), dtype=float)
-            lam = np.asarray(_report_field(doc, args.report, "solution.lambda"), dtype=float)
-            eps_final = float(_report_field(doc, args.report, "solution.eps_final"))
+            floats = partial(np.asarray, dtype=float)
+            x = _report_field(doc, args.report, "solution.x", floats)
+            lam = _report_field(doc, args.report, "solution.lambda", floats)
+            eps_final = _report_field(doc, args.report, "solution.eps_final", float)
             p = _report_field(doc, args.report, "config.p")
             if not isinstance(p, int) or p < 2 or p % 2:
                 raise InputError(f"report {args.report}: config.p {p!r} is not an even integer >= 2")
@@ -272,7 +282,7 @@ def cmd_verify(args) -> int:
         else:
             raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
-    # a TypeError is a value of the wrong shape, such as an object for x
+    # a TypeError is a value of the wrong type, such as an object in an --x file
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -326,7 +336,7 @@ def _bench_schedule_rows(game: GameSpec, configs) -> tuple[list[list], list[list
 
 def cmd_bench(args) -> int:
     try:
-        game, _ = _load(args)
+        game, game_path = _load(args)
         configs = _bench_configs(args)
         _check_seed(args.seed)
         if not 0.0 < args.multistart_eps < np.inf:
@@ -338,7 +348,7 @@ def cmd_bench(args) -> int:
         out = Path(args.out)
         paths = [out] + [out.with_name(f"{out.stem}_{t}.csv") for t in ("iters", "multistart")]
         for path in paths:
-            _check_out_path("--out", str(path))
+            _check_out_path("--out", str(path), game_path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

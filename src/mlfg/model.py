@@ -110,8 +110,9 @@ class GameSpec:
     """Validated multi-leader-follower game. Immutable after construction.
 
     Derived arrays (the Hessian stack, the follower maps ``drive``, ``S`` and
-    ``A_diff``, and the stacked constants) are computed on first use, cached
-    and read-only, so every solve of the game shares them.
+    ``A_diff``, the stacked constants and the KKT residual's linear map
+    ``kkt_map``) are computed on first use, cached and read-only, so every
+    solve of the game shares them.
     """
 
     leaders: tuple[LeaderSpec, ...]
@@ -219,11 +220,20 @@ class GameSpec:
         return b
 
     @cached_property
-    def half_St_a(self) -> np.ndarray:
-        """The constant ``0.5 * S' a`` of every smoothed gradient, shape (n,)."""
-        h = 0.5 * (self.S.T @ self.follower.a)
+    def stationarity_constant(self) -> np.ndarray:
+        """The constant ``c + 0.5 * S' a`` of the stacked smoothed gradients,
+        shape (n,)."""
+        h = self.c_stack + 0.5 * (self.S.T @ self.follower.a)
         h.setflags(write=False)
         return h
+
+    @cached_property
+    def half_A_diffT_a(self) -> np.ndarray:
+        """``0.5 * A_diff' diag(a)``, shape (n, m): takes the kernel slopes
+        ``phi_tilde'(A_diff x)`` to the smoothing term of the stacked gradients."""
+        W = 0.5 * self.A_diff.T * self.follower.a
+        W.setflags(write=False)
+        return W
 
     @cached_property
     def constraint_gradient_block(self) -> np.ndarray:
@@ -234,12 +244,28 @@ class GameSpec:
         G.setflags(write=False)
         return G
 
+    @cached_property
+    def kkt_map(self) -> np.ndarray:
+        """Linear part of the KKT residual in ``z = (x, lambda)``, shape
+        (m + n + m_bar, n + m_bar).
+
+        Its row blocks are ``[A_diff 0]``, ``[Q_block G]`` and ``[G' 0]``, with
+        ``G`` the constraint gradient block: one product gives the kernel
+        arguments ``A_diff x``, the linear stationarity terms
+        ``Q_block x + G lambda`` and the constraint values less ``b``.
+        """
+        m, n, G = self.m, self.n, self.constraint_gradient_block
+        M = np.zeros((m + n + self.m_bar, n + self.m_bar))
+        M[:m, :n] = self.A_diff
+        M[m : m + n] = np.hstack([self.Q_block, G])
+        M[m + n :, :n] = G.T
+        M.setflags(write=False)
+        return M
+
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         """Stacked values ``A_nu' x_nu + b_nu`` over all leaders (feasible iff
         <= 0), shape (m_bar,); a stack of points, shape (k, n), gives (k, m_bar)."""
-        o = self.x_offsets
-        Ax = [matvec(ld.A.T, x[..., o[i] : o[i + 1]]) for i, ld in enumerate(self.leaders)]
-        return np.concatenate(Ax, axis=-1) + self.b_stack
+        return matvec(self.constraint_gradient_block.T, x) + self.b_stack
 
 
 def _dimension_findings(game: GameSpec) -> list[str]:

@@ -105,5 +105,6 @@ def smoothed_gradient_stack(game: GameSpec, x: np.ndarray, eps: float, p: int = 
     points ``x``, shape (k, n), gives one row per point.
     """
     x = np.asarray(x, dtype=float)
-    w = game.follower.a * phi_tilde_d1(matvec(game.A_diff, x), eps, p)
-    return matvec(game.Q_block, x) + game.c_stack + game.half_St_a + 0.5 * matvec(game.A_diff.T, w)
+    slopes = phi_tilde_d1(matvec(game.A_diff, x), eps, p)
+    linear = matvec(game.Q_block, x) + game.stationarity_constant
+    return linear + matvec(game.half_A_diffT_a, slopes)

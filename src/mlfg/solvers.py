@@ -8,20 +8,23 @@ Two methods minimize the merit (half squared residual norm):
   gradient when that Jacobian is singular or no Newton step passes;
 * a subgradient descent along the normalized negative merit subgradient,
   with a doubling/halving step length search against a sufficient-decrease
-  test. Each step evaluates the unit step and the halving ladder in one
-  stacked residual call, doubles one point at a time only when the unit
-  step passes, and assembles one Jacobian per iterate; a zero subgradient
-  or a search in which every step fails ends the solve.
+  test. Each step forms the subgradient with
+  :func:`~mlfg.kkt.merit_subgradient`, without assembling a Jacobian,
+  evaluates the unit step and the halving ladder in one stacked residual
+  call, and doubles one point at a time only when the unit step passes; a
+  zero subgradient or a search in which every step fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
-They iterate on the flat vector ``z = (x, lambda)`` of length
-``n + m_bar``, with the residual and Jacobian of :mod:`mlfg.kkt`. The start
-is such a vector (None for zeros), and the :class:`InnerResult` splits the
-final iterate into ``x`` and ``lam``. Each stops once the merit reaches the
-``tol`` keyword, which :func:`check_tol` requires to lie in ``(0, inf)``, or
-at its iteration cap (``NEWTON_MAX_ITER`` or ``SUBGRAD_MAX_ITER``). The
-Newton step is one LAPACK solve, :func:`lu_solve`, which returns None for a
-singular or numerically singular Jacobian.
+Each search returns the residual and the merit of the point it accepts,
+so no point's merit is evaluated twice. They iterate on the flat vector
+``z = (x, lambda)`` of length ``n + m_bar``, with the residual, Jacobian
+and subgradient of :mod:`mlfg.kkt`. The start is such a vector (None for
+zeros), and the :class:`InnerResult` splits the final iterate into ``x``
+and ``lam``. Each stops once the merit reaches the ``tol`` keyword, which
+:func:`check_tol` requires to lie in ``(0, inf)``, or at its iteration cap
+(``NEWTON_MAX_ITER`` or ``SUBGRAD_MAX_ITER``). The Newton step is one
+LAPACK solve, :func:`lu_solve`, which returns None for a singular or
+numerically singular Jacobian.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import flat_point, generalized_jacobian, kkt_residual, residual_merit
+from .kkt import flat_point, generalized_jacobian, kkt_residual, merit_subgradient, residual_merit
 from .model import GameSpec
 
 __all__ = [
@@ -115,14 +118,14 @@ class InnerResult:
 
 def armijo_search(
     game: GameSpec, z: np.ndarray, d: np.ndarray, psi0: float, slope: float, eps: float, p: int = 2
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray | None, float | None]:
     """Backtracking Armijo search on the merit along ``d`` from ``z``.
 
     ``psi0`` is the merit at ``z`` and ``slope`` its directional derivative
     ``g @ d`` with ``g = H.T @ F``. Tries ``t = 1, 1/2, ...`` and accepts the
     first with ``merit(z + t*d) <= psi0 + t*ARMIJO_SLOPE*slope`` and
-    ``merit(z + t*d) < psi0``. Returns ``t`` with the residual at ``z + t*d``,
-    or ``(0.0, None)`` when no trial step passes.
+    ``merit(z + t*d) < psi0``. Returns ``t`` with the residual and the merit
+    at ``z + t*d``, or ``(0.0, None, None)`` when no trial step passes.
     """
     t = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
@@ -130,9 +133,9 @@ def armijo_search(
         psi = residual_merit(F, game.n)
         # strict decrease keeps steps below float resolution from passing
         if psi <= psi0 + t * (ARMIJO_SLOPE * slope) and psi < psi0:
-            return t, F
+            return t, F, psi
         t *= BACKTRACK_FACTOR
-    return 0.0, None
+    return 0.0, None, None
 
 
 def newton_solve(
@@ -160,16 +163,17 @@ def newton_solve(
         H = generalized_jacobian(game, z, eps, p)
         g = H.T @ F
         d = lu_solve(H, -F)
-        t, F_trial = (0.0, None) if d is None else armijo_search(game, z, d, psi, g @ d, eps, p)
+        t, F_trial, psi_trial = (
+            (0.0, None, None) if d is None else armijo_search(game, z, d, psi, g @ d, eps, p)
+        )
         if F_trial is None:
             d = -g
-            t, F_trial = armijo_search(game, z, d, psi, g @ d, eps, p)
+            t, F_trial, psi_trial = armijo_search(game, z, d, psi, g @ d, eps, p)
             if F_trial is None:
                 break
             fallback_steps += 1
         step = t * d
-        z, F = z + step, F_trial
-        psi = residual_merit(F, n)
+        z, F, psi = z + step, F_trial, psi_trial
         iterations += 1
         merit_history.append(psi)
         step_norms.append(float(np.linalg.norm(step)))
@@ -194,27 +198,29 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
     power of two at or below ``SIGMA_MIN``. When ``sigma = 1`` passes, the
     step doubles, one point at a time, while it keeps passing; otherwise the
     largest step of the ladder that passes is accepted. Returns the accepted
-    step with the residual at ``z + sigma*d``, or ``(0.0, None)`` when every
-    step fails.
+    step with the residual and the merit at ``z + sigma*d``, or
+    ``(0.0, None, None)`` when every step fails.
     """
 
     def trial(sigma):
-        """Residuals at ``z + sigma*d``, one per step, and which steps pass."""
+        """Residuals and merits at ``z + sigma*d``, one per step, and which
+        steps pass."""
         F = kkt_residual(game, z + np.multiply.outer(sigma, d), eps, p)
-        return F, residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
+        psi = residual_merit(F, game.n)
+        return F, psi, psi - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
 
     # every step that halving from 1 until sigma <= SIGMA_MIN visits (down to 2**-40 for 1e-12)
     ladder = 0.5 ** np.arange(np.ceil(-np.log2(SIGMA_MIN)) + 1)
-    F, ok = trial(ladder)
+    F, psi, ok = trial(ladder)
     if ok[0]:
-        sigma, F = 1.0, F[0]
-        while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[1]:
-            sigma, F = 2.0 * sigma, larger[0]
-        return sigma, F
+        sigma, F, psi = 1.0, F[0], float(psi[0])
+        while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[2]:
+            sigma, F, psi = 2.0 * sigma, larger[0], larger[1]
+        return sigma, F, psi
     if not ok.any():
-        return 0.0, None
+        return 0.0, None, None
     first = int(np.argmax(ok))
-    return float(ladder[first]), F[first]
+    return float(ladder[first]), F[first], float(psi[first])
 
 
 def subgradient_solve(
@@ -226,12 +232,13 @@ def subgradient_solve(
 ) -> InnerResult:
     """Subgradient descent on the merit, at most ``SUBGRAD_MAX_ITER`` steps.
 
-    Each step forms the merit subgradient ``v = H.T @ F`` once and searches
-    along ``-v / |v|`` (a quasisecant of zero probe length) with
-    :func:`_step_search`; the residual of the accepted trial point is kept
-    from the search. A zero subgradient, or a search in which every step
-    fails, ends the solve. Raises FloatingPointError when the merit at the
-    start is not finite.
+    Each step forms the merit subgradient ``v = H.T @ F`` once, with
+    :func:`~mlfg.kkt.merit_subgradient` (no Jacobian is assembled), and
+    searches along ``-v / |v|`` (a quasisecant of zero probe length) with
+    :func:`_step_search`; the residual and the merit of the accepted trial
+    point are kept from the search. A zero subgradient, or a search in which
+    every step fails, ends the solve. Raises FloatingPointError when the
+    merit at the start is not finite.
     """
     n = game.n
     z, F, psi = _start(game, z0, eps, p, tol)
@@ -239,16 +246,15 @@ def subgradient_solve(
     step_norms: list[float] = []
     iterations = 0
     while psi > tol and iterations < SUBGRAD_MAX_ITER:
-        v = generalized_jacobian(game, z, eps, p).T @ F
+        v = merit_subgradient(game, z, F, eps, p)
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
             break
         d = -v / v_norm
-        sigma, F_trial = _step_search(game, z, d, eps, p, psi, v_norm)
+        sigma, F_trial, psi_trial = _step_search(game, z, d, eps, p, psi, v_norm)
         if F_trial is None:
             break
-        z, F = z + sigma * d, F_trial
-        psi = residual_merit(F, n)
+        z, F, psi = z + sigma * d, F_trial, psi_trial
         iterations += 1
         merit_history.append(psi)
         step_norms.append(sigma)

@@ -111,21 +111,23 @@ def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):
 
     Same test and step sequence as ``mlfg.solvers._step_search``: sigma = 1,
     then doubling while it passes, or else halving until the first pass or
-    until sigma <= SIGMA_MIN. Returns (sigma, residual) or (0.0, None).
+    until sigma <= SIGMA_MIN. Returns (sigma, residual, merit) or
+    (0.0, None, None).
     """
 
-    def residual_if_passes(sigma: float):
+    def trial(sigma: float):
         F = kkt_residual(game, z + sigma * d, eps, p)
-        return F if residual_merit(F, game.n) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm else None
+        psi = residual_merit(F, game.n)
+        return (F, psi) if psi - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm else None
 
     sigma = 1.0
-    F = residual_if_passes(sigma)
-    if F is not None:
-        while sigma < 2.0**30 and (larger := residual_if_passes(2.0 * sigma)) is not None:
-            sigma, F = 2.0 * sigma, larger
-        return sigma, F
+    passed = trial(sigma)
+    if passed is not None:
+        while sigma < 2.0**30 and (larger := trial(2.0 * sigma)) is not None:
+            sigma, passed = 2.0 * sigma, larger
+        return (sigma, *passed)
     while sigma > SIGMA_MIN:
         sigma *= 0.5
-        if (F := residual_if_passes(sigma)) is not None:
-            return sigma, F
-    return 0.0, None
+        if (passed := trial(sigma)) is not None:
+            return (sigma, *passed)
+    return 0.0, None, None

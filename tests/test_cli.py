@@ -6,6 +6,7 @@ import pytest
 
 from mlfg import certify, save_game
 from mlfg.cli import BENCH_COLUMNS, ITER_LOG_COLUMNS, MULTISTART_COLUMNS, main
+from mlfg.model import bundled_dataset_path
 
 from conftest import make_game
 
@@ -145,6 +146,28 @@ def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
         pytest.param(
             ["solve", "--out", "r.json", "--log", "./r.json"], [], "--log", id="solve --log = --out"
         ),
+        # an output would overwrite the game file (a copy of dataset 1)
+        pytest.param(
+            ["solve", "--data", "g.json", "--out", "g.json"], [], "--out", id="solve --out = game"
+        ),
+        pytest.param(
+            ["solve", "--data", "g.json", "--log", "./g.json"], [], "--log", id="solve --log = game"
+        ),
+        pytest.param(
+            ["bench", "--data", "g.json", "--out", "g.json"], [], "--out", id="bench --out = game"
+        ),
+        pytest.param(
+            ["bench", "--data", "b_iters.csv", "--out", "b.csv"],
+            [],
+            "--out",
+            id="bench iters = game",
+        ),
+        pytest.param(
+            ["bench", "--data", "b_multistart.csv", "--out", "b.csv"],
+            [],
+            "--out",
+            id="bench multistart = game",
+        ),
     ],
 )
 def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch, argv, made, flag):
@@ -155,10 +178,15 @@ def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch,
     monkeypatch.chdir(tmp_path)
     for name in made:
         (tmp_path / name).mkdir()
-    code = run(*argv, "--dataset", "1")
+    data = bundled_dataset_path(1).read_bytes()
+    game = argv[argv.index("--data") + 1] if "--data" in argv else None
+    if game:
+        (tmp_path / game).write_bytes(data)
+    code = run(*argv, *([] if game else ["--dataset", "1"]))
     assert code == 3
     assert f"error: {flag}" in capsys.readouterr().err
-    assert sorted(path.name for path in tmp_path.iterdir()) == made
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(made + [game] * bool(game))
+    assert not game or (tmp_path / game).read_bytes() == data
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=" ".join)
@@ -289,6 +317,23 @@ def test_verify_report_rejects_bad_p(tmp_path, capsys, candidate_report, edit, m
     assert run("verify", "--dataset", "1", "--report", str(path)) == 3
     captured = capsys.readouterr()
     assert f"error: report {path}: {message}" in captured.err
+    assert "nash gap" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("x", {"a": 1.0}), ("lambda", {"a": 1.0}), ("x", [[1.0], 2.0]), ("eps_final", [0.1])],
+    ids=["object_x", "object_lambda", "ragged_x", "list_eps_final"],
+)
+def test_verify_report_rejects_non_numeric_field(tmp_path, capsys, candidate_report, key, value):
+    # the error names the report file and the dotted key of the bad value
+    doc = json.loads(candidate_report.read_text())
+    doc["solution"][key] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", "--dataset", "1", "--report", str(path)) == 3
+    captured = capsys.readouterr()
+    assert f"error: report {path}: solution.{key} is not numeric" in captured.err
     assert "nash gap" not in captured.out
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mlfg import generalized_jacobian, kkt_residual, merit, newton_solve
+from mlfg import generalized_jacobian, kkt, kkt_residual, merit, newton_solve
 from mlfg.kkt import residual_merit
+from mlfg.model import matvec
 
 from helpers import leader_gradient_smoothed, min_curvature
 
@@ -188,3 +189,45 @@ class TestMeritSubgradient:
         F = kkt_residual(ds1, z, eps=0.5)
         np.testing.assert_allclose(H.T @ (2.0 * F), 2.0 * (H.T @ F), rtol=1e-15)
         np.testing.assert_allclose(merit_subgradient(ds1, z, eps=0.5), H.T @ F, rtol=1e-15)
+
+
+class TestMeritSubgradientKernel:
+    """``kkt.merit_subgradient`` forms ``H' F`` without the Jacobian ``H``."""
+
+    GAMES = ["ds1", "ds2", "active_game", "kink_game"]
+
+    @staticmethod
+    def _points(game, rng, eps):
+        """(kind, z): random points at scales 1e-3 to 1e2, the same points with
+        ties ``lam = -g`` on every min row, and points whose kernel arguments
+        lie inside the smoothing band ``|t| < 2 eps``."""
+        m, n = game.m, game.n
+        for _ in range(12):
+            z = rng.standard_normal(n + game.m_bar) * 10.0 ** rng.uniform(-3, 2)
+            yield "random", z
+            # g from the residual's own linear map, which the branch rule reads
+            tie = z.copy()
+            tie[n:] = 0.0
+            tie[n:] = -(matvec(game.kkt_map, tie)[m + n :] + game.b_stack)
+            yield "tie", tie
+            band = z.copy()
+            band[:n] *= 0.9 * eps / max(np.max(np.abs(game.A_diff @ z[:n])), 1e-300)
+            assert np.max(np.abs(game.A_diff @ band[:n])) < 2.0 * eps
+            yield "band", band
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("name", GAMES)
+    def test_equals_jacobian_transpose_times_residual(self, request, name, p):
+        game = request.getfixturevalue(name)
+        rng = np.random.default_rng(9)
+        n = game.n
+        for eps in (1.6, 0.1, 1e-3, 1e-6):
+            for kind, z in self._points(game, rng, eps):
+                F = kkt_residual(game, z, eps, p)
+                H = generalized_jacobian(game, z, eps, p)
+                np.testing.assert_allclose(
+                    kkt.merit_subgradient(game, z, F, eps, p), H.T @ F, rtol=1e-12
+                )
+                if kind == "tie":
+                    # every min row ties, and the tie goes to the multiplier branch
+                    np.testing.assert_array_equal(H[n:, n:], np.eye(game.m_bar))

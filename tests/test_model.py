@@ -210,3 +210,38 @@ def test_follower_maps_reconstruction(ds1, ds2):
         np.testing.assert_allclose(
             drive2, 2.0 * fol.B.T / fol.Qy_diag[:, None], rtol=1e-14, atol=1e-14
         )
+
+
+@pytest.mark.parametrize("name", ["ds1", "ds2", "active_game", "kink_game"])
+def test_kkt_map_and_constants_read_only_and_blockwise(request, name):
+    # the residual's linear map of z = (x, lambda) and its constants are
+    # derived once per game and shared by every solve
+    game = request.getfixturevalue(name)
+    m, n, m_bar = game.m, game.n, game.m_bar
+    G, a = game.constraint_gradient_block, game.follower.a
+    M = game.kkt_map
+    assert M.shape == (m + n + m_bar, n + m_bar)
+    np.testing.assert_array_equal(M[:m, :n], game.A_diff)
+    np.testing.assert_array_equal(M[:m, n:], np.zeros((m, m_bar)))
+    np.testing.assert_array_equal(M[m : m + n, :n], game.Q_block)
+    np.testing.assert_array_equal(M[m : m + n, n:], G)
+    np.testing.assert_array_equal(M[m + n :, :n], G.T)
+    np.testing.assert_array_equal(M[m + n :, n:], np.zeros((m_bar, m_bar)))
+    np.testing.assert_array_equal(game.stationarity_constant, game.c_stack + 0.5 * game.S.T @ a)
+    np.testing.assert_array_equal(game.half_A_diffT_a, 0.5 * game.A_diff.T @ np.diag(a))
+    for attr in ("kkt_map", "stationarity_constant", "half_A_diffT_a"):
+        arr = getattr(game, attr)
+        assert arr is getattr(game, attr)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 99.0
+
+
+@pytest.mark.parametrize("name", ["ds1", "ds2", "active_game", "kink_game"])
+def test_constraint_values_stack_rows_equal_single_points(request, name):
+    game = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((24, game.n)) * 10.0 ** rng.uniform(-6, 2, (24, 1))
+    g = game.constraint_values(X)
+    assert g.shape == (24, game.m_bar)
+    for x, row in zip(X, g):
+        assert np.array_equal(row, game.constraint_values(x))

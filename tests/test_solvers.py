@@ -91,8 +91,10 @@ class TestArmijo:
         rng = np.random.default_rng(1)
         z = np.concatenate([rng.uniform(-1, 1, 4), rng.uniform(0, 1, 6)])
         s = -(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
-        t, F = _armijo(ds1, z, s, eps=0.8)
+        t, F, psi = _armijo(ds1, z, s, eps=0.8)
         assert F is not None and t > 0.0
+        # the search hands back the merit of the point it accepted
+        assert psi == merit(ds1, z + t * s, eps=0.8)
 
     def test_ascent_direction_flagged(self, ds1):
         # near the root the merit is locally strictly convex, so moving
@@ -100,8 +102,7 @@ class TestArmijo:
         root = newton_solve(ds1, eps=0.8)
         z = np.concatenate([root.x + 0.01, root.lam])
         s = +(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
-        t, F = _armijo(ds1, z, s, eps=0.8)
-        assert F is None and t == 0.0
+        assert _armijo(ds1, z, s, eps=0.8) == (0.0, None, None)
 
     def test_full_step_near_solution(self, ds1):
         # the local phase takes unit Newton steps
@@ -110,8 +111,9 @@ class TestArmijo:
         H = generalized_jacobian(ds1, z, eps=0.5)
         s = lu_solve(H, -kkt_residual(ds1, z, eps=0.5))
         assert s is not None
-        t, F = _armijo(ds1, z, s, eps=0.5)
+        t, F, psi = _armijo(ds1, z, s, eps=0.5)
         assert F is not None and t == 1.0
+        assert psi == merit(ds1, z + s, eps=0.5)
 
 
 class TestNewton:
@@ -245,23 +247,38 @@ class TestSubgradient:
         with pytest.raises(ValueError):
             subgradient_solve(ds1, tol=0.0)
 
-    def test_one_jacobian_per_iterate(self, ds1, monkeypatch):
-        # the subgradient is formed once per iterate, and never twice at one point
-        points = []
+    def test_no_jacobian_one_stacked_residual_per_step(self, ds1, monkeypatch):
+        # each step makes one stacked residual call for sigma = 1 and its
+        # halving ladder, plus one single-point call per doubling tried; each
+        # residual's merit is taken once, in the search, and no Jacobian is
+        # assembled
+        def no_jacobian(*args):
+            raise AssertionError("assembled a Jacobian")
+
+        shapes, merits = [], []
         monkeypatch.setattr(
-            "mlfg.solvers.generalized_jacobian",
-            lambda *a: points.append(a[1].tobytes()) or generalized_jacobian(*a),
+            "mlfg.solvers.kkt_residual", lambda *a: shapes.append(a[1].shape) or kkt_residual(*a)
         )
+        monkeypatch.setattr(
+            "mlfg.solvers.residual_merit",
+            lambda F, n: merits.append(F.shape) or residual_merit(F, n),
+        )
+        monkeypatch.setattr("mlfg.solvers.generalized_jacobian", no_jacobian)
+        monkeypatch.setattr("mlfg.kkt.generalized_jacobian", no_jacobian)
         res = subgradient_solve(ds1, eps=0.8, tol=1e-8)
-        assert res.converged
-        # at the start and after every step but the last, which converged
-        assert len(points) == res.iterations
-        assert len(set(points)) == len(points)
+        assert res.converged and res.iterations > 0
+        # the start, then one ladder per step: sigma = 1 and 1/2 ... 2**-40
+        assert shapes[0] == (10,)
+        assert shapes.count((41, 10)) == res.iterations
+        # a step sigma >= 1 doubled log2(sigma) times and failed once more
+        doublings = sum(int(np.log2(s)) + 1 for s in res.step_norms if s >= 1.0)
+        assert len(shapes) == 1 + res.iterations + doublings
+        assert merits == shapes
 
     def test_failed_step_search_ends_solve(self, ds1, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            "mlfg.solvers._step_search", lambda *a: calls.append(a) or (0.0, None)
+            "mlfg.solvers._step_search", lambda *a: calls.append(a) or (0.0, None, None)
         )
         res = subgradient_solve(ds1, eps=0.8)
         assert len(calls) == 1
@@ -271,9 +288,7 @@ class TestSubgradient:
 
     def test_zero_subgradient_ends_solve(self, ds1, monkeypatch):
         calls = []
-        monkeypatch.setattr(
-            "mlfg.solvers.generalized_jacobian", lambda game, z, *a: np.zeros((z.size, z.size))
-        )
+        monkeypatch.setattr("mlfg.solvers.merit_subgradient", lambda game, z, *a: np.zeros(z.size))
         monkeypatch.setattr("mlfg.solvers._step_search", lambda *a: calls.append(a))
         res = subgradient_solve(ds1, eps=0.8)
         assert calls == []
@@ -292,10 +307,11 @@ def _search_inputs(game, z, eps, direction=None):
 
 
 def _same_search(game, args):
-    """Run both searches, require the same step and bit-identical residual."""
-    sigma, F = _step_search(game, *args)
-    sigma_ref, F_ref = step_search_sequential(game, *args)
-    assert sigma == sigma_ref
+    """Run both searches, require the same step and merit and a bit-identical
+    residual."""
+    sigma, F, psi = _step_search(game, *args)
+    sigma_ref, F_ref, psi_ref = step_search_sequential(game, *args)
+    assert sigma == sigma_ref and psi == psi_ref
     assert (F is None and F_ref is None) or np.array_equal(F, F_ref)
     return sigma
 
@@ -323,8 +339,8 @@ class TestStepSearch:
         z = np.concatenate([root.x + 0.01, root.lam])
         args = _search_inputs(ds1, z, 0.8)
         args = (z, -args[1], *args[2:])
-        assert step_search_sequential(ds1, *args) == (0.0, None)
-        assert _step_search(ds1, *args) == (0.0, None)
+        assert step_search_sequential(ds1, *args) == (0.0, None, None)
+        assert _step_search(ds1, *args) == (0.0, None, None)
 
     def test_doubling_branch(self, ds1):
         # far from the root a unit step is short and the search doubles it
@@ -344,7 +360,7 @@ class TestStepSearch:
         root = newton_solve(ds1, eps=0.8)
         args = _search_inputs(ds1, np.concatenate([root.x + 1e-3, root.lam]), 0.8)
         calls = self._residual_shapes(monkeypatch)
-        sigma, _ = _step_search(ds1, *args)
+        sigma, _, _ = _step_search(ds1, *args)
         assert 0.0 < sigma < 1.0
         # sigma = 1 and the ladder 1/2 ... 2**-40
         assert calls == [(41, 10)]
@@ -353,7 +369,7 @@ class TestStepSearch:
         # the start of test_doubling_branch
         args = _search_inputs(ds1, np.concatenate([np.full(4, 50.0), np.zeros(6)]), 0.8)
         calls = self._residual_shapes(monkeypatch)
-        sigma, _ = _step_search(ds1, *args)
+        sigma, _, _ = _step_search(ds1, *args)
         assert sigma > 1.0
         # one trial per doubling that passed, and the one that failed
         assert calls == [(41, 10)] + [(10,)] * (int(np.log2(sigma)) + 1)
