@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import curvature_block, flat_point, merit
+from .kkt import curvature_block, flat_point
+# not called here; the benchmark's layer tracer binds it by this module's name
+from .kkt import merit  # noqa: F401
 from .model import GameSpec
-from .smoothing import phi_tilde_dt_deps
+from .smoothing import phi_tilde_d2, phi_tilde_dt_deps
 from .solvers import InnerResult, check_tol, newton_solve, subgradient_solve
 
 __all__ = [
@@ -61,7 +63,8 @@ class HomotopyConfig:
 @dataclass
 class StageRecord:
     """One continuation stage: its inner solve, the merit of the warm start
-    it began from, and the norm of the predictor it computed for the next."""
+    it began from (the first entry of the solve's merit trace), and the norm
+    of the predictor it computed for the next."""
 
     index: int
     eps: float
@@ -106,10 +109,10 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
     LAPACK solve (``numpy.linalg.solve``) always succeeds; the right-hand
     side carries the kernel's mixed second derivative.
     """
-    A = game.A_diff
+    A, a = game.A_diff, game.follower.a
     t = A @ np.asarray(x, dtype=float)
-    h = -0.5 * A.T @ (game.follower.a * phi_tilde_dt_deps(t, eps, p))
-    return np.linalg.solve(curvature_block(game, x, eps, p), h)
+    h = -0.5 * A.T @ (a * phi_tilde_dt_deps(t, eps, p))
+    return np.linalg.solve(curvature_block(game, 0.5 * a * phi_tilde_d2(t, eps, p)), h)
 
 
 def homotopy_solve(
@@ -131,7 +134,6 @@ def homotopy_solve(
     i = 0
     while True:
         eps = cfg.eps0 * cfg.gamma**i
-        warm_merit = merit(game, z_warm, eps, cfg.p)
         start = time.perf_counter()
         res = solve_inner(game, z_warm, eps, cfg.p, tol=cfg.tol)
         wall_ms = (time.perf_counter() - start) * 1e3
@@ -142,7 +144,7 @@ def homotopy_solve(
             d = taylor_direction(game, res.x, eps_next, cfg.p)
 
         stages.append(StageRecord(
-            index=i, eps=eps, result=res, warm_start_merit=warm_merit,
+            index=i, eps=eps, result=res, warm_start_merit=res.merit_history[0],
             predictor_norm=float(np.linalg.norm(d)), wall_ms=wall_ms,
         ))
         if not res.converged or eps <= cfg.eps_min:

@@ -6,33 +6,44 @@ and the continuation take it as their start (through :func:`flat_point`,
 which checks its length and that it is finite) and iterate on it. The
 residual stacks every leader's stationarity rows (length ``n``) over the
 complementarity rows ``min(lambda, -g)``; its roots are exactly the
-equilibria of the smoothed game at the given smoothing level. Its linear
-part is one product with the game's cached ``kkt_map``, which gives the
-kernel arguments ``A_diff x``, ``Q_block x + G lambda`` and the constraint
-values at once; one kernel slope call and one more product finish it. The
-merit is half the squared residual norm. The Jacobian is a selected element
-of the Clarke generalized derivative, returned as one ``(n + m_bar)``-square
-matrix: the min rows are differentiated branchwise, with ties resolved to
-the multiplier branch (keeps the lower-right block closer to the identity
-and thus the selection closer to nonsingular). Its upper-left block is
-:func:`curvature_block`, the Hessian stack plus the smoothing curvature;
-the Newton step and the continuation's predictor solve with it.
+equilibria of the smoothed game at the given smoothing level. The merit is
+half the squared residual norm.
+
+:func:`evaluate` is the one place both are computed: one product with the
+game's cached ``kkt_map`` gives the kernel arguments ``t = A_diff x``,
+``Q_block x + G lambda`` and the constraint values at once, and one kernel
+pass, :func:`~mlfg.smoothing.phi_tilde_slopes`, gives both slopes there.
+Its :class:`Evaluation` also holds each min row's branch (``lam > -g``;
+ties go to the multiplier branch, which keeps the lower-right Jacobian
+block closer to the identity and thus the selection closer to
+nonsingular). A stack of points, one per row, gives each row bit for bit
+as for that point alone; the subgradient step search evaluates the unit
+step and its whole halving ladder in one such call. :func:`kkt_residual`
+and :func:`merit` return its fields.
+
+The Jacobian is a selected element of the Clarke generalized derivative,
+built from an evaluation as one ``(n + m_bar)``-square matrix: the min
+rows are differentiated on the evaluation's branch, and its upper-left
+block is :func:`curvature_block`, the Hessian stack plus the smoothing
+curvature, which the continuation's predictor also solves with.
 :func:`merit_subgradient` gives the merit subgradient ``H' F`` of the same
-selection through ``kkt_map`` without assembling ``H``. The residual and
-the merit also take a stack of points, one per row, and give each row's
-value bit for bit as for that point alone; the subgradient step search
-evaluates the unit step and its whole halving ladder in one such call.
+selection from an evaluation, through ``kkt_map`` and without assembling
+``H`` or evaluating the kernel again.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import GameSpec, matvec
-from .smoothing import phi_tilde_d1, phi_tilde_d2
+from .smoothing import phi_tilde_slopes
 # not called here; the benchmark's layer tracer binds it by this module's name
 from .smoothing import smoothed_gradient_stack  # noqa: F401
 
 __all__ = [
+    "Evaluation",
+    "evaluate",
     "kkt_residual",
     "merit",
     "residual_merit",
@@ -60,15 +71,44 @@ def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
     return z
 
 
+class Evaluation(NamedTuple):
+    """What :func:`evaluate` computes at one point: the residual ``F``, the
+    merit ``psi``, the kernel arguments ``t = A_diff x``, which min rows are
+    on the ``constraint_branch`` (``lam > -g``) and the curvature weights
+    ``curv = 0.5 a phi_tilde''(t)``. For a stack of points every field has
+    a leading row axis, one row per point."""
+
+    F: np.ndarray
+    psi: float | np.ndarray
+    t: np.ndarray
+    constraint_branch: np.ndarray
+    curv: np.ndarray
+
+    def row(self, i: int) -> Evaluation:
+        """Row ``i`` of a stacked evaluation, equal to that point's own."""
+        return Evaluation(
+            self.F[i], float(self.psi[i]), self.t[i], self.constraint_branch[i], self.curv[i]
+        )
+
+
+def evaluate(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> Evaluation:
+    """The :class:`Evaluation` at ``z``, from one ``kkt_map`` product and one
+    kernel pass; a stack of points ``z``, shape (k, n + m_bar), gives each
+    field one row per point."""
+    m, n = game.m, game.n
+    u = matvec(game.kkt_map, z)
+    t = u[..., :m]
+    slopes, second = phi_tilde_slopes(t, eps, p)
+    F1 = u[..., m : m + n] + game.stationarity_constant + matvec(game.half_A_diffT_a, slopes)
+    lam, neg_g = z[..., n:], -(u[..., m + n :] + game.b_stack)
+    F = np.concatenate([F1, np.minimum(lam, neg_g)], axis=-1)
+    return Evaluation(F, residual_merit(F, n), t, lam > neg_g, 0.5 * game.follower.a * second)
+
+
 def kkt_residual(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
     """Stationarity rows (length n) stacked over complementarity rows (m_bar);
     a stack of points ``z``, shape (k, n + m_bar), gives one residual per row."""
-    m, n = game.m, game.n
-    u = matvec(game.kkt_map, z)
-    slopes = phi_tilde_d1(u[..., :m], eps, p)
-    F1 = u[..., m : m + n] + game.stationarity_constant + matvec(game.half_A_diffT_a, slopes)
-    F2 = np.minimum(z[..., n:], -(u[..., m + n :] + game.b_stack))
-    return np.concatenate([F1, F2], axis=-1)
+    return evaluate(game, z, eps, p).F
 
 
 def residual_merit(F: np.ndarray, n: int) -> float | np.ndarray:
@@ -80,64 +120,55 @@ def residual_merit(F: np.ndarray, n: int) -> float | np.ndarray:
 
 
 def merit(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> float:
-    return residual_merit(kkt_residual(game, z, eps, p), game.n)
-
-
-def _kernel_args_and_branch(game: GameSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel arguments ``A_diff x`` at ``z``, from one ``kkt_map``
-    product, and which min rows are on the constraint branch, ``lam > -g``
-    (ties go to the multiplier branch)."""
-    m, n = game.m, game.n
-    u = matvec(game.kkt_map, z)
-    return u[:m], z[n:] > -(u[m + n :] + game.b_stack)
+    return evaluate(game, z, eps, p).psi
 
 
 def generalized_jacobian(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
     """Selected Jacobian of :func:`kkt_residual`, shape (n + m_bar, n + m_bar).
 
     Rows ``:n`` are ``[curvature_block, constraint gradients]``. Each min
-    row carries one branch: the constraint branch ``-grad g`` in the ``x``
-    columns when ``lam > -g``, else the multiplier branch, a unit entry on
-    the diagonal (ties go to the multiplier branch).
+    row carries the branch of :func:`evaluate` at ``z``: the constraint
+    branch ``-grad g`` in the ``x`` columns when ``lam > -g``, else the
+    multiplier branch, a unit entry on the diagonal (ties go to the
+    multiplier branch).
     """
     n = game.n
+    ev = evaluate(game, z, eps, p)
     G = game.constraint_gradient_block
     H = np.zeros((n + game.m_bar, n + game.m_bar))
-    H[:n, :n] = curvature_block(game, z[:n], eps, p)
+    H[:n, :n] = curvature_block(game, ev.curv)
     H[:n, n:] = G
-    _, constraint_branch = _kernel_args_and_branch(game, z)
+    constraint_branch = ev.constraint_branch
     H[n + np.flatnonzero(constraint_branch), :n] = -G[:, constraint_branch].T
     multiplier_rows = n + np.flatnonzero(~constraint_branch)
     H[multiplier_rows, multiplier_rows] = 1.0
     return H
 
 
-def merit_subgradient(
-    game: GameSpec, z: np.ndarray, F: np.ndarray, eps: float, p: int = 2
-) -> np.ndarray:
-    """The merit subgradient ``H' F``, with ``H`` the :func:`generalized_jacobian`
-    at ``z`` and ``F`` the residual there, without assembling ``H``.
+def merit_subgradient(game: GameSpec, ev: Evaluation) -> np.ndarray:
+    """The merit subgradient ``H' F`` at an evaluated point, with ``H`` the
+    :func:`generalized_jacobian` there and ``F`` the residual, without
+    assembling ``H`` and without a second ``kkt_map`` product or kernel pass.
 
     ``H' F = kkt_map' y`` plus ``F2`` on the multiplier-branch rows, where
     ``y`` stacks ``0.5 a phi_tilde''(A_diff x) A_diff F1``, ``F1`` and
     ``-F2`` on the constraint-branch rows (zero on the others).
     """
     n = game.n
-    F1, F2 = F[:n], F[n:]
-    t, constraint_branch = _kernel_args_and_branch(game, z)
-    curv = 0.5 * game.follower.a * phi_tilde_d2(t, eps, p)
-    y = np.concatenate([curv * (game.A_diff @ F1), F1, np.where(constraint_branch, -F2, 0.0)])
+    F1, F2 = ev.F[:n], ev.F[n:]
+    constraint_branch = ev.constraint_branch
+    y = np.concatenate([ev.curv * (game.A_diff @ F1), F1, np.where(constraint_branch, -F2, 0.0)])
     v = game.kkt_map.T @ y
     v[n:] += np.where(constraint_branch, 0.0, F2)
     return v
 
 
-def curvature_block(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
-    """Jacobian of the stacked smoothed gradients in ``x``, shape (n, n).
+def curvature_block(game: GameSpec, curv: np.ndarray) -> np.ndarray:
+    """Jacobian of the stacked smoothed gradients in ``x``, shape (n, n), for
+    the curvature weights ``curv = 0.5 a phi_tilde''(A_diff x)``.
 
-    ``Q_block + 0.5 * A_diff' diag(a * phi_tilde''(A_diff x)) A_diff``: the
-    Hessian stack plus a nonnegative sum of rank-one terms, hence SPD.
+    ``Q_block + A_diff' diag(curv) A_diff``: the Hessian stack plus a
+    nonnegative sum of rank-one terms, hence SPD.
     """
     A = game.A_diff
-    curv = game.follower.a * phi_tilde_d2(A @ np.asarray(x, dtype=float), eps, p)
-    return game.Q_block + 0.5 * (A.T * curv) @ A
+    return game.Q_block + (A.T * curv) @ A

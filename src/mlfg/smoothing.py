@@ -6,11 +6,18 @@ exponent ``p``, a convex upper approximation of ``|t|`` that tightens as
 closed-form best response makes every leader objective smooth while keeping
 it convex, which is what the equilibrium solvers rely on.
 
-All evaluators broadcast over ``t`` and are stabilized by factoring out
-``max(|t|, 2*eps)`` so that large arguments neither overflow nor lose the
-even-power sign structure. The responses and objectives read the follower
-maps ``drive``, ``S`` and ``A_diff`` that :class:`~mlfg.model.GameSpec`
-derives once per game and caches read-only.
+All evaluators broadcast over ``t`` and reject, with ValueError, an odd or
+small ``p`` and any ``eps`` whose ``2*eps`` is not positive and finite.
+:func:`phi_tilde_slopes` gives the first and second ``t``-derivatives from
+one pass, and :func:`phi_tilde_d1` and :func:`phi_tilde_d2` return its
+fields, so every caller shares one kernel. At ``p = 2`` that pass is the
+closed form ``t/h`` and ``(2*eps/h)**2/h`` with ``h = hypot(t, 2*eps)``,
+which cannot overflow and takes no fractional power. Every other evaluator,
+and the slopes at ``p >= 4``, factor out ``max(|t|, 2*eps)`` so that large
+arguments neither overflow nor lose the even-power sign structure. The
+responses and objectives read the follower maps ``drive``, ``S`` and
+``A_diff`` that :class:`~mlfg.model.GameSpec` derives once per game and
+caches read-only.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ __all__ = [
     "phi_tilde",
     "phi_tilde_d1",
     "phi_tilde_d2",
+    "phi_tilde_slopes",
     "phi_tilde_deps",
     "phi_tilde_dt_deps",
     "best_response_exact",
@@ -31,15 +39,23 @@ __all__ = [
 ]
 
 
-def _scaled(t, eps: float, p: int):
-    """Validate ``eps`` and ``p``; return (t/M, 2*eps/M, M) with M = max(|t|, 2*eps) > 0."""
-    if not eps > 0.0:
-        raise ValueError(f"smoothing parameter must be positive, got {eps}")
+def _two_eps(eps: float, p: int) -> float:
+    """Validate ``eps`` and ``p``; return ``2*eps``, positive and finite."""
+    two_eps = 2.0 * eps
+    # written so that NaN fails too
+    if not 0.0 < two_eps < np.inf:
+        raise ValueError(f"smoothing parameter must be positive with 2*eps finite, got {eps}")
     if p < 2 or p % 2 != 0:
         raise ValueError(f"exponent must be an even integer >= 2, got {p}")
+    return two_eps
+
+
+def _scaled(t, eps: float, p: int):
+    """Validate ``eps`` and ``p``; return (t/M, 2*eps/M, M) with M = max(|t|, 2*eps) > 0."""
+    two_eps = _two_eps(eps, p)
     t = np.asarray(t, dtype=float)
-    M = np.maximum(np.abs(t), 2.0 * eps)
-    return t / M, 2.0 * eps / M, M
+    M = np.maximum(np.abs(t), two_eps)
+    return t / M, two_eps / M, M
 
 
 def phi_tilde(t, eps: float, p: int = 2):
@@ -48,16 +64,28 @@ def phi_tilde(t, eps: float, p: int = 2):
     return M * (u**p + v**p) ** (1.0 / p)
 
 
+def phi_tilde_slopes(t, eps: float, p: int = 2):
+    """First and second t-derivatives ``(phi_tilde', phi_tilde'')`` from one pass."""
+    if p == 2:
+        two_eps = _two_eps(eps, p)
+        t = np.asarray(t, dtype=float)
+        h = np.hypot(t, two_eps)
+        r = two_eps / h
+        return t / h, r * r / h
+    u, v, M = _scaled(t, eps, p)
+    w = u**p + v**p
+    d1 = u ** (p - 1) * w ** (1.0 / p - 1.0)
+    return d1, (p - 1) * u ** (p - 2) * v**p * w ** (1.0 / p - 2.0) / M
+
+
 def phi_tilde_d1(t, eps: float, p: int = 2):
     """First t-derivative; odd, strictly increasing, range (-1, 1)."""
-    u, v, M = _scaled(t, eps, p)
-    return u ** (p - 1) * (u**p + v**p) ** (1.0 / p - 1.0)
+    return phi_tilde_slopes(t, eps, p)[0]
 
 
 def phi_tilde_d2(t, eps: float, p: int = 2):
     """Second t-derivative; strictly positive (the kernel is convex)."""
-    u, v, M = _scaled(t, eps, p)
-    return (p - 1) * u ** (p - 2) * v**p * (u**p + v**p) ** (1.0 / p - 2.0) / M
+    return phi_tilde_slopes(t, eps, p)[1]
 
 
 def phi_tilde_deps(t, eps: float, p: int = 2):

@@ -8,16 +8,18 @@ Two methods minimize the merit (half squared residual norm):
   gradient when that Jacobian is singular or no Newton step passes;
 * a subgradient descent along the normalized negative merit subgradient,
   with a doubling/halving step length search against a sufficient-decrease
-  test. Each step forms the subgradient with
-  :func:`~mlfg.kkt.merit_subgradient`, without assembling a Jacobian,
-  evaluates the unit step and the halving ladder in one stacked residual
-  call, and doubles one point at a time only when the unit step passes; a
+  test. Every trial point gets one :func:`~mlfg.kkt.evaluate`: the unit
+  step and the halving ladder ``SIGMA_LADDER`` share one stacked call, and
+  the search doubles one point at a time only when the unit step passes.
+  The accepted point's evaluation is carried into the next step, where
+  :func:`~mlfg.kkt.merit_subgradient` forms the subgradient from it
+  without a Jacobian, a second map product or a second kernel pass; a
   zero subgradient or a search in which every step fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
 Each search returns the residual and the merit of the point it accepts,
 so no point's merit is evaluated twice. They iterate on the flat vector
-``z = (x, lambda)`` of length ``n + m_bar``, with the residual, Jacobian
+``z = (x, lambda)`` of length ``n + m_bar``, with the evaluation, Jacobian
 and subgradient of :mod:`mlfg.kkt`. The start is such a vector (None for
 zeros), and the :class:`InnerResult` splits the final iterate into ``x``
 and ``lam``. Each stops once the merit reaches the ``tol`` keyword, which
@@ -32,7 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import flat_point, generalized_jacobian, kkt_residual, merit_subgradient, residual_merit
+from .kkt import (
+    Evaluation,
+    evaluate,
+    flat_point,
+    generalized_jacobian,
+    kkt_residual,
+    merit_subgradient,
+    residual_merit,
+)
 from .model import GameSpec
 
 __all__ = [
@@ -56,6 +66,11 @@ SUBGRAD_SLOPE = 0.05
 SIGMA_MIN = 1e-12
 PIVOT_TOL = 1e-12
 
+# every step that halving from 1 until sigma <= SIGMA_MIN visits, 1 included
+# (down to 2**-40 for 1e-12); read-only, shared by every search
+SIGMA_LADDER = 0.5 ** np.arange(np.ceil(-np.log2(SIGMA_MIN)) + 1)
+SIGMA_LADDER.flags.writeable = False
+
 
 def check_tol(tol: float) -> None:
     """Reject a merit tolerance outside ``(0, inf)`` (NaN included)."""
@@ -63,16 +78,15 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def _start(game: GameSpec, z0, eps: float, p: int, tol: float):
-    """Check ``tol`` and the start; return the start, its residual and merit.
-    Raises FloatingPointError when that merit is not finite."""
+def _start(game: GameSpec, z0, eps: float, p: int, tol: float) -> tuple[np.ndarray, Evaluation]:
+    """Check ``tol`` and the start; return the start and its evaluation.
+    Raises FloatingPointError when its merit is not finite."""
     check_tol(tol)
     z = flat_point(game, z0)
-    F = kkt_residual(game, z, eps, p)
-    psi = residual_merit(F, game.n)
-    if not np.isfinite(psi):
-        raise FloatingPointError(f"merit is not finite at the start, got {psi}")
-    return z, F, psi
+    ev = evaluate(game, z, eps, p)
+    if not np.isfinite(ev.psi):
+        raise FloatingPointError(f"merit is not finite at the start, got {ev.psi}")
+    return z, ev
 
 
 def lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -154,7 +168,8 @@ def newton_solve(
     the merit at the start is not finite.
     """
     n = game.n
-    z, F, psi = _start(game, z0, eps, p, tol)
+    z, start = _start(game, z0, eps, p, tol)
+    F, psi = start.F, start.psi
     fallback_steps = 0
     step_norms: list[float] = []
     merit_history = [psi]
@@ -193,34 +208,32 @@ def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
     """Doubling/halving search for the largest step passing sufficient decrease.
 
     The test is psi(z + sigma*d) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
-    along the normalized direction ``d``. One stacked residual call evaluates
-    ``sigma = 1`` and the halving ladder ``1/2, 1/4, ...`` down to the first
-    power of two at or below ``SIGMA_MIN``. When ``sigma = 1`` passes, the
-    step doubles, one point at a time, while it keeps passing; otherwise the
-    largest step of the ladder that passes is accepted. Returns the accepted
-    step with the residual and the merit at ``z + sigma*d``, or
-    ``(0.0, None, None)`` when every step fails.
+    along the normalized direction ``d``. One stacked
+    :func:`~mlfg.kkt.evaluate` call evaluates every step of
+    ``SIGMA_LADDER``: ``sigma = 1`` and the halving ladder ``1/2, 1/4, ...``
+    down to the first power of two at or below ``SIGMA_MIN``. When
+    ``sigma = 1`` passes, the step doubles, one point per call, while it
+    keeps passing; otherwise the largest step of the ladder that passes is
+    accepted. Returns the accepted step with the evaluation at
+    ``z + sigma*d``, or ``(0.0, None)`` when every step fails.
     """
 
     def trial(sigma):
-        """Residuals and merits at ``z + sigma*d``, one per step, and which
+        """The evaluation at ``z + sigma*d``, one row per step, and which
         steps pass."""
-        F = kkt_residual(game, z + np.multiply.outer(sigma, d), eps, p)
-        psi = residual_merit(F, game.n)
-        return F, psi, psi - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
+        ev = evaluate(game, z + np.multiply.outer(sigma, d), eps, p)
+        return ev, ev.psi - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
 
-    # every step that halving from 1 until sigma <= SIGMA_MIN visits (down to 2**-40 for 1e-12)
-    ladder = 0.5 ** np.arange(np.ceil(-np.log2(SIGMA_MIN)) + 1)
-    F, psi, ok = trial(ladder)
-    if ok[0]:
-        sigma, F, psi = 1.0, F[0], float(psi[0])
-        while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[2]:
-            sigma, F, psi = 2.0 * sigma, larger[0], larger[1]
-        return sigma, F, psi
-    if not ok.any():
-        return 0.0, None, None
-    first = int(np.argmax(ok))
-    return float(ladder[first]), F[first], float(psi[first])
+    ladder, ok = trial(SIGMA_LADDER)
+    first = int(ok.argmax())  # the largest passing step, or 0 when none passes
+    if not ok[first]:
+        return 0.0, None
+    if first > 0:
+        return float(SIGMA_LADDER[first]), ladder.row(first)
+    sigma, ev = 1.0, ladder.row(0)
+    while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[1]:
+        sigma, ev = 2.0 * sigma, larger[0]
+    return sigma, ev
 
 
 def subgradient_solve(
@@ -233,37 +246,38 @@ def subgradient_solve(
     """Subgradient descent on the merit, at most ``SUBGRAD_MAX_ITER`` steps.
 
     Each step forms the merit subgradient ``v = H.T @ F`` once, with
-    :func:`~mlfg.kkt.merit_subgradient` (no Jacobian is assembled), and
+    :func:`~mlfg.kkt.merit_subgradient` from the evaluation of the current
+    point (no Jacobian is assembled and nothing is evaluated again), and
     searches along ``-v / |v|`` (a quasisecant of zero probe length) with
-    :func:`_step_search`; the residual and the merit of the accepted trial
-    point are kept from the search. A zero subgradient, or a search in which
+    :func:`_step_search`; the evaluation of the accepted trial point is
+    carried into the next step. A zero subgradient, or a search in which
     every step fails, ends the solve. Raises FloatingPointError when the
     merit at the start is not finite.
     """
     n = game.n
-    z, F, psi = _start(game, z0, eps, p, tol)
-    merit_history = [psi]
+    z, ev = _start(game, z0, eps, p, tol)
+    merit_history = [ev.psi]
     step_norms: list[float] = []
     iterations = 0
-    while psi > tol and iterations < SUBGRAD_MAX_ITER:
-        v = merit_subgradient(game, z, F, eps, p)
+    while ev.psi > tol and iterations < SUBGRAD_MAX_ITER:
+        v = merit_subgradient(game, ev)
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
             break
         d = -v / v_norm
-        sigma, F_trial, psi_trial = _step_search(game, z, d, eps, p, psi, v_norm)
-        if F_trial is None:
+        sigma, accepted = _step_search(game, z, d, eps, p, ev.psi, v_norm)
+        if accepted is None:
             break
-        z, F, psi = z + sigma * d, F_trial, psi_trial
+        z, ev = z + sigma * d, accepted
         iterations += 1
-        merit_history.append(psi)
+        merit_history.append(ev.psi)
         step_norms.append(sigma)
     return InnerResult(
         x=z[:n],
         lam=z[n:],
-        merit=psi,
+        merit=ev.psi,
         iterations=iterations,
-        converged=psi <= tol,
+        converged=ev.psi <= tol,
         merit_history=merit_history,
         step_norms=step_norms,
     )

@@ -140,7 +140,7 @@ class TestStageCountsPinned:
     def test_subgradient_to_eps_005(self, ds1, ds2):
         cfg = HomotopyConfig(eps_min=0.05, method="subgradient")
         expected = {
-            "ds1": [288, 218, 196, 110, 191, 104],
+            "ds1": [288, 218, 196, 110, 142, 60],
             "ds2": [480, 331, 160, 150, 104, 50],
         }
         for name, game in (("ds1", ds1), ("ds2", ds2)):

@@ -100,7 +100,34 @@ class TestStackedResidual:
                 assert np.array_equal(F_row, F_single)
                 assert psi_row == residual_merit(F_single, game.n) == merit(game, z, eps, p)
 
-    @pytest.mark.parametrize("eps, p", [(0.0, 2), (-1.0, 2), (0.5, 3)])
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("name", GAMES)
+    def test_evaluation_rows_equal_single_points(self, request, name, p):
+        # every field of a stacked evaluation, row by row, against the
+        # evaluation of that point alone and against kkt_residual and merit
+        game = request.getfixturevalue(name)
+        rng = np.random.default_rng(8)
+        size = game.n + game.m_bar
+        Z = rng.standard_normal((24, size)) * 10.0 ** rng.uniform(-6, 2, (24, 1))
+        # exact ties lam = -g on every min row of the last point
+        Z[-1, game.n :] = 0.0
+        Z[-1, game.n :] = -(matvec(game.kkt_map, Z[-1])[game.m + game.n :] + game.b_stack)
+        for eps in (1.6, 0.1, 1e-3, 1e-6):
+            stack = kkt.evaluate(game, Z, eps, p)
+            assert np.array_equal(stack.F, kkt_residual(game, Z, eps, p))
+            assert not stack.constraint_branch[-1].any()
+            for i, z in enumerate(Z):
+                row, alone = stack.row(i), kkt.evaluate(game, z, eps, p)
+                assert type(row.psi) is type(alone.psi) is float
+                assert all(np.array_equal(a, b) for a, b in zip(row, alone))
+                assert np.array_equal(alone.F, kkt_residual(game, z, eps, p))
+                assert alone.psi == merit(game, z, eps, p)
+
+    @pytest.mark.parametrize(
+        "eps, p",
+        [(0.0, 2), (-1.0, 2), (0.5, 3)]
+        + [(eps, p) for eps in (np.inf, np.nan, 1e308) for p in (2, 4)],
+    )
     def test_stack_rejects_bad_kernel_parameters(self, ds1, eps, p):
         with pytest.raises(ValueError):
             kkt_residual(ds1, np.zeros((3, 10)), eps, p)
@@ -192,7 +219,8 @@ class TestMeritSubgradient:
 
 
 class TestMeritSubgradientKernel:
-    """``kkt.merit_subgradient`` forms ``H' F`` without the Jacobian ``H``."""
+    """``kkt.merit_subgradient`` forms ``H' F`` from an evaluation, without
+    the Jacobian ``H``."""
 
     GAMES = ["ds1", "ds2", "active_game", "kink_game"]
 
@@ -226,7 +254,7 @@ class TestMeritSubgradientKernel:
                 F = kkt_residual(game, z, eps, p)
                 H = generalized_jacobian(game, z, eps, p)
                 np.testing.assert_allclose(
-                    kkt.merit_subgradient(game, z, F, eps, p), H.T @ F, rtol=1e-12
+                    kkt.merit_subgradient(game, kkt.evaluate(game, z, eps, p)), H.T @ F, rtol=1e-12
                 )
                 if kind == "tie":
                     # every min row ties, and the tie goes to the multiplier branch

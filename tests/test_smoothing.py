@@ -14,6 +14,7 @@ from mlfg import (
     phi_tilde_dt_deps,
     smoothed_gradient_stack,
 )
+from mlfg.smoothing import phi_tilde_slopes
 
 from conftest import make_game
 from helpers import (
@@ -82,6 +83,62 @@ class TestKernelValues:
             phi_tilde(1.0, 1.0, 3)
         with pytest.raises(ValueError):
             phi_tilde(1.0, 1.0, 0)
+
+
+KERNEL = [phi_tilde, phi_tilde_d1, phi_tilde_d2, phi_tilde_deps, phi_tilde_dt_deps]
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan, 1e308])
+@pytest.mark.parametrize("fn", KERNEL, ids=lambda fn: fn.__name__)
+def test_kernel_rejects_smoothing_without_finite_double(fn, eps, p):
+    # 2 * 1e308 overflows to inf; every such level raises instead of giving NaN
+    with pytest.raises(ValueError, match="smoothing parameter"):
+        fn(1.0, eps, p)
+
+
+def scaled_slopes(t, eps, p):
+    """Both t-derivatives in the form that factors out M = max(|t|, 2*eps)."""
+    t = np.asarray(t, dtype=float)
+    M = np.maximum(np.abs(t), 2.0 * eps)
+    u, v = t / M, 2.0 * eps / M
+    w = u**p + v**p
+    return (
+        u ** (p - 1) * w ** (1.0 / p - 1.0),
+        (p - 1) * u ** (p - 2) * v**p * w ** (1.0 / p - 2.0) / M,
+    )
+
+
+class TestClosedFormSlopes:
+    """At p = 2 the slopes are ``t/h`` and ``(2 eps/h)**2/h``, ``h = hypot(t, 2 eps)``."""
+
+    SPECIAL = [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0, 1e8, -1e8, 1e300, -1e300]
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.5, 1.6, 1e3])
+    def test_matches_scaled_form_to_a_few_ulp(self, eps):
+        # each form lies within about 5 ulp of the exact slopes
+        rng = np.random.default_rng(16)
+        spread = rng.standard_normal(2000) * 10.0 ** rng.uniform(-8, 8, 2000)
+        t = np.concatenate([self.SPECIAL, spread])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            d1, d2 = phi_tilde_slopes(t, eps, 2)
+        r1, r2 = scaled_slopes(t, eps, 2)
+        tiny = np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(d1 - r1) <= 4 * np.maximum(np.spacing(np.abs(r1)), tiny))
+        assert np.all(np.abs(d2 - r2) <= 16 * np.maximum(np.spacing(np.abs(r2)), tiny))
+        assert np.array_equal(d1, phi_tilde_d1(t, eps, 2))
+        assert np.array_equal(d2, phi_tilde_d2(t, eps, 2))
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.5, 1.6, 1e3])
+    def test_curvature_at_zero(self, eps):
+        assert phi_tilde_d2(0.0, eps, 2) == 1.0 / (2.0 * eps)
+        assert phi_tilde_d1(0.0, eps, 2) == 0.0
+
+    def test_higher_exponents_keep_scaled_form(self):
+        t = np.array(self.SPECIAL)
+        for p in (4, 6):
+            for mine, ref in zip(phi_tilde_slopes(t, 0.3, p), scaled_slopes(t, 0.3, p)):
+                assert np.array_equal(mine, ref)
 
 
 class TestKernelDerivatives:

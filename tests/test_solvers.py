@@ -11,7 +11,8 @@ from mlfg import (
     newton_solve,
     subgradient_solve,
 )
-from mlfg.kkt import residual_merit
+from mlfg.kkt import evaluate, residual_merit
+from mlfg.smoothing import phi_tilde_slopes
 from mlfg.solvers import _step_search, armijo_search
 
 from conftest import make_game
@@ -248,21 +249,26 @@ class TestSubgradient:
             subgradient_solve(ds1, tol=0.0)
 
     def test_no_jacobian_one_stacked_residual_per_step(self, ds1, monkeypatch):
-        # each step makes one stacked residual call for sigma = 1 and its
-        # halving ladder, plus one single-point call per doubling tried; each
-        # residual's merit is taken once, in the search, and no Jacobian is
-        # assembled
+        # each step makes one stacked evaluation for sigma = 1 and its halving
+        # ladder, plus one single-point evaluation per doubling tried; the
+        # subgradient reuses the accepted point's evaluation, so every kernel
+        # pass belongs to an evaluation, and no Jacobian is assembled
         def no_jacobian(*args):
             raise AssertionError("assembled a Jacobian")
 
-        shapes, merits = [], []
+        def no_residual(*args):
+            raise AssertionError("evaluated a residual outside an evaluation")
+
+        shapes, kernel_calls = [], []
         monkeypatch.setattr(
-            "mlfg.solvers.kkt_residual", lambda *a: shapes.append(a[1].shape) or kkt_residual(*a)
+            "mlfg.solvers.evaluate", lambda *a: shapes.append(a[1].shape) or evaluate(*a)
         )
         monkeypatch.setattr(
-            "mlfg.solvers.residual_merit",
-            lambda F, n: merits.append(F.shape) or residual_merit(F, n),
+            "mlfg.kkt.phi_tilde_slopes",
+            lambda *a: kernel_calls.append(a[0].shape) or phi_tilde_slopes(*a),
         )
+        monkeypatch.setattr("mlfg.solvers.kkt_residual", no_residual)
+        monkeypatch.setattr("mlfg.solvers.residual_merit", no_residual)
         monkeypatch.setattr("mlfg.solvers.generalized_jacobian", no_jacobian)
         monkeypatch.setattr("mlfg.kkt.generalized_jacobian", no_jacobian)
         res = subgradient_solve(ds1, eps=0.8, tol=1e-8)
@@ -273,12 +279,13 @@ class TestSubgradient:
         # a step sigma >= 1 doubled log2(sigma) times and failed once more
         doublings = sum(int(np.log2(s)) + 1 for s in res.step_norms if s >= 1.0)
         assert len(shapes) == 1 + res.iterations + doublings
-        assert merits == shapes
+        # one kernel pass per evaluation, on its kernel arguments (m = 3)
+        assert kernel_calls == [shape[:-1] + (3,) for shape in shapes]
 
     def test_failed_step_search_ends_solve(self, ds1, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            "mlfg.solvers._step_search", lambda *a: calls.append(a) or (0.0, None, None)
+            "mlfg.solvers._step_search", lambda *a: calls.append(a) or (0.0, None)
         )
         res = subgradient_solve(ds1, eps=0.8)
         assert len(calls) == 1
@@ -288,7 +295,7 @@ class TestSubgradient:
 
     def test_zero_subgradient_ends_solve(self, ds1, monkeypatch):
         calls = []
-        monkeypatch.setattr("mlfg.solvers.merit_subgradient", lambda game, z, *a: np.zeros(z.size))
+        monkeypatch.setattr("mlfg.solvers.merit_subgradient", lambda game, ev: np.zeros(ev.F.size))
         monkeypatch.setattr("mlfg.solvers._step_search", lambda *a: calls.append(a))
         res = subgradient_solve(ds1, eps=0.8)
         assert calls == []
@@ -308,11 +315,17 @@ def _search_inputs(game, z, eps, direction=None):
 
 def _same_search(game, args):
     """Run both searches, require the same step and merit and a bit-identical
-    residual."""
-    sigma, F, psi = _step_search(game, *args)
+    residual, and an accepted evaluation equal to that point's own."""
+    sigma, ev = _step_search(game, *args)
     sigma_ref, F_ref, psi_ref = step_search_sequential(game, *args)
-    assert sigma == sigma_ref and psi == psi_ref
-    assert (F is None and F_ref is None) or np.array_equal(F, F_ref)
+    assert sigma == sigma_ref
+    if ev is None:
+        assert F_ref is None
+        return sigma
+    assert ev.psi == psi_ref and np.array_equal(ev.F, F_ref)
+    z, d, eps, p = args[:4]
+    alone = evaluate(game, z + sigma * d, eps, p)
+    assert all(np.array_equal(a, b) for a, b in zip(ev, alone))
     return sigma
 
 
@@ -340,7 +353,7 @@ class TestStepSearch:
         args = _search_inputs(ds1, z, 0.8)
         args = (z, -args[1], *args[2:])
         assert step_search_sequential(ds1, *args) == (0.0, None, None)
-        assert _step_search(ds1, *args) == (0.0, None, None)
+        assert _step_search(ds1, *args) == (0.0, None)
 
     def test_doubling_branch(self, ds1):
         # far from the root a unit step is short and the search doubles it
@@ -348,19 +361,19 @@ class TestStepSearch:
         assert _same_search(ds1, _search_inputs(ds1, z, 0.8)) > 1.0
 
     @staticmethod
-    def _residual_shapes(monkeypatch):
-        """The shapes of the points of every residual call, in call order."""
+    def _evaluation_shapes(monkeypatch):
+        """The shapes of the points of every evaluation call, in call order."""
         calls = []
         monkeypatch.setattr(
-            "mlfg.solvers.kkt_residual", lambda *a: calls.append(a[1].shape) or kkt_residual(*a)
+            "mlfg.solvers.evaluate", lambda *a: calls.append(a[1].shape) or evaluate(*a)
         )
         return calls
 
     def test_halving_ladder_is_one_residual_call(self, ds1, monkeypatch):
         root = newton_solve(ds1, eps=0.8)
         args = _search_inputs(ds1, np.concatenate([root.x + 1e-3, root.lam]), 0.8)
-        calls = self._residual_shapes(monkeypatch)
-        sigma, _, _ = _step_search(ds1, *args)
+        calls = self._evaluation_shapes(monkeypatch)
+        sigma, _ = _step_search(ds1, *args)
         assert 0.0 < sigma < 1.0
         # sigma = 1 and the ladder 1/2 ... 2**-40
         assert calls == [(41, 10)]
@@ -368,8 +381,8 @@ class TestStepSearch:
     def test_doubling_evaluates_single_points(self, ds1, monkeypatch):
         # the start of test_doubling_branch
         args = _search_inputs(ds1, np.concatenate([np.full(4, 50.0), np.zeros(6)]), 0.8)
-        calls = self._residual_shapes(monkeypatch)
-        sigma, _, _ = _step_search(ds1, *args)
+        calls = self._evaluation_shapes(monkeypatch)
+        sigma, _ = _step_search(ds1, *args)
         assert sigma > 1.0
         # one trial per doubling that passed, and the one that failed
         assert calls == [(41, 10)] + [(10,)] * (int(np.log2(sigma)) + 1)
