@@ -224,12 +224,18 @@ def cmd_solve(args) -> int:
 
 
 def _read_vector(path: Path) -> np.ndarray:
+    """The numbers of an --x file: a JSON array or a whitespace-separated list."""
     text = path.read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = text.split()
-    return np.asarray([float(v) for v in data], dtype=float)
+    if isinstance(data, list):
+        try:
+            return np.asarray([float(v) for v in data], dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"--x file {path}: not a JSON array or whitespace list of numbers")
 
 
 def _report_field(doc, report: str, key: str, convert=None):
@@ -267,7 +273,10 @@ def cmd_verify(args) -> int:
             raise InputError(f"--tol must be positive and finite, got {args.tol}")
         game, _ = _load(args)
         if args.report:
-            doc = json.loads(Path(args.report).read_text())
+            try:
+                doc = json.loads(Path(args.report).read_text())
+            except json.JSONDecodeError as exc:
+                raise InputError(f"report {args.report}: not valid JSON: {exc}") from None
             floats = partial(np.asarray, dtype=float)
             x = _report_field(doc, args.report, "solution.x", floats)
             lam = _report_field(doc, args.report, "solution.lambda", floats)
@@ -282,8 +291,7 @@ def cmd_verify(args) -> int:
         else:
             raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
-    # a TypeError is a value of the wrong type, such as an object in an --x file
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,8 +21,9 @@ as for that point alone; the subgradient step search evaluates the unit
 step and its whole halving ladder in one such call. :func:`kkt_residual`
 and :func:`merit` return its fields.
 
-The Jacobian is a selected element of the Clarke generalized derivative,
-built from an evaluation as one ``(n + m_bar)``-square matrix: the min
+The Jacobian is a selected element of the Clarke generalized derivative.
+:func:`generalized_jacobian` builds it from an :class:`Evaluation` as one
+``(n + m_bar)``-square matrix, without evaluating the point again: the min
 rows are differentiated on the evaluation's branch, and its upper-left
 block is :func:`curvature_block`, the Hessian stack plus the smoothing
 curvature, which the continuation's predictor also solves with.
@@ -123,24 +124,22 @@ def merit(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> float:
     return evaluate(game, z, eps, p).psi
 
 
-def generalized_jacobian(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
-    """Selected Jacobian of :func:`kkt_residual`, shape (n + m_bar, n + m_bar).
+def generalized_jacobian(game: GameSpec, ev: Evaluation) -> np.ndarray:
+    """Selected Jacobian of :func:`kkt_residual` at an evaluated point,
+    shape (n + m_bar, n + m_bar), built from the evaluation alone.
 
     Rows ``:n`` are ``[curvature_block, constraint gradients]``. Each min
-    row carries the branch of :func:`evaluate` at ``z``: the constraint
-    branch ``-grad g`` in the ``x`` columns when ``lam > -g``, else the
-    multiplier branch, a unit entry on the diagonal (ties go to the
-    multiplier branch).
+    row carries the evaluation's branch: the constraint branch ``-grad g``
+    in the ``x`` columns when ``lam > -g``, else the multiplier branch, a
+    unit entry on the diagonal (ties go to the multiplier branch).
     """
     n = game.n
-    ev = evaluate(game, z, eps, p)
     G = game.constraint_gradient_block
     H = np.zeros((n + game.m_bar, n + game.m_bar))
     H[:n, :n] = curvature_block(game, ev.curv)
     H[:n, n:] = G
-    constraint_branch = ev.constraint_branch
-    H[n + np.flatnonzero(constraint_branch), :n] = -G[:, constraint_branch].T
-    multiplier_rows = n + np.flatnonzero(~constraint_branch)
+    H[n + np.flatnonzero(ev.constraint_branch), :n] = -G[:, ev.constraint_branch].T
+    multiplier_rows = n + np.flatnonzero(~ev.constraint_branch)
     H[multiplier_rows, multiplier_rows] = 1.0
     return H
 

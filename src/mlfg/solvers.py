@@ -4,21 +4,22 @@ Two methods minimize the merit (half squared residual norm):
 
 * a semismooth Newton iteration on the joint system, globalized by one
   backtracking Armijo search on the merit per iteration: along the Newton
-  direction of a selected generalized Jacobian, or along the negative merit
-  gradient when that Jacobian is singular or no Newton step passes;
+  direction of the selected Jacobian :func:`~mlfg.kkt.generalized_jacobian`,
+  or along the negative merit gradient when that Jacobian is singular or
+  no Newton step passes;
 * a subgradient descent along the normalized negative merit subgradient,
-  with a doubling/halving step length search against a sufficient-decrease
-  test. Every trial point gets one :func:`~mlfg.kkt.evaluate`: the unit
-  step and the halving ladder ``SIGMA_LADDER`` share one stacked call, and
-  the search doubles one point at a time only when the unit step passes.
-  The accepted point's evaluation is carried into the next step, where
-  :func:`~mlfg.kkt.merit_subgradient` forms the subgradient from it
-  without a Jacobian, a second map product or a second kernel pass; a
-  zero subgradient or a search in which every step fails ends the solve.
+  which :func:`~mlfg.kkt.merit_subgradient` forms without a Jacobian, with
+  a doubling/halving step length search against a sufficient-decrease
+  test: the unit step and the halving ladder ``SIGMA_LADDER`` share one
+  stacked evaluation, and the search doubles one point at a time only when
+  the unit step passes; a zero subgradient or a search in which every step
+  fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
-Each search returns the residual and the merit of the point it accepts,
-so no point's merit is evaluated twice. They iterate on the flat vector
+Every trial point gets one :func:`~mlfg.kkt.evaluate`, and each search
+returns the :class:`~mlfg.kkt.Evaluation` of the point it accepts; the
+solver builds its next Jacobian or subgradient from that evaluation, so
+no point is evaluated twice. They iterate on the flat vector
 ``z = (x, lambda)`` of length ``n + m_bar``, with the evaluation, Jacobian
 and subgradient of :mod:`mlfg.kkt`. The start is such a vector (None for
 zeros), and the :class:`InnerResult` splits the final iterate into ``x``
@@ -34,15 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import (
-    Evaluation,
-    evaluate,
-    flat_point,
-    generalized_jacobian,
-    kkt_residual,
-    merit_subgradient,
-    residual_merit,
-)
+from .kkt import Evaluation, evaluate, flat_point, generalized_jacobian, merit_subgradient
+# not called here; the benchmark's layer tracer binds it by this module's name
+from .kkt import kkt_residual  # noqa: F401
 from .model import GameSpec
 
 __all__ = [
@@ -132,24 +127,23 @@ class InnerResult:
 
 def armijo_search(
     game: GameSpec, z: np.ndarray, d: np.ndarray, psi0: float, slope: float, eps: float, p: int = 2
-) -> tuple[float, np.ndarray | None, float | None]:
+) -> tuple[float, Evaluation | None]:
     """Backtracking Armijo search on the merit along ``d`` from ``z``.
 
     ``psi0`` is the merit at ``z`` and ``slope`` its directional derivative
-    ``g @ d`` with ``g = H.T @ F``. Tries ``t = 1, 1/2, ...`` and accepts the
-    first with ``merit(z + t*d) <= psi0 + t*ARMIJO_SLOPE*slope`` and
-    ``merit(z + t*d) < psi0``. Returns ``t`` with the residual and the merit
-    at ``z + t*d``, or ``(0.0, None, None)`` when no trial step passes.
+    ``g @ d`` with ``g = H.T @ F``. Evaluates ``t = 1, 1/2, ...`` and
+    accepts the first with ``merit(z + t*d) <= psi0 + t*ARMIJO_SLOPE*slope``
+    and ``merit(z + t*d) < psi0``. Returns ``t`` with the evaluation at
+    ``z + t*d``, or ``(0.0, None)`` when no trial step passes.
     """
     t = 1.0
     for _ in range(MAX_BACKTRACKS + 1):
-        F = kkt_residual(game, z + t * d, eps, p)
-        psi = residual_merit(F, game.n)
+        ev = evaluate(game, z + t * d, eps, p)
         # strict decrease keeps steps below float resolution from passing
-        if psi <= psi0 + t * (ARMIJO_SLOPE * slope) and psi < psi0:
-            return t, F, psi
+        if ev.psi <= psi0 + t * (ARMIJO_SLOPE * slope) and ev.psi < psi0:
+            return t, ev
         t *= BACKTRACK_FACTOR
-    return 0.0, None, None
+    return 0.0, None
 
 
 def newton_solve(
@@ -161,43 +155,42 @@ def newton_solve(
 ) -> InnerResult:
     """Globalized semismooth Newton iteration on the joint system.
 
-    Each iteration runs one :func:`armijo_search` on the merit: along the
-    Newton direction of the selected Jacobian ``H``, or along the merit's
-    negative gradient ``-H.T @ F`` (a fallback step) when ``H`` is singular
-    or no backtracked Newton step passes. Raises FloatingPointError when
-    the merit at the start is not finite.
+    Each iteration builds the selected Jacobian ``H`` from the current
+    point's evaluation and runs one :func:`armijo_search` on the merit:
+    along the Newton direction of ``H``, or along the merit's negative
+    gradient ``-H.T @ F`` (a fallback step) when ``H`` is singular or no
+    backtracked Newton step passes; the accepted point's evaluation is
+    carried into the next iteration. Raises FloatingPointError when the
+    merit at the start is not finite.
     """
     n = game.n
-    z, start = _start(game, z0, eps, p, tol)
-    F, psi = start.F, start.psi
+    z, ev = _start(game, z0, eps, p, tol)
     fallback_steps = 0
     step_norms: list[float] = []
-    merit_history = [psi]
+    merit_history = [ev.psi]
     iterations = 0
-    while psi > tol and iterations < NEWTON_MAX_ITER:
-        H = generalized_jacobian(game, z, eps, p)
-        g = H.T @ F
-        d = lu_solve(H, -F)
-        t, F_trial, psi_trial = (
-            (0.0, None, None) if d is None else armijo_search(game, z, d, psi, g @ d, eps, p)
-        )
-        if F_trial is None:
+    while ev.psi > tol and iterations < NEWTON_MAX_ITER:
+        H = generalized_jacobian(game, ev)
+        g = H.T @ ev.F
+        d = lu_solve(H, -ev.F)
+        t, accepted = (0.0, None) if d is None else armijo_search(game, z, d, ev.psi, g @ d, eps, p)
+        if accepted is None:
             d = -g
-            t, F_trial, psi_trial = armijo_search(game, z, d, psi, g @ d, eps, p)
-            if F_trial is None:
+            t, accepted = armijo_search(game, z, d, ev.psi, g @ d, eps, p)
+            if accepted is None:
                 break
             fallback_steps += 1
         step = t * d
-        z, F, psi = z + step, F_trial, psi_trial
+        z, ev = z + step, accepted
         iterations += 1
-        merit_history.append(psi)
+        merit_history.append(ev.psi)
         step_norms.append(float(np.linalg.norm(step)))
     return InnerResult(
         x=z[:n],
         lam=z[n:],
-        merit=psi,
+        merit=ev.psi,
         iterations=iterations,
-        converged=psi <= tol,
+        converged=ev.psi <= tol,
         fallback_steps=fallback_steps,
         merit_history=merit_history,
         step_norms=step_norms,
@@ -245,14 +238,13 @@ def subgradient_solve(
 ) -> InnerResult:
     """Subgradient descent on the merit, at most ``SUBGRAD_MAX_ITER`` steps.
 
-    Each step forms the merit subgradient ``v = H.T @ F`` once, with
-    :func:`~mlfg.kkt.merit_subgradient` from the evaluation of the current
-    point (no Jacobian is assembled and nothing is evaluated again), and
-    searches along ``-v / |v|`` (a quasisecant of zero probe length) with
-    :func:`_step_search`; the evaluation of the accepted trial point is
-    carried into the next step. A zero subgradient, or a search in which
-    every step fails, ends the solve. Raises FloatingPointError when the
-    merit at the start is not finite.
+    Each step forms the merit subgradient ``v = H.T @ F`` with
+    :func:`~mlfg.kkt.merit_subgradient` from the current point's evaluation
+    (no Jacobian is assembled) and searches along ``-v / |v|`` (a
+    quasisecant of zero probe length) with :func:`_step_search`; the
+    accepted point's evaluation is carried into the next step. A zero
+    subgradient, or a search in which every step fails, ends the solve.
+    Raises FloatingPointError when the merit at the start is not finite.
     """
     n = game.n
     z, ev = _start(game, z0, eps, p, tol)

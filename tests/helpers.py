@@ -2,7 +2,8 @@
 
 They re-derive quantities the library computes in stacked form (a single
 leader's smoothed objective and gradient, one leader's rows of a coupling
-matrix, the subgradient step search one trial point at a time), evaluate
+matrix, the subgradient step search one trial point at a time), build the
+selected Jacobian at a point from that point's own evaluation, evaluate
 the game's exact potential and the smallest curvature of its Hessian stack,
 or sample structural properties of a game (monotonicity of the stacked
 gradient map, the exact-potential identity).
@@ -16,7 +17,7 @@ from mlfg import (
     leader_objective,
     smoothed_gradient_stack,
 )
-from mlfg.kkt import kkt_residual, residual_merit
+from mlfg.kkt import evaluate, generalized_jacobian, kkt_residual, residual_merit
 from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE
 
 
@@ -26,6 +27,11 @@ def slice_rows(game: GameSpec, M: np.ndarray, nu: int) -> np.ndarray:
     if M.shape[0] != game.n:
         raise ValueError(f"matrix has {M.shape[0]} rows, expected {game.n}")
     return M[game.x_slice(nu), :]
+
+
+def jacobian_at(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
+    """The selected Jacobian at ``z``, built from the evaluation there."""
+    return generalized_jacobian(game, evaluate(game, z, eps, p))
 
 
 def min_curvature(game: GameSpec) -> float:

@@ -10,7 +10,6 @@ from mlfg import (
     best_response_exact,
     best_response_smoothed,
     best_response_qp_oracle,
-    generalized_jacobian,
     newton_solve,
     s_stationarity_certificate,
     subgradient_solve,
@@ -19,6 +18,7 @@ from mlfg import (
 )
 
 from helpers import (
+    jacobian_at,
     leader_gradient_smoothed,
     leader_objective_smoothed,
     min_curvature,
@@ -216,7 +216,7 @@ def test_criterion_8_derivative_correctness(ds1):
     worst_jac = 0.0
     for _ in range(1000):
         z = random_smooth_point(ds1, rng, eps)
-        H = generalized_jacobian(ds1, z, eps)
+        H = jacobian_at(ds1, z, eps)
         J = fd_jacobian(ds1, z, eps)
         worst_jac = max(worst_jac, np.linalg.norm(H - J) / np.linalg.norm(J))
     worst_grad = 0.0

@@ -338,6 +338,27 @@ def test_verify_report_rejects_non_numeric_field(tmp_path, capsys, candidate_rep
 
 
 @pytest.mark.parametrize(
+    "source, text, message",
+    [
+        ("--x", "5", "not a JSON array or whitespace list of numbers"),
+        ("--x", "[[1.0], 2.0, 3.0, 4.0]", "not a JSON array or whitespace list of numbers"),
+        ("--x", "1.0 2.0 abc 4.0", "not a JSON array or whitespace list of numbers"),
+        ("--report", '{"config": ', "not valid JSON: Expecting value"),
+    ],
+    ids=["x_scalar", "x_nested", "x_word", "report_malformed"],
+)
+def test_verify_unreadable_file_named(tmp_path, capsys, source, text, message):
+    # the error names the file that could not be read as a candidate
+    path = tmp_path / "candidate.json"
+    path.write_text(text)
+    assert run("verify", "--dataset", "1", source, str(path)) == 3
+    captured = capsys.readouterr()
+    name = "--x file" if source == "--x" else "report"
+    assert f"error: {name} {path}: {message}" in captured.err
+    assert "nash gap" not in captured.out
+
+
+@pytest.mark.parametrize(
     "flags", [[], ["--method", "subgradient", "--eps-min", "0.05"]], ids=["newton", "subgradient"]
 )
 def test_library_certificate_matches_report(tmp_path, ds1, flags):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mlfg import generalized_jacobian, kkt, kkt_residual, merit, newton_solve
+from mlfg import kkt, kkt_residual, merit, newton_solve
 from mlfg.kkt import residual_merit
 from mlfg.model import matvec
 
-from helpers import leader_gradient_smoothed, min_curvature
+from helpers import jacobian_at, leader_gradient_smoothed, min_curvature
 
 
 def fd_jacobian(game, z, eps, h=1e-6):
@@ -29,7 +29,7 @@ def random_smooth_point(game, rng, eps):
 
 def merit_subgradient(game, z, eps):
     """Element H^T F of the merit subdifferential for the selected branch."""
-    return generalized_jacobian(game, z, eps).T @ kkt_residual(game, z, eps)
+    return jacobian_at(game, z, eps).T @ kkt_residual(game, z, eps)
 
 
 class TestResidual:
@@ -138,13 +138,13 @@ class TestGeneralizedJacobian:
         # strictly feasible x with zero multipliers: lam < -g on every row
         x = -3.0 * np.ones(4)
         assert np.all(ds1.constraint_values(x) < 0)
-        H = generalized_jacobian(ds1, np.concatenate([x, np.zeros(6)]), eps=0.4)
+        H = jacobian_at(ds1, np.concatenate([x, np.zeros(6)]), eps=0.4)
         np.testing.assert_array_equal(H[4:, 4:], np.eye(6))
         np.testing.assert_array_equal(H[4:, :4], np.zeros((6, 4)))
 
     def test_quadratic_inactive_structure(self, quadratic_game):
         game = quadratic_game
-        H = generalized_jacobian(game, np.zeros(8), eps=0.4)
+        H = jacobian_at(game, np.zeros(8), eps=0.4)
         np.testing.assert_array_equal(H[:4, :4], game.Q_block)
         np.testing.assert_array_equal(H[:4, 4:], game.constraint_gradient_block)
         np.testing.assert_array_equal(H[4:, 4:], np.eye(4))
@@ -154,7 +154,7 @@ class TestGeneralizedJacobian:
         rng = np.random.default_rng(2)
         for _ in range(50):
             z = random_smooth_point(ds1, rng, eps=0.5)
-            H = generalized_jacobian(ds1, z, eps=0.5)
+            H = jacobian_at(ds1, z, eps=0.5)
             J = fd_jacobian(ds1, z, eps=0.5)
             err = np.linalg.norm(H - J) / np.linalg.norm(J)
             assert err <= 1e-5
@@ -165,7 +165,7 @@ class TestGeneralizedJacobian:
             mu = min_curvature(game)
             for _ in range(20):
                 z = np.concatenate([rng.uniform(-4, 4, game.n), np.zeros(game.m_bar)])
-                xx = generalized_jacobian(game, z, eps=0.3)[: game.n, : game.n]
+                xx = jacobian_at(game, z, eps=0.3)[: game.n, : game.n]
                 assert np.max(np.abs(xx - xx.T)) <= 1e-12 * np.max(np.abs(xx))
                 v = rng.standard_normal(game.n)
                 assert v @ xx @ v >= (mu - 1e-9) * v @ v
@@ -174,7 +174,7 @@ class TestGeneralizedJacobian:
         rng = np.random.default_rng(4)
         for _ in range(50):
             z = np.concatenate([rng.uniform(-3, 3, 4), rng.uniform(-1, 1, 6)])
-            H = generalized_jacobian(ds1, z, eps=0.5)
+            H = jacobian_at(ds1, z, eps=0.5)
             lx, ll = H[4:, :4], H[4:, 4:]
             for i in range(6):
                 mult_branch = ll[i, i] == 1.0 and not lx[i].any()
@@ -185,7 +185,7 @@ class TestGeneralizedJacobian:
         x = np.ones(4)
         g = ds1.constraint_values(x)
         lam = -g.copy()  # exact ties on every row
-        H = generalized_jacobian(ds1, np.concatenate([x, lam]), eps=0.5)
+        H = jacobian_at(ds1, np.concatenate([x, lam]), eps=0.5)
         np.testing.assert_array_equal(H[4:, 4:], np.eye(6))
         np.testing.assert_array_equal(H[4:, :4], np.zeros((6, 4)))
 
@@ -212,7 +212,7 @@ class TestMeritSubgradient:
     def test_linear_in_residual(self, ds1):
         rng = np.random.default_rng(6)
         z = random_smooth_point(ds1, rng, eps=0.5)
-        H = generalized_jacobian(ds1, z, eps=0.5)
+        H = jacobian_at(ds1, z, eps=0.5)
         F = kkt_residual(ds1, z, eps=0.5)
         np.testing.assert_allclose(H.T @ (2.0 * F), 2.0 * (H.T @ F), rtol=1e-15)
         np.testing.assert_allclose(merit_subgradient(ds1, z, eps=0.5), H.T @ F, rtol=1e-15)
@@ -252,7 +252,7 @@ class TestMeritSubgradientKernel:
         for eps in (1.6, 0.1, 1e-3, 1e-6):
             for kind, z in self._points(game, rng, eps):
                 F = kkt_residual(game, z, eps, p)
-                H = generalized_jacobian(game, z, eps, p)
+                H = jacobian_at(game, z, eps, p)
                 np.testing.assert_allclose(
                     kkt.merit_subgradient(game, kkt.evaluate(game, z, eps, p)), H.T @ F, rtol=1e-12
                 )

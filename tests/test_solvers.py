@@ -3,7 +3,6 @@ import pytest
 
 from mlfg import (
     HomotopyConfig,
-    generalized_jacobian,
     homotopy_solve,
     kkt_residual,
     lu_solve,
@@ -13,10 +12,10 @@ from mlfg import (
 )
 from mlfg.kkt import evaluate, residual_merit
 from mlfg.smoothing import phi_tilde_slopes
-from mlfg.solvers import _step_search, armijo_search
+from mlfg.solvers import MAX_BACKTRACKS, _step_search, armijo_search
 
 from conftest import make_game
-from helpers import step_search_sequential
+from helpers import jacobian_at, step_search_sequential
 
 
 class TestLuSolve:
@@ -83,7 +82,7 @@ def test_start_with_infinite_merit_rejected(ds1, solve):
 def _armijo(game, z, s, eps):
     """``armijo_search`` from ``z`` along ``s``, with the merit and slope there."""
     F = kkt_residual(game, z, eps=eps)
-    g = generalized_jacobian(game, z, eps=eps).T @ F
+    g = jacobian_at(game, z, eps=eps).T @ F
     return armijo_search(game, z, s, merit(game, z, eps=eps), g @ s, eps)
 
 
@@ -91,30 +90,30 @@ class TestArmijo:
     def test_descent_direction_accepted(self, ds1):
         rng = np.random.default_rng(1)
         z = np.concatenate([rng.uniform(-1, 1, 4), rng.uniform(0, 1, 6)])
-        s = -(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
-        t, F, psi = _armijo(ds1, z, s, eps=0.8)
-        assert F is not None and t > 0.0
+        s = -(jacobian_at(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
+        t, ev = _armijo(ds1, z, s, eps=0.8)
+        assert ev is not None and t > 0.0
         # the search hands back the merit of the point it accepted
-        assert psi == merit(ds1, z + t * s, eps=0.8)
+        assert ev.psi == merit(ds1, z + t * s, eps=0.8)
 
     def test_ascent_direction_flagged(self, ds1):
         # near the root the merit is locally strictly convex, so moving
         # along the positive subgradient can only increase it
         root = newton_solve(ds1, eps=0.8)
         z = np.concatenate([root.x + 0.01, root.lam])
-        s = +(generalized_jacobian(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
-        assert _armijo(ds1, z, s, eps=0.8) == (0.0, None, None)
+        s = +(jacobian_at(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
+        assert _armijo(ds1, z, s, eps=0.8) == (0.0, None)
 
     def test_full_step_near_solution(self, ds1):
         # the local phase takes unit Newton steps
         res = newton_solve(ds1, eps=0.5, tol=1e-6)
         z = np.concatenate([res.x, res.lam])
-        H = generalized_jacobian(ds1, z, eps=0.5)
+        H = jacobian_at(ds1, z, eps=0.5)
         s = lu_solve(H, -kkt_residual(ds1, z, eps=0.5))
         assert s is not None
-        t, F, psi = _armijo(ds1, z, s, eps=0.5)
-        assert F is not None and t == 1.0
-        assert psi == merit(ds1, z + s, eps=0.5)
+        t, ev = _armijo(ds1, z, s, eps=0.5)
+        assert ev is not None and t == 1.0
+        assert ev.psi == merit(ds1, z + s, eps=0.5)
 
 
 class TestNewton:
@@ -190,6 +189,42 @@ class TestNewton:
     def test_invalid_config(self, ds1):
         with pytest.raises(ValueError):
             newton_solve(ds1, tol=0.0)
+
+    @pytest.mark.parametrize("name,total", [("ds1", 43), ("ds2", 37)])
+    def test_one_evaluation_per_point(self, request, monkeypatch, name, total):
+        # each solve evaluates its start and each Armijo trial once: the
+        # Jacobian is built from the carried evaluation, and no residual
+        # helper evaluates a point again
+        game = request.getfixturevalue(name)
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluated a point outside the solver's evaluate calls")
+
+        evaluations, searches, per_solve = [], [], []
+
+        def search(*args):
+            t, ev = armijo_search(*args)
+            searches.append(MAX_BACKTRACKS + 1 if ev is None else 1 + round(-np.log2(t)))
+            return t, ev
+
+        def solve(*args, **kwargs):
+            evaluations.clear()
+            searches.clear()
+            res = newton_solve(*args, **kwargs)
+            assert len(evaluations) == 1 + sum(searches)
+            per_solve.append(len(evaluations))
+            return res
+
+        monkeypatch.setattr(
+            "mlfg.solvers.evaluate", lambda *a: evaluations.append(a) or evaluate(*a)
+        )
+        monkeypatch.setattr("mlfg.solvers.armijo_search", search)
+        monkeypatch.setattr("mlfg.homotopy.newton_solve", solve)
+        monkeypatch.setattr("mlfg.kkt.evaluate", no_evaluation)
+        monkeypatch.setattr("mlfg.solvers.kkt_residual", no_evaluation)
+        trace = homotopy_solve(game)
+        assert trace.converged and len(per_solve) == len(trace.stages)
+        assert sum(per_solve) == total
 
 
 class TestSubgradient:
@@ -268,7 +303,6 @@ class TestSubgradient:
             lambda *a: kernel_calls.append(a[0].shape) or phi_tilde_slopes(*a),
         )
         monkeypatch.setattr("mlfg.solvers.kkt_residual", no_residual)
-        monkeypatch.setattr("mlfg.solvers.residual_merit", no_residual)
         monkeypatch.setattr("mlfg.solvers.generalized_jacobian", no_jacobian)
         monkeypatch.setattr("mlfg.kkt.generalized_jacobian", no_jacobian)
         res = subgradient_solve(ds1, eps=0.8, tol=1e-8)
@@ -307,7 +341,7 @@ def _search_inputs(game, z, eps, direction=None):
     """(z, d, eps, p, psi0, v_norm) of a step search from ``z``, along the
     normalized negative merit subgradient unless a direction is given."""
     F = kkt_residual(game, z, eps)
-    v = generalized_jacobian(game, z, eps).T @ F
+    v = jacobian_at(game, z, eps).T @ F
     v_norm = float(np.linalg.norm(v))
     d = -v / v_norm if direction is None else direction / np.linalg.norm(direction)
     return z, d, eps, 2, residual_merit(F, game.n), v_norm
