@@ -225,7 +225,10 @@ def cmd_solve(args) -> int:
 
 def _read_vector(path: Path) -> np.ndarray:
     """The numbers of an --x file: a JSON array or a whitespace-separated list."""
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"--x file {path}: not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -275,7 +278,7 @@ def cmd_verify(args) -> int:
         if args.report:
             try:
                 doc = json.loads(Path(args.report).read_text())
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise InputError(f"report {args.report}: not valid JSON: {exc}") from None
             floats = partial(np.asarray, dtype=float)
             x = _report_field(doc, args.report, "solution.x", floats)
@@ -455,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FloatingPointError as exc:  # a start whose merit is not finite
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

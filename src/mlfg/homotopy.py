@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import curvature_block, flat_point
+from .kkt import curvature_block
 # not called here; the benchmark's layer tracer binds it by this module's name
 from .kkt import merit  # noqa: F401
 from .model import GameSpec
@@ -129,7 +129,7 @@ def homotopy_solve(
     """
     cfg = cfg or HomotopyConfig()
     solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
-    z_warm = flat_point(game, z0)
+    z_warm = z0
     stages: list[StageRecord] = []
     i = 0
     while True:

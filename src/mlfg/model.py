@@ -392,7 +392,7 @@ def load_game(path: str | Path) -> GameSpec:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GameFormatError(f"{path} is not valid JSON: {exc}") from exc
     game = _game_from_dict(doc)
     findings = validate_game(game)

@@ -1,13 +1,24 @@
 """Inner equilibrium solvers at a fixed smoothing level.
 
-Two methods minimize the merit (half squared residual norm):
+Both methods minimize the merit (half squared residual norm) in one
+descent loop, :func:`_descend`, on the flat vector ``z = (x, lambda)`` of
+length ``n + m_bar``. It checks ``tol`` with :func:`check_tol` and the
+start (None for zeros), whose merit must be finite, then steps until the
+merit reaches ``tol``, the method's cap (``NEWTON_MAX_ITER`` or
+``SUBGRAD_MAX_ITER``) is hit or its step rule finds no step. Each step
+rule evaluates every trial point once with :func:`~mlfg.kkt.evaluate` and
+returns the :class:`~mlfg.kkt.Evaluation` of the point it accepts; the
+loop carries it into the next step, so no point is evaluated twice, and
+its :class:`InnerResult` splits the final iterate into ``x`` and ``lam``.
+The step rules:
 
-* a semismooth Newton iteration on the joint system, globalized by one
-  backtracking Armijo search on the merit per iteration: along the Newton
-  direction of the selected Jacobian :func:`~mlfg.kkt.generalized_jacobian`,
-  or along the negative merit gradient when that Jacobian is singular or
-  no Newton step passes;
-* a subgradient descent along the normalized negative merit subgradient,
+* semismooth Newton: one backtracking Armijo search on the merit, along
+  the Newton direction of the selected Jacobian
+  :func:`~mlfg.kkt.generalized_jacobian` (one LAPACK solve,
+  :func:`lu_solve`, which returns None for a singular or numerically
+  singular Jacobian), or along the negative merit gradient (a fallback
+  step) when that Jacobian is singular or no Newton step passes;
+* subgradient descent: along the normalized negative merit subgradient,
   which :func:`~mlfg.kkt.merit_subgradient` forms without a Jacobian, with
   a doubling/halving step length search against a sufficient-decrease
   test: the unit step and the halving ladder ``SIGMA_LADDER`` share one
@@ -16,22 +27,10 @@ Two methods minimize the merit (half squared residual norm):
   fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
-Every trial point gets one :func:`~mlfg.kkt.evaluate`, and each search
-returns the :class:`~mlfg.kkt.Evaluation` of the point it accepts; the
-solver builds its next Jacobian or subgradient from that evaluation, so
-no point is evaluated twice. They iterate on the flat vector
-``z = (x, lambda)`` of length ``n + m_bar``, with the evaluation, Jacobian
-and subgradient of :mod:`mlfg.kkt`. The start is such a vector (None for
-zeros), and the :class:`InnerResult` splits the final iterate into ``x``
-and ``lam``. Each stops once the merit reaches the ``tol`` keyword, which
-:func:`check_tol` requires to lie in ``(0, inf)``, or at its iteration cap
-(``NEWTON_MAX_ITER`` or ``SUBGRAD_MAX_ITER``). The Newton step is one
-LAPACK solve, :func:`lu_solve`, which returns None for a singular or
-numerically singular Jacobian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,17 +72,6 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def _start(game: GameSpec, z0, eps: float, p: int, tol: float) -> tuple[np.ndarray, Evaluation]:
-    """Check ``tol`` and the start; return the start and its evaluation.
-    Raises FloatingPointError when its merit is not finite."""
-    check_tol(tol)
-    z = flat_point(game, z0)
-    ev = evaluate(game, z, eps, p)
-    if not np.isfinite(ev.psi):
-        raise FloatingPointError(f"merit is not finite at the start, got {ev.psi}")
-    return z, ev
-
-
 def lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve a small dense system through LAPACK (``numpy.linalg.solve``).
 
@@ -120,9 +108,47 @@ class InnerResult:
     merit: float
     iterations: int
     converged: bool
-    fallback_steps: int = 0
-    merit_history: list[float] = field(default_factory=list)
-    step_norms: list[float] = field(default_factory=list)
+    fallback_steps: int
+    merit_history: list[float]
+    step_norms: list[float]
+
+
+def _descend(game: GameSpec, z0, eps, p, tol, max_iter: int, step) -> InnerResult:
+    """The descent loop of both methods (see the module docstring).
+
+    ``step(z, ev)`` gets the current point and its evaluation and returns
+    ``(dz, ev_next, size, fallback)``: the step, the next point's
+    evaluation, the size recorded in ``step_norms`` and whether it counts
+    as a fallback step; or None, which ends the solve. Raises
+    FloatingPointError when the merit at the start is not finite.
+    """
+    check_tol(tol)
+    z = flat_point(game, z0)
+    ev = evaluate(game, z, eps, p)
+    if not np.isfinite(ev.psi):
+        raise FloatingPointError(f"merit is not finite at the start, got {ev.psi}")
+    merit_history = [ev.psi]
+    step_norms: list[float] = []
+    fallback_steps = 0
+    while ev.psi > tol and len(step_norms) < max_iter:
+        taken = step(z, ev)
+        if taken is None:
+            break
+        dz, ev, size, fallback = taken
+        z = z + dz
+        merit_history.append(ev.psi)
+        step_norms.append(size)
+        fallback_steps += fallback
+    return InnerResult(
+        x=z[: game.n],
+        lam=z[game.n :],
+        merit=ev.psi,
+        iterations=len(step_norms),
+        converged=ev.psi <= tol,
+        fallback_steps=fallback_steps,
+        merit_history=merit_history,
+        step_norms=step_norms,
+    )
 
 
 def armijo_search(
@@ -163,38 +189,19 @@ def newton_solve(
     carried into the next iteration. Raises FloatingPointError when the
     merit at the start is not finite.
     """
-    n = game.n
-    z, ev = _start(game, z0, eps, p, tol)
-    fallback_steps = 0
-    step_norms: list[float] = []
-    merit_history = [ev.psi]
-    iterations = 0
-    while ev.psi > tol and iterations < NEWTON_MAX_ITER:
+
+    def step(z, ev):
         H = generalized_jacobian(game, ev)
         g = H.T @ ev.F
-        d = lu_solve(H, -ev.F)
-        t, accepted = (0.0, None) if d is None else armijo_search(game, z, d, ev.psi, g @ d, eps, p)
-        if accepted is None:
-            d = -g
-            t, accepted = armijo_search(game, z, d, ev.psi, g @ d, eps, p)
-            if accepted is None:
-                break
-            fallback_steps += 1
-        step = t * d
-        z, ev = z + step, accepted
-        iterations += 1
-        merit_history.append(ev.psi)
-        step_norms.append(float(np.linalg.norm(step)))
-    return InnerResult(
-        x=z[:n],
-        lam=z[n:],
-        merit=ev.psi,
-        iterations=iterations,
-        converged=ev.psi <= tol,
-        fallback_steps=fallback_steps,
-        merit_history=merit_history,
-        step_norms=step_norms,
-    )
+        for d, fallback in ((lu_solve(H, -ev.F), False), (-g, True)):
+            if d is not None:
+                t, accepted = armijo_search(game, z, d, ev.psi, g @ d, eps, p)
+                if accepted is not None:
+                    dz = t * d
+                    return dz, accepted, float(np.linalg.norm(dz)), fallback
+        return None
+
+    return _descend(game, z0, eps, p, tol, NEWTON_MAX_ITER, step)
 
 
 def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
@@ -246,30 +253,14 @@ def subgradient_solve(
     subgradient, or a search in which every step fails, ends the solve.
     Raises FloatingPointError when the merit at the start is not finite.
     """
-    n = game.n
-    z, ev = _start(game, z0, eps, p, tol)
-    merit_history = [ev.psi]
-    step_norms: list[float] = []
-    iterations = 0
-    while ev.psi > tol and iterations < SUBGRAD_MAX_ITER:
+
+    def step(z, ev):
         v = merit_subgradient(game, ev)
         v_norm = float(np.linalg.norm(v))
         if v_norm == 0.0:
-            break
+            return None
         d = -v / v_norm
         sigma, accepted = _step_search(game, z, d, eps, p, ev.psi, v_norm)
-        if accepted is None:
-            break
-        z, ev = z + sigma * d, accepted
-        iterations += 1
-        merit_history.append(ev.psi)
-        step_norms.append(sigma)
-    return InnerResult(
-        x=z[:n],
-        lam=z[n:],
-        merit=ev.psi,
-        iterations=iterations,
-        converged=ev.psi <= tol,
-        merit_history=merit_history,
-        step_norms=step_norms,
-    )
+        return None if accepted is None else (sigma * d, accepted, sigma, False)
+
+    return _descend(game, z0, eps, p, tol, SUBGRAD_MAX_ITER, step)

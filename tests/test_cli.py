@@ -359,6 +359,37 @@ def test_verify_unreadable_file_named(tmp_path, capsys, source, text, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--data"],
+        ["verify", "--dataset", "1", "--x"],
+        ["verify", "--dataset", "1", "--report"],
+    ],
+    ids=" ".join,
+)
+def test_non_utf8_file_named(tmp_path, capsys, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe")
+    assert run(*argv, str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_start_with_infinite_merit_exits_1(tmp_path, capsys, command):
+    # a valid game whose merit overflows at every start
+    doc = json.loads(bundled_dataset_path(1).read_text())
+    doc["leaders"][0]["c"] = [1e308, 1e308]
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "bench.csv")] if command == "bench" else []
+    with np.errstate(over="ignore"):
+        assert run(command, "--data", str(game), *out) == 1
+    assert "error: merit is not finite at the start" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [game]
+
+
+@pytest.mark.parametrize(
     "flags", [[], ["--method", "subgradient", "--eps-min", "0.05"]], ids=["newton", "subgradient"]
 )
 def test_library_certificate_matches_report(tmp_path, ds1, flags):

@@ -79,6 +79,22 @@ def test_start_with_infinite_merit_rejected(ds1, solve):
         solve(ds1, np.full(10, 1e200))
 
 
+@pytest.mark.parametrize("eps", [1.6, 0.1])
+@pytest.mark.parametrize("game", ["ds1", "ds2", "kink_game"])
+@pytest.mark.parametrize("solve", [newton_solve, subgradient_solve])
+def test_inner_result_invariants(request, solve, game, eps):
+    # what the shared descent loop records, whichever step rule it runs
+    tol = 1e-10
+    res = solve(request.getfixturevalue(game), eps=eps, tol=tol)
+    assert len(res.merit_history) == res.iterations + 1 == len(res.step_norms) + 1
+    assert res.merit == res.merit_history[-1]
+    assert res.converged == (res.merit <= tol)
+    if solve is subgradient_solve:
+        assert res.fallback_steps == 0
+    else:
+        assert res.fallback_steps <= res.iterations
+
+
 def _armijo(game, z, s, eps):
     """``armijo_search`` from ``z`` along ``s``, with the merit and slope there."""
     F = kkt_residual(game, z, eps=eps)
