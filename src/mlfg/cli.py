@@ -50,11 +50,10 @@ class InputError(ValueError):
 
 
 def _resolve_game_path(args) -> Path:
-    if getattr(args, "dataset", None) is not None:
+    """The game file of exactly one of ``--dataset`` and ``--data``."""
+    if args.dataset is not None:
         return bundled_dataset_path(args.dataset)
-    if getattr(args, "data", None):
-        return Path(args.data)
-    raise InputError("one of --data or --dataset is required")
+    return Path(args.data)
 
 
 def _load(args) -> tuple[GameSpec, Path]:
@@ -275,7 +274,7 @@ def cmd_verify(args) -> int:
         if not 0.0 < args.tol < np.inf:
             raise InputError(f"--tol must be positive and finite, got {args.tol}")
         game, _ = _load(args)
-        if args.report:
+        if args.report is not None:
             try:
                 doc = json.loads(Path(args.report).read_text())
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -287,12 +286,10 @@ def cmd_verify(args) -> int:
             p = _report_field(doc, args.report, "config.p")
             if not isinstance(p, int) or p < 2 or p % 2:
                 raise InputError(f"report {args.report}: config.p {p!r} is not an even integer >= 2")
-        elif args.x:
+        else:
             vec = _read_vector(Path(args.x))
             x, lam = vec[: game.n], (vec[game.n :] if vec.shape[0] > game.n else None)
             eps_final, p = args.eps_final, 2
-        else:
-            raise InputError("one of --x or --report is required")
         _check_candidate(game, x, lam, eps_final)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -410,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_game_args(p):
-        p.add_argument("--data", help="path to a game JSON file")
-        p.add_argument("--dataset", type=int, choices=(1, 2), help="bundled dataset number")
+        game = p.add_mutually_exclusive_group(required=True)
+        game.add_argument("--data", help="path to a game JSON file")
+        game.add_argument("--dataset", type=int, choices=(1, 2), help="bundled dataset number")
 
     solve = sub.add_parser("solve", help="run the continuation and certify the result")
     add_game_args(solve)
@@ -429,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="certify a candidate strategy")
     add_game_args(verify)
-    verify.add_argument("--x", help="file with the candidate (JSON array or whitespace list)")
-    verify.add_argument("--report", help="verify the solution embedded in a solve report")
+    candidate = verify.add_mutually_exclusive_group(required=True)
+    candidate.add_argument("--x", help="file with the candidate (JSON array or whitespace list)")
+    candidate.add_argument("--report", help="verify the solution embedded in a solve report")
     verify.add_argument("--tol", type=float, default=NASH_TOL, help="nash gap tolerance")
     verify.add_argument(
         "--eps-final", dest="eps_final", type=float, default=1e-6,

@@ -74,22 +74,19 @@ def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
 
 class Evaluation(NamedTuple):
     """What :func:`evaluate` computes at one point: the residual ``F``, the
-    merit ``psi``, the kernel arguments ``t = A_diff x``, which min rows are
-    on the ``constraint_branch`` (``lam > -g``) and the curvature weights
-    ``curv = 0.5 a phi_tilde''(t)``. For a stack of points every field has
-    a leading row axis, one row per point."""
+    merit ``psi``, which min rows are on the ``constraint_branch``
+    (``lam > -g``) and the curvature weights ``curv = 0.5 a phi_tilde''(t)``
+    at the kernel arguments ``t = A_diff x``. For a stack of points every
+    field has a leading row axis, one row per point."""
 
     F: np.ndarray
     psi: float | np.ndarray
-    t: np.ndarray
     constraint_branch: np.ndarray
     curv: np.ndarray
 
     def row(self, i: int) -> Evaluation:
         """Row ``i`` of a stacked evaluation, equal to that point's own."""
-        return Evaluation(
-            self.F[i], float(self.psi[i]), self.t[i], self.constraint_branch[i], self.curv[i]
-        )
+        return Evaluation(self.F[i], float(self.psi[i]), self.constraint_branch[i], self.curv[i])
 
 
 def evaluate(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> Evaluation:
@@ -103,7 +100,7 @@ def evaluate(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> Evaluatio
     F1 = u[..., m : m + n] + game.stationarity_constant + matvec(game.half_A_diffT_a, slopes)
     lam, neg_g = z[..., n:], -(u[..., m + n :] + game.b_stack)
     F = np.concatenate([F1, np.minimum(lam, neg_g)], axis=-1)
-    return Evaluation(F, residual_merit(F, n), t, lam > neg_g, 0.5 * game.follower.a * second)
+    return Evaluation(F, residual_merit(F, n), lam > neg_g, 0.5 * game.follower.a * second)
 
 
 def kkt_residual(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:

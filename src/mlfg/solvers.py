@@ -124,7 +124,9 @@ def _descend(game: GameSpec, z0, eps, p, tol, max_iter: int, step) -> InnerResul
     """
     check_tol(tol)
     z = flat_point(game, z0)
-    ev = evaluate(game, z, eps, p)
+    # a start that overflows raises the FloatingPointError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = evaluate(game, z, eps, p)
     if not np.isfinite(ev.psi):
         raise FloatingPointError(f"merit is not finite at the start, got {ev.psi}")
     merit_history = [ev.psi]

@@ -2,19 +2,20 @@
 
 Each leader's nonsmooth problem against frozen rivals is an exact convex QP
 in epigraph form (exact because the response weights are nonnegative).
-:func:`certify` checks the candidate against the strong stationarity system
-of the complementarity-constrained form with explicitly constructed
-multipliers, and bounds every leader's Nash gap from above by Lagrangian
-weak duality at those same multipliers: one small dense solve per leader.
-The bound holds for any ``lam >= 0`` and any branch split of the response
-weights, so its soundness does not depend on the solver path that produced
-the candidate; a loose multiplier can only make it refuse, never pass.
-:func:`certify` alone decides the verdict, gates scaled by the smoothing
-level's payoff drift; ``lam=None`` fits the constraint multipliers.
+:func:`s_stationarity_certificate` builds a candidate's whole
+:class:`Certificate` in one pass: strong stationarity residuals of the
+complementarity-constrained form with explicitly constructed multipliers,
+and upper bounds on every leader's Nash gap by Lagrangian weak duality at
+those same multipliers, one small dense solve per leader. The bound holds
+for any ``lam >= 0`` and any branch split of the response weights, so its
+soundness does not depend on the solver path that produced the candidate;
+a loose multiplier can only make it refuse, never pass. :func:`certify`
+alone decides the verdict, gates scaled by the smoothing level's payoff
+drift; ``lam=None`` fits the constraint multipliers.
 
-:func:`verify_nash` re-solves each epigraph QP globally by exhaustive
-active-set enumeration. It is exponential in the follower dimension and
-serves as the exact reference for the bound on tiny instances.
+:func:`verify_nash` returns the exact gaps by exhaustive active-set
+enumeration of each epigraph QP, exponential in the follower dimension:
+the reference for the bound on tiny instances.
 """
 from __future__ import annotations
 
@@ -49,32 +50,26 @@ class OracleError(RuntimeError):
     """The epigraph program has no feasible stationary candidate."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """Nash-gap and strong-stationarity evidence for a candidate point.
+    """A candidate's complete certificate, frozen: Nash-gap upper bounds,
+    the kernel derivative values ``xi_bar`` and the branch multipliers they
+    give, and the strong stationarity residuals, each with its gate."""
 
-    ``nash_method`` says how ``nash_gaps`` were obtained: ``"weak_duality"``
-    (upper bounds, from :func:`certify`) or ``"enumeration"`` (exact gaps,
-    from :func:`verify_nash`).
-    """
-
-    nash_gaps: np.ndarray | None = None
-    nash_tol: float = NASH_TOL
-    nash_method: str | None = None
-    xi_bar: np.ndarray | None = None
-    Gamma1: np.ndarray | None = None
-    Gamma2: np.ndarray | None = None
-    s_stat_residuals: dict[str, float] | None = None
-    s_tol: float = STAT_TOL
+    nash_gaps: np.ndarray
+    nash_tol: float
+    xi_bar: np.ndarray
+    Gamma1: np.ndarray
+    Gamma2: np.ndarray
+    s_stat_residuals: dict[str, float]
+    s_tol: float
 
     @property
     def nash_certified(self) -> bool:
-        return self.nash_gaps is not None and float(np.max(self.nash_gaps)) <= self.nash_tol
+        return float(np.max(self.nash_gaps)) <= self.nash_tol
 
     @property
     def s_certified(self) -> bool:
-        if self.s_stat_residuals is None:
-            return False
         return max(self.s_stat_residuals.values()) <= self.s_tol
 
     @property
@@ -82,17 +77,14 @@ class Certificate:
         return self.nash_certified and self.s_certified
 
     def to_dict(self) -> dict:
-        def arr(v):
-            return None if v is None else np.asarray(v).tolist()
-
         return {
-            "nash_gaps": arr(self.nash_gaps),
+            "nash_gaps": self.nash_gaps.tolist(),
             "nash_tol": self.nash_tol,
             "nash_certified": self.nash_certified,
-            "nash_method": self.nash_method,
-            "xi_bar": arr(self.xi_bar),
-            "Gamma1": arr(self.Gamma1),
-            "Gamma2": arr(self.Gamma2),
+            "nash_method": "weak_duality",
+            "xi_bar": self.xi_bar.tolist(),
+            "Gamma1": self.Gamma1.tolist(),
+            "Gamma2": self.Gamma2.tolist(),
             "s_stat_residuals": self.s_stat_residuals,
             "s_tol": self.s_tol,
             "s_certified": self.s_certified,
@@ -190,12 +182,11 @@ def best_response_qp_oracle(
     return w[:n_nu].copy(), float(value)
 
 
-def verify_nash(game: GameSpec, x: np.ndarray, tol: float = NASH_TOL) -> Certificate:
-    """Per-leader optimality gaps against the epigraph oracle.
+def verify_nash(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """Exact per-leader Nash gaps against the epigraph oracle.
 
     A gap is the candidate objective minus the oracle optimum with rivals
-    frozen; all gaps at or below ``tol`` certify the candidate as an
-    equilibrium of the nonsmooth game at that tolerance.
+    frozen; the reference that :func:`nash_gap_bounds` bounds from above.
     """
     x = np.asarray(x, dtype=float)
     gaps = np.empty(game.num_leaders)
@@ -203,7 +194,7 @@ def verify_nash(game: GameSpec, x: np.ndarray, tol: float = NASH_TOL) -> Certifi
         _, rivals = split_strategy(game, nu, x)
         _, opt = best_response_qp_oracle(game, nu, rivals)
         gaps[nu - 1] = leader_objective(game, nu, x) - opt
-    return Certificate(nash_gaps=gaps, nash_tol=tol, nash_method="enumeration")
+    return gaps
 
 
 def nash_gap_bounds(
@@ -244,24 +235,26 @@ def nash_gap_bounds(
 def s_stationarity_certificate(
     game: GameSpec,
     x: np.ndarray,
-    lam: np.ndarray,
+    lam: np.ndarray | None,
     eps_final: float,
     p: int = 2,
     tol: float = STAT_TOL,
+    nash_tol: float = NASH_TOL,
 ) -> Certificate:
-    """Strong stationarity residuals with constructed multipliers.
+    """The complete :class:`Certificate` of a candidate, in one pass.
 
     The kernel's derivative values at the final smoothing level, unrounded,
     split the response weights between the two branches into the
-    complementarity multipliers.
+    complementarity multipliers. ``lam=None`` fits the constraint
+    multipliers: least squares on the stationarity rows over the
+    constraints with ``g >= -tol``, clipped at zero. Those multipliers bound
+    the Nash gaps by weak duality (:func:`nash_gap_bounds`).
     """
     x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     fol = game.follower
     a = fol.a
 
-    t = game.A_diff @ x
-    xi_bar = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
+    xi_bar = np.asarray(phi_tilde_d1(game.A_diff @ x, eps_final, p), dtype=float)
     Gamma1 = 0.5 * a * (1.0 - xi_bar)
     Gamma2 = a - Gamma1
 
@@ -270,13 +263,16 @@ def s_stationarity_certificate(
     G2 = y - fol.L.T @ x
     g = game.constraint_values(x)
 
-    stat_x = (
-        game.Q_block @ x
-        + game.c_stack
-        + game.constraint_gradient_block @ lam
-        + game.drive.T @ Gamma1
-        + fol.L @ Gamma2
-    )
+    base = game.Q_block @ x + game.c_stack
+    drive_term, bound_term = game.drive.T @ Gamma1, fol.L @ Gamma2
+    if lam is None:
+        active = g >= -tol
+        lam = np.zeros(game.m_bar)
+        G = game.constraint_gradient_block[:, active]
+        r = base + (drive_term + bound_term)
+        lam[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
+    lam = np.asarray(lam, dtype=float)
+    stat_x = base + game.constraint_gradient_block @ lam + drive_term + bound_term
 
     residuals = {
         "stationarity_x": float(np.max(np.abs(stat_x))),
@@ -289,9 +285,8 @@ def s_stationarity_certificate(
         "branch2_complementarity": float(np.max(np.abs(G2 * Gamma2))),
         "gamma_sign": float(max(0.0, -min(np.min(Gamma1), np.min(Gamma2)))),
     }
-    return Certificate(
-        xi_bar=xi_bar, Gamma1=Gamma1, Gamma2=Gamma2, s_stat_residuals=residuals, s_tol=tol
-    )
+    gaps = nash_gap_bounds(game, x, lam, Gamma1)
+    return Certificate(gaps, nash_tol, xi_bar, Gamma1, Gamma2, residuals, tol)
 
 
 def certify(
@@ -308,30 +303,15 @@ def certify(
     A candidate from a run stopped at ``eps_final`` is certifiable only up
     to that level's payoff drift (:func:`smoothing_drift`), so the gates are
     ``max(nash_tol, drift)`` and ``max(STAT_TOL, drift)``; the gaps and
-    residuals are reported raw. ``lam=None`` fits the constraint
-    multipliers: least squares on the stationarity rows over the
-    constraints with ``g >= -s_tol``, clipped at zero. The residuals use
-    the constructed branch multipliers; those and ``lam`` then bound each
-    leader's Nash gap from above by weak duality (:func:`nash_gap_bounds`)
-    for every ``lam >= 0``, so a certified verdict implies true gaps within
-    the Nash gate.
+    residuals are reported raw. The gaps of the certificate that
+    :func:`s_stationarity_certificate` builds at those gates bound the true
+    gaps from above for every ``lam >= 0`` (``None`` fits it), so a
+    certified verdict implies true gaps within the Nash gate.
     """
-    x = np.asarray(x, dtype=float)
     drift = smoothing_drift(game, eps_final)
-    s_tol = max(STAT_TOL, drift)
-    if lam is None:
-        split = s_stationarity_certificate(game, x, np.zeros(game.m_bar), eps_final, p)
-        r = game.Q_block @ x + game.c_stack
-        r += game.drive.T @ split.Gamma1 + game.follower.L @ split.Gamma2
-        active = game.constraint_values(x) >= -s_tol
-        lam = np.zeros(game.m_bar)
-        G = game.constraint_gradient_block[:, active]
-        lam[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
-    cert = s_stationarity_certificate(game, x, lam, eps_final, p, s_tol)
-    cert.nash_gaps = nash_gap_bounds(game, x, lam, cert.Gamma1)
-    cert.nash_tol = max(nash_tol, drift)
-    cert.nash_method = "weak_duality"
-    return cert
+    return s_stationarity_certificate(
+        game, x, lam, eps_final, p, max(STAT_TOL, drift), max(nash_tol, drift)
+    )
 
 
 def smoothing_drift(game: GameSpec, eps_final: float) -> float:

@@ -15,6 +15,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def exit_code(*argv):
+    """The exit code of a command line, returned by ``main`` or raised by
+    the parser."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_solve_dataset1(tmp_path, capsys):
     report = tmp_path / "report.json"
     log = tmp_path / "iters.csv"
@@ -73,7 +82,7 @@ def test_solve_missing_data_file():
 
 
 def test_solve_requires_game():
-    assert run("solve") == 3
+    assert exit_code("solve") == 3
 
 
 def test_solve_invalid_eps0():
@@ -383,9 +392,9 @@ def test_start_with_infinite_merit_exits_1(tmp_path, capsys, command):
     game = tmp_path / "game.json"
     game.write_text(json.dumps(doc))
     out = ["--out", str(tmp_path / "bench.csv")] if command == "bench" else []
-    with np.errstate(over="ignore"):
-        assert run(command, "--data", str(game), *out) == 1
-    assert "error: merit is not finite at the start" in capsys.readouterr().err
+    assert run(command, "--data", str(game), *out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: merit is not finite at the start") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [game]
 
 
@@ -404,7 +413,35 @@ def test_library_certificate_matches_report(tmp_path, ds1, flags):
 
 
 def test_verify_requires_candidate():
-    assert run("verify", "--dataset", "1") == 3
+    assert exit_code("verify", "--dataset", "1") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--data", "{missing}", "--dataset", "1", "--out", "{out}"],
+        ["solve", "--out", "{out}"],
+        ["bench", "--data", "{missing}", "--dataset", "1", "--starts", "1", "--out", "{out}"],
+        ["bench", "--starts", "1", "--out", "{out}"],
+        ["verify", "--data", "{missing}", "--dataset", "1", "--report", "{report}"],
+        ["verify", "--report", "{report}"],
+        ["verify", "--dataset", "1", "--x", "{x}", "--report", "{report}"],
+        ["verify", "--dataset", "1"],
+    ],
+    ids=" ".join,
+)
+def test_game_and_candidate_sources_are_exclusive(tmp_path, capsys, argv):
+    # exactly one of --data/--dataset, and for verify one of --x/--report;
+    # both or neither is an input error, and nothing is written
+    report, x = tmp_path / "report.json", tmp_path / "x.json"
+    assert run("solve", "--dataset", "1", "--out", str(report)) == 0
+    x.write_text(json.dumps(json.loads(report.read_text())["solution"]["x"]))
+    capsys.readouterr()
+    paths = dict(missing=tmp_path / "missing.json", out=tmp_path / "out.csv", report=report, x=x)
+    assert exit_code(*(arg.format(**paths) for arg in argv)) == 3
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err or "is required" in err
+    assert sorted(tmp_path.iterdir()) == [report, x]
 
 
 def test_bench_outputs(tmp_path, capsys):

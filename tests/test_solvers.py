@@ -75,7 +75,7 @@ def test_wrong_length_start_rejected(ds1, solve):
 @pytest.mark.parametrize("solve", [newton_solve, subgradient_solve])
 def test_start_with_infinite_merit_rejected(ds1, solve):
     # every residual entry is finite at 1e200, their squares are not
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+    with pytest.raises(FloatingPointError, match="not finite"):
         solve(ds1, np.full(10, 1e200))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mlfg import (
     OracleError,
     best_response_qp_oracle,
     certify,
+    homotopy_solve,
     leader_objective,
     s_stationarity_certificate,
     split_strategy,
@@ -168,23 +171,23 @@ class TestVerifyNash:
     def test_quadratic_equilibrium_certifies(self, quadratic_game):
         game = quadratic_game
         x_star = np.concatenate([-np.linalg.solve(ld.Q, ld.c) for ld in game.leaders])
-        cert = verify_nash(game, x_star, tol=1e-9)
-        assert np.all(cert.nash_gaps <= 1e-12)
-        assert np.all(cert.nash_gaps >= -1e-12)
-        assert cert.nash_certified
+        gaps = verify_nash(game, x_star)
+        assert np.all(gaps <= 1e-12)
+        assert np.all(gaps >= -1e-12)
+        assert np.max(gaps) <= 1e-9
 
     def test_perturbation_opens_gap(self, ds1, trace1):
         x = trace1.final.x.copy()
         x[0] += 0.1
-        cert = verify_nash(ds1, x, tol=1e-5)
-        assert cert.nash_gaps[0] > 1e-4
-        assert not cert.nash_certified
+        gaps = verify_nash(ds1, x)
+        assert gaps[0] > 1e-4
+        assert not np.max(gaps) <= 1e-5
 
     def test_homotopy_output_certifies(self, ds1, trace1, ds2, trace2):
         for game, trace in ((ds1, trace1), (ds2, trace2)):
-            cert = verify_nash(game, trace.final.x, tol=1e-5)
-            assert cert.nash_certified
-            assert np.all(cert.nash_gaps >= -1e-12)
+            gaps = verify_nash(game, trace.final.x)
+            assert np.max(gaps) <= 1e-5
+            assert np.all(gaps >= -1e-12)
 
 
 class TestStationarityCertificate:
@@ -251,7 +254,7 @@ class TestWeakDualityBound:
             game = tiny_instance(rng)
             k, a = game.n, game.follower.a
             x = rng.uniform(-1.5, 1.5, k)
-            gap = verify_nash(game, x).nash_gaps[0]
+            gap = verify_nash(game, x)[0]
             lam_raw = rng.uniform(-1.0, 2.0, 2 * k)
             Gamma1_raw = a * rng.uniform(-1.0, 2.0, a.shape[0])
             lam, Gamma1 = np.maximum(lam_raw, 0.0), np.clip(Gamma1_raw, 0.0, a)
@@ -264,10 +267,8 @@ class TestWeakDualityBound:
         for game, trace in ((ds1, trace1), (ds2, trace2)):
             x = trace.final.x
             cert = certify(game, x, trace.final.lam, trace.final_eps)
-            assert cert.nash_method == "weak_duality"
-            np.testing.assert_allclose(
-                cert.nash_gaps, verify_nash(game, x).nash_gaps, rtol=0.0, atol=1e-9
-            )
+            assert cert.to_dict()["nash_method"] == "weak_duality"
+            np.testing.assert_allclose(cert.nash_gaps, verify_nash(game, x), rtol=0.0, atol=1e-9)
 
     def test_certify_never_enumerates(self, monkeypatch, ds1, trace1, ds2, trace2):
         def refuse(*args, **kwargs):
@@ -277,6 +278,47 @@ class TestWeakDualityBound:
         for game, trace in ((ds1, trace1), (ds2, trace2)):
             cert = certify(game, trace.final.x, trace.final.lam, trace.final_eps)
             assert cert.certified
+
+
+class TestCertificatePromises:
+    def test_certified_implies_true_gaps_within_tolerance(self):
+        # soundness: solved and perturbed candidates, with solved and fitted
+        # multipliers; every certified one has exact gaps within the gate
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(30):
+            game = tiny_instance(rng)
+            trace = homotopy_solve(game)
+            for delta in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+                x = trace.final.x + delta * rng.standard_normal(game.n)
+                for lam in (trace.final.lam, None):
+                    cert = certify(game, x, lam, trace.final_eps)
+                    outcomes.add(cert.certified)
+                    if cert.certified:
+                        assert np.max(verify_nash(game, x)) <= cert.nash_tol
+        assert outcomes == {True, False}
+
+    def test_fitted_certificate_is_one_pass(self, monkeypatch, active_game, active_trace):
+        calls = {"phi_tilde_d1": 0, "best_response_exact": 0}
+
+        def counted(name):
+            inner = getattr(mlfg.verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(mlfg.verify, name, counted(name))
+        certify(active_game, active_trace.final.x, None, active_trace.final_eps)
+        assert calls == {"phi_tilde_d1": 1, "best_response_exact": 1}
+
+    def test_certificate_is_frozen(self, ds1, trace1):
+        cert = certify(ds1, trace1.final.x, trace1.final.lam, trace1.final_eps)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.nash_tol = 1.0
 
 
 class TestActiveConstraints:
@@ -291,7 +333,7 @@ class TestActiveConstraints:
         final = active_trace.final
         cert = certify(active_game, final.x, final.lam, active_trace.final_eps)
         np.testing.assert_allclose(
-            cert.nash_gaps, verify_nash(active_game, final.x).nash_gaps, rtol=0.0, atol=1e-9
+            cert.nash_gaps, verify_nash(active_game, final.x), rtol=0.0, atol=1e-9
         )
 
     def test_fitted_multipliers_certify(self, active_game, active_trace):
