@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .homotopy import HomotopyConfig, HomotopyTrace, homotopy_solve
+from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, homotopy_solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import best_response_exact
 from .solvers import newton_solve
@@ -49,15 +50,9 @@ class InputError(ValueError):
     pass
 
 
-def _resolve_game_path(args) -> Path:
-    """The game file of exactly one of ``--dataset`` and ``--data``."""
-    if args.dataset is not None:
-        return bundled_dataset_path(args.dataset)
-    return Path(args.data)
-
-
 def _load(args) -> tuple[GameSpec, Path]:
-    path = _resolve_game_path(args)
+    """The game of exactly one of ``--dataset`` and ``--data``, and its file."""
+    path = Path(args.data) if args.dataset is None else bundled_dataset_path(args.dataset)
     return load_game(path), path
 
 
@@ -93,27 +88,28 @@ def _check_out_path(flag: str, path: str | None, game_path: Path) -> None:
         raise InputError(f"{flag} {path}: not a writable file")
 
 
-def _initial_point(game: GameSpec, seed: int | None) -> np.ndarray | None:
-    """A seeded random start ``(x, lambda)`` with ``lambda >= 0``; None (zeros)
-    without a seed."""
+def _initial_point(game: GameSpec, seed: int | None, *stream: int) -> np.ndarray | None:
+    """A random start ``(x, lambda)``, ``lambda >= 0``, from ``default_rng(seed)``, or
+    ``default_rng([seed, *stream])`` for a bench start; None (zeros) without a seed."""
     if seed is None:
         return None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, *stream] if stream else seed)
     z = rng.uniform(-1.0, 1.0, game.n + game.m_bar)
     z[game.n :] = np.maximum(z[game.n :], 0.0)
     return z
 
 
-def _homotopy_config(args) -> HomotopyConfig:
-    return HomotopyConfig(
-        eps0=args.eps0,
-        gamma=args.gamma,
-        eps_min=args.eps_min,
-        taylor=args.taylor == "on",
-        method=args.method,
-        tol=args.tol,
-        p=args.p,
-    )
+def _on_off(flag: bool) -> str:
+    return "on" if flag else "off"
+
+
+def _homotopy_config(args, **overrides) -> HomotopyConfig:
+    """A command line's continuation settings: every HomotopyConfig field the
+    command has a flag for, then ``overrides``; the config checks them."""
+    given = {f.name: getattr(args, f.name) for f in fields(HomotopyConfig) if hasattr(args, f.name)}
+    if "taylor" in given:
+        given["taylor"] = given["taylor"] == "on"
+    return HomotopyConfig(**{**given, **overrides})
 
 
 def _write_csv(path: Path, columns: list[str], rows) -> None:
@@ -123,7 +119,7 @@ def _write_csv(path: Path, columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _iter_log_rows(trace: HomotopyTrace, method: str, taylor: bool):
+def _iter_log_rows(trace: HomotopyTrace, cfg: HomotopyConfig):
     """Rows of the iteration log (``ITER_LOG_COLUMNS``), one per inner iterate."""
     for stage in trace.stages:
         res = stage.result
@@ -132,8 +128,8 @@ def _iter_log_rows(trace: HomotopyTrace, method: str, taylor: bool):
             yield [
                 stage.index,
                 repr(stage.eps),
-                method,
-                "on" if taylor else "off",
+                cfg.method,
+                _on_off(cfg.taylor),
                 k,
                 repr(float(psi)),
                 repr(float(step)),
@@ -143,22 +139,14 @@ def _iter_log_rows(trace: HomotopyTrace, method: str, taylor: bool):
 
 
 def _build_report(
-    game: GameSpec, path: Path, args, trace: HomotopyTrace, cert: Certificate
+    game: GameSpec, path: Path, cfg: HomotopyConfig, seed: int | None,
+    trace: HomotopyTrace, cert: Certificate,
 ) -> dict:
     final = trace.final
     return {
         "tool": {"name": "mlfg", "version": __version__},
         "game": {"path": str(path), **_fingerprint(game)},
-        "config": {
-            "method": args.method,
-            "eps0": args.eps0,
-            "gamma": args.gamma,
-            "eps_min": args.eps_min,
-            "tol": args.tol,
-            "taylor": args.taylor,
-            "p": args.p,
-            "seed": args.seed,
-        },
+        "config": {**asdict(cfg), "taylor": _on_off(cfg.taylor), "seed": seed},
         "stages": [
             {
                 "index": s.index,
@@ -205,19 +193,18 @@ def cmd_solve(args) -> int:
             f"converged={s.result.converged}"
         )
     if args.log:
-        rows = _iter_log_rows(trace, args.method, cfg.taylor)
-        _write_csv(Path(args.log), ITER_LOG_COLUMNS, rows)
+        _write_csv(Path(args.log), ITER_LOG_COLUMNS, _iter_log_rows(trace, cfg))
     if not trace.converged:
         print("solver failed to converge at some stage", file=sys.stderr)
         return EXIT_SOLVER
 
     final = trace.final
-    cert = certify(game, final.x, final.lam, trace.final_eps, p=args.p)
+    cert = certify(game, final.x, final.lam, trace.final_eps, p=cfg.p)
     print(f"nash gaps: {np.array2string(cert.nash_gaps, precision=3)}")
     print(f"max stationarity residual: {max(cert.s_stat_residuals.values()):.3e}")
     print(f"certified: {cert.certified}")
     if args.out:
-        report = _build_report(game, path, args, trace, cert)
+        report = _build_report(game, path, cfg, args.seed, trace, cert)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return EXIT_OK if cert.certified else EXIT_CERT
 
@@ -255,24 +242,8 @@ def _report_field(doc, report: str, key: str, convert=None):
         raise InputError(f"report {report}: {key} is not numeric") from None
 
 
-def _check_candidate(game: GameSpec, x, lam, eps_final: float) -> None:
-    """Require ``x`` of length n, ``lam`` (if given) of length m_bar, all
-    entries finite, and a positive finite smoothing level."""
-    for name, v, size in (("x", x, game.n), ("lambda", lam, game.m_bar)):
-        if v is None:
-            continue
-        if v.shape != (size,):
-            raise InputError(f"candidate {name} has shape {v.shape}, expected ({size},)")
-        if not np.all(np.isfinite(v)):
-            raise InputError(f"candidate {name} has non-finite entries")
-    if not 0.0 < eps_final < np.inf:
-        raise InputError(f"eps_final must be positive and finite, got {eps_final}")
-
-
 def cmd_verify(args) -> int:
     try:
-        if not 0.0 < args.tol < np.inf:
-            raise InputError(f"--tol must be positive and finite, got {args.tol}")
         game, _ = _load(args)
         if args.report is not None:
             try:
@@ -289,13 +260,12 @@ def cmd_verify(args) -> int:
         else:
             vec = _read_vector(Path(args.x))
             x, lam = vec[: game.n], (vec[game.n :] if vec.shape[0] > game.n else None)
-            eps_final, p = args.eps_final, 2
-        _check_candidate(game, x, lam, eps_final)
+            eps_final, p = args.eps_final, HomotopyConfig.p
+        cert = certify(game, x, lam, eps_final, p, nash_tol=args.tol)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    cert = certify(game, x, lam, eps_final, p, nash_tol=args.tol)
     for nu, gap in enumerate(cert.nash_gaps, start=1):
         print(f"leader {nu}: nash gap = {gap:.6e}")
     for name, value in cert.s_stat_residuals.items():
@@ -304,35 +274,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.certified else EXIT_CERT
 
 
-def _bench_configs(args) -> list[tuple[str, bool, HomotopyConfig]]:
+def _bench_configs(args) -> list[HomotopyConfig]:
     """The comparison cells: each inner method with the predictor on and off."""
-    return [
-        (method, taylor, HomotopyConfig(
-            eps0=args.eps0,
-            gamma=args.gamma,
-            eps_min=args.bench_eps_min,
-            taylor=taylor,
-            method=method,
-            tol=args.tol,
-        ))
-        for method in ("newton", "subgradient")
-        for taylor in (True, False)
-    ]
+    return [_homotopy_config(args, method=m, taylor=t) for m in METHODS for t in (True, False)]
 
 
 def _bench_schedule_rows(game: GameSpec, configs) -> tuple[list[list], list[list], bool]:
     rows: list[list] = []
     iter_rows: list[list] = []
     ok = True
-    for method, taylor, cfg in configs:
+    for cfg in configs:
         trace = homotopy_solve(game, cfg=cfg)
         ok = ok and trace.converged
-        iter_rows.extend(_iter_log_rows(trace, method, taylor))
+        iter_rows.extend(_iter_log_rows(trace, cfg))
         for s in trace.stages:
             rows.append(
                 [
-                    method,
-                    "on" if taylor else "off",
+                    cfg.method,
+                    _on_off(cfg.taylor),
                     repr(s.eps),
                     s.result.iterations,
                     repr(s.result.merit),
@@ -370,7 +329,7 @@ def cmd_bench(args) -> int:
     multistart_rows, finals = [], []
     for rep in range(args.repeats):
         for sid in range(args.starts):
-            z0 = _initial_point(game, args.seed + 1000 * rep + sid)
+            z0 = _initial_point(game, args.seed, rep, sid)
             res = newton_solve(game, z0, args.multistart_eps, tol=args.tol)
             ok = ok and res.converged
             finals.append(res.x)
@@ -411,15 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
         game.add_argument("--data", help="path to a game JSON file")
         game.add_argument("--dataset", type=int, choices=(1, 2), help="bundled dataset number")
 
+    def add_schedule_args(p):
+        p.add_argument("--eps0", type=float, default=HomotopyConfig.eps0)
+        p.add_argument("--gamma", type=float, default=HomotopyConfig.gamma)
+        p.add_argument("--tol", type=float, default=HomotopyConfig.tol)
+
     solve = sub.add_parser("solve", help="run the continuation and certify the result")
     add_game_args(solve)
-    solve.add_argument("--method", choices=("newton", "subgradient"), default="newton")
-    solve.add_argument("--eps0", type=float, default=1.6)
-    solve.add_argument("--gamma", type=float, default=0.5)
-    solve.add_argument("--eps-min", dest="eps_min", type=float, default=1e-6)
-    solve.add_argument("--tol", type=float, default=1e-10)
-    solve.add_argument("--taylor", choices=("on", "off"), default="on")
-    solve.add_argument("--p", type=int, default=2, help="kernel exponent, an even integer >= 2")
+    solve.add_argument("--method", choices=METHODS, default=HomotopyConfig.method)
+    add_schedule_args(solve)
+    solve.add_argument("--eps-min", type=float, default=HomotopyConfig.eps_min)
+    solve.add_argument("--taylor", choices=("on", "off"), default=_on_off(HomotopyConfig.taylor))
+    solve.add_argument("--p", type=int, default=HomotopyConfig.p, help="even kernel exponent >= 2")
     solve.add_argument("--seed", type=int, default=None, help="randomize the initial point")
     solve.add_argument("--out", help="write the solve report JSON here")
     solve.add_argument("--log", help="write the per-iteration CSV log here")
@@ -432,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     candidate.add_argument("--report", help="verify the solution embedded in a solve report")
     verify.add_argument("--tol", type=float, default=NASH_TOL, help="nash gap tolerance")
     verify.add_argument(
-        "--eps-final", dest="eps_final", type=float, default=1e-6,
+        "--eps-final", type=float, default=HomotopyConfig.eps_min,
         help="smoothing level used to read off limit derivative values",
     )
     verify.set_defaults(func=cmd_verify)
@@ -442,14 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--starts", type=int, default=20)
-    bench.add_argument("--eps0", type=float, default=1.6)
-    bench.add_argument("--gamma", type=float, default=0.5)
+    add_schedule_args(bench)
     bench.add_argument(
-        "--bench-eps-min", dest="bench_eps_min", type=float, default=0.05,
+        "--bench-eps-min", dest="eps_min", type=float, default=0.05,
         help="smallest scheduled smoothing level in the comparison table",
     )
-    bench.add_argument("--multistart-eps", dest="multistart_eps", type=float, default=0.5)
-    bench.add_argument("--tol", type=float, default=1e-10)
+    bench.add_argument("--multistart-eps", type=float, default=0.5)
     bench.add_argument("--out", default="bench.csv")
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -24,7 +24,7 @@ from .kkt import curvature_block
 # not called here; the benchmark's layer tracer binds it by this module's name
 from .kkt import merit  # noqa: F401
 from .model import GameSpec
-from .smoothing import phi_tilde_d2, phi_tilde_dt_deps
+from .smoothing import _two_eps, phi_tilde_d2, phi_tilde_dt_deps
 from .solvers import InnerResult, check_tol, newton_solve, subgradient_solve
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
     "taylor_direction",
     "homotopy_solve",
 ]
+
+
+METHODS = ("newton", "subgradient")
 
 
 @dataclass
@@ -53,9 +56,8 @@ class HomotopyConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.eps_min < self.eps0:
             raise ValueError("eps_min must lie in (0, eps0)")
-        if self.p < 2 or self.p % 2 != 0:
-            raise ValueError("p must be an even integer >= 2")
-        if self.method not in ("newton", "subgradient"):
+        _two_eps(self.eps_min, self.p)  # the kernel's own check of p
+        if self.method not in METHODS:
             raise ValueError(f"method must be 'newton' or 'subgradient', got {self.method!r}")
         check_tol(self.tol)
 
@@ -69,9 +71,12 @@ class StageRecord:
     index: int
     eps: float
     result: InnerResult
-    warm_start_merit: float
     predictor_norm: float
     wall_ms: float
+
+    @property
+    def warm_start_merit(self) -> float:
+        return self.result.merit_history[0]
 
 
 @dataclass
@@ -144,7 +149,7 @@ def homotopy_solve(
             d = taylor_direction(game, res.x, eps_next, cfg.p)
 
         stages.append(StageRecord(
-            index=i, eps=eps, result=res, warm_start_merit=res.merit_history[0],
+            index=i, eps=eps, result=res,
             predictor_norm=float(np.linalg.norm(d)), wall_ms=wall_ms,
         ))
         if not res.converged or eps <= cfg.eps_min:

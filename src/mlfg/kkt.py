@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GameSpec, matvec
+from .model import GameSpec, finite_vector, matvec
 from .smoothing import phi_tilde_slopes
 # not called here; the benchmark's layer tracer binds it by this module's name
 from .smoothing import smoothed_gradient_stack  # noqa: F401
@@ -62,14 +62,7 @@ def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
     entries.
     """
     size = game.n + game.m_bar
-    if z is None:
-        return np.zeros(size)
-    z = np.array(z, dtype=float)
-    if z.shape != (size,):
-        raise ValueError(f"start point has shape {z.shape}, expected ({size},) = (n + m_bar,)")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("start point has non-finite entries")
-    return z
+    return np.zeros(size) if z is None else finite_vector(z, "start point (x, lambda)", size)
 
 
 class Evaluation(NamedTuple):

@@ -38,6 +38,16 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x[..., None])[..., 0]
 
 
+def finite_vector(v, name: str, size: int) -> np.ndarray:
+    """``v`` as a new float array; ValueError unless of shape ``(size,)`` and finite."""
+    v = np.array(v, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
+    return v
+
+
 class GameFormatError(ValueError):
     """Malformed game document: parse failure or inconsistent dimensions."""
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameSpec, compose_strategy, split_strategy
+from .model import GameSpec, compose_strategy, finite_vector, split_strategy
 from .smoothing import best_response_exact, leader_objective, phi_tilde_d1
-from .solvers import lu_solve
+from .solvers import check_tol, lu_solve
 
 __all__ = [
     "OracleError",
@@ -307,7 +307,14 @@ def certify(
     :func:`s_stationarity_certificate` builds at those gates bound the true
     gaps from above for every ``lam >= 0`` (``None`` fits it), so a
     certified verdict implies true gaps within the Nash gate.
+
+    Raises ValueError for an ``x`` or ``lam`` of the wrong length or not finite, a
+    ``nash_tol`` outside ``(0, inf)``, or (in the kernel) a bad ``eps_final`` or ``p``.
     """
+    check_tol(nash_tol)
+    x = finite_vector(x, "candidate x", game.n)
+    if lam is not None:
+        lam = finite_vector(lam, "candidate lambda", game.m_bar)
     drift = smoothing_drift(game, eps_final)
     return s_stationarity_certificate(
         game, x, lam, eps_final, p, max(STAT_TOL, drift), max(nash_tol, drift)

@@ -4,8 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from mlfg import certify, save_game
-from mlfg.cli import BENCH_COLUMNS, ITER_LOG_COLUMNS, MULTISTART_COLUMNS, main
+from mlfg import HomotopyConfig, certify, newton_solve, save_game
+from mlfg.cli import (
+    BENCH_COLUMNS,
+    ITER_LOG_COLUMNS,
+    MULTISTART_COLUMNS,
+    _bench_configs,
+    _homotopy_config,
+    _initial_point,
+    build_parser,
+    main,
+)
 from mlfg.model import bundled_dataset_path
 
 from conftest import make_game
@@ -544,3 +553,39 @@ def test_verify_rejects_bad_candidate(tmp_path, capsys, trace1, source, case):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "nash gap" not in captured.out
+
+
+def test_bench_starts_draw_from_distinct_streams(ds1, tmp_path, monkeypatch):
+    # seeding start (rep, sid) with seed + 1000 rep + sid gave starts (0, 1000)
+    # and (1, 0) the same point
+    assert not np.array_equal(_initial_point(ds1, 0, 0, 1000), _initial_point(ds1, 0, 1, 0))
+    # solve --seed N still draws from default_rng(N)
+    z = np.random.default_rng(7).uniform(-1.0, 1.0, ds1.n + ds1.m_bar)
+    assert np.array_equal(_initial_point(ds1, 7)[: ds1.n], z[: ds1.n])
+    # and bench starts each multistart solve from its (seed, repeat, start) point
+    starts = []
+
+    def recording_newton(game, z0, *args, **kwargs):
+        starts.append(z0)
+        return newton_solve(game, z0, *args, **kwargs)
+
+    monkeypatch.setattr("mlfg.cli.newton_solve", recording_newton)
+    assert run(
+        "bench", "--dataset", "1", "--out", str(tmp_path / "b.csv"), "--tol", "1e-8",
+        "--bench-eps-min", "0.4", "--starts", "2", "--repeats", "2", "--seed", "3",
+    ) == 0
+    expected = [_initial_point(ds1, 3, rep, sid) for rep in range(2) for sid in range(2)]
+    assert len(starts) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(starts, expected))
+
+
+def test_flag_defaults_are_homotopy_config_defaults():
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "--dataset", "1"])
+    assert _homotopy_config(solve) == HomotopyConfig()
+    verify = parser.parse_args(["verify", "--dataset", "1", "--x", "x.txt"])
+    assert verify.eps_final == HomotopyConfig().eps_min
+    bench = parser.parse_args(["bench", "--dataset", "1"])
+    cells = [(c.method, c.taylor) for c in _bench_configs(bench)]
+    assert cells == [(m, t) for m in ("newton", "subgradient") for t in (True, False)]
+    assert {c.eps_min for c in _bench_configs(bench)} == {0.05}

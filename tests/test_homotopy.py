@@ -43,6 +43,8 @@ class TestSchedule:
             HomotopyConfig(method="simplex")
         with pytest.raises(ValueError):
             HomotopyConfig(tol=float("inf"))
+        with pytest.raises(ValueError):
+            HomotopyConfig(p=3)
 
 
 class TestZeroWeightGame:
@@ -115,6 +117,9 @@ class TestTraceConsistency:
         assert not trace.converged
         assert not trace.stages[-1].result.converged
         assert len(trace.stages) == 1
+
+    def test_warm_start_merit_is_first_merit(self, trace1):
+        assert all(s.warm_start_merit == s.result.merit_history[0] for s in trace1.stages)
 
     def test_subgradient_inner(self, ds1):
         cfg = HomotopyConfig(eps_min=0.4, method="subgradient", tol=1e-8)

@@ -14,7 +14,7 @@ from mlfg import (
     split_strategy,
     verify_nash,
 )
-from mlfg.verify import nash_gap_bounds
+from mlfg.verify import NASH_TOL, nash_gap_bounds
 
 from conftest import make_game
 from helpers import min_curvature, monotonicity_probe, potential_identity_probe
@@ -319,6 +319,27 @@ class TestCertificatePromises:
         cert = certify(ds1, trace1.final.x, trace1.final.lam, trace1.final_eps)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.nash_tol = 1.0
+
+    @pytest.mark.parametrize(
+        "case, nash_tol",
+        [(case, NASH_TOL) for case in ("short_x", "short_lambda", "nan_x", "nan_lambda")]
+        + [("valid", tol) for tol in (0.0, -1.0, np.inf, np.nan)],
+    )
+    def test_malformed_input_raises(self, ds1, trace1, case, nash_tol):
+        # a wrong length or a NaN in the candidate, or a Nash tolerance
+        # outside (0, inf): inf would pass any gap, -1 would be replaced by
+        # the drift
+        x, lam = trace1.final.x.copy(), trace1.final.lam.copy()
+        if case == "short_x":
+            x = x[:-1]
+        if case == "short_lambda":
+            lam = lam[:-1]
+        if case == "nan_x":
+            x[0] = np.nan
+        if case == "nan_lambda":
+            lam[0] = np.nan
+        with pytest.raises(ValueError):
+            certify(ds1, x, lam, trace1.final_eps, nash_tol=nash_tol)
 
 
 class TestActiveConstraints:
