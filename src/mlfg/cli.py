@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import asdict, fields
 from functools import partial
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, homotopy_solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
-from .smoothing import best_response_exact
+from .smoothing import _two_eps, best_response_exact
 from .solvers import newton_solve
 from .verify import NASH_TOL, Certificate, certify
 
@@ -301,13 +300,21 @@ def _bench_schedule_rows(game: GameSpec, configs) -> tuple[list[list], list[list
     return rows, iter_rows, ok
 
 
+def _max_distance(points: np.ndarray) -> float:
+    """Largest distance between two rows of ``points``, 0.0 for fewer than two."""
+    dists = (np.linalg.norm(points[i + 1 :] - p, axis=1).max() for i, p in enumerate(points[:-1]))
+    return float(max(dists, default=0.0))
+
+
 def cmd_bench(args) -> int:
     try:
         game, game_path = _load(args)
         configs = _bench_configs(args)
         _check_seed(args.seed)
-        if not 0.0 < args.multistart_eps < np.inf:
-            raise InputError(f"--multistart-eps must be positive, got {args.multistart_eps}")
+        try:
+            _two_eps(args.multistart_eps, HomotopyConfig.p)  # the kernel's own check
+        except ValueError as exc:
+            raise InputError(f"--multistart-eps: {exc}") from None
         for flag, value in (("--starts", args.starts), ("--repeats", args.repeats)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
@@ -338,11 +345,8 @@ def cmd_bench(args) -> int:
                 for k, psi in enumerate(res.merit_history)
             )
     _write_csv(multistart_path, MULTISTART_COLUMNS, multistart_rows)
-    spread = max(
-        (float(np.linalg.norm(a - b)) for a, b in combinations(finals, 2)), default=0.0
-    )
     print(f"wrote {out}, {iters_path}, {multistart_path}")
-    print(f"multistart max pairwise distance: {spread:.3e}")
+    print(f"multistart max pairwise distance: {_max_distance(np.array(finals)):.3e}")
     if not ok:
         print("at least one bench cell failed to converge", file=sys.stderr)
         return EXIT_SOLVER

@@ -8,8 +8,9 @@ Hessian and lower bounds driven linearly by the joint leader strategy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cached_property, wraps
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -56,34 +57,50 @@ class GameValidationError(ValueError):
     """Structurally well-formed game that violates a model assumption."""
 
 
-def _array(x, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != ndim:
-        raise GameFormatError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise GameFormatError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def _rank(ndim: int):
+    """A spec field: an array of ``ndim`` dimensions."""
+    return field(metadata={"ndim": ndim})
+
+
+class _ArraySpec:
+    """Base of the spec dataclasses: building one makes every field a new
+    read-only float array of its declared rank, with finite entries."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name), dtype=float)
+            ndim = f.metadata["ndim"]
+            if arr.ndim != ndim:
+                raise GameFormatError(f"{f.name} must be {ndim}-dimensional, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise GameFormatError(f"{f.name} contains non-finite entries")
+            arr.setflags(write=False)
+            object.__setattr__(self, f.name, arr)
+
+
+def _cached_array(method):
+    """``cached_property`` of a read-only array, shared by every solve of the game."""
+
+    def compute(self):
+        arr = method(self)
+        arr.setflags(write=False)
+        return arr
+
+    return cached_property(wraps(method)(compute))
 
 
 @dataclass(frozen=True)
-class LeaderSpec:
+class LeaderSpec(_ArraySpec):
     """One leader's quadratic program data.
 
     The constraint convention is ``A.T @ x + b <= 0`` with ``A`` of shape
     (n_vars, n_constraints).
     """
 
-    Q: np.ndarray
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", _array(self.Q, "Q", 2))
-        object.__setattr__(self, "c", _array(self.c, "c", 1))
-        object.__setattr__(self, "A", _array(self.A, "A", 2))
-        object.__setattr__(self, "b", _array(self.b, "b", 1))
+    Q: np.ndarray = _rank(2)
+    c: np.ndarray = _rank(1)
+    A: np.ndarray = _rank(2)
+    b: np.ndarray = _rank(1)
 
     @property
     def n_vars(self) -> int:
@@ -95,19 +112,13 @@ class LeaderSpec:
 
 
 @dataclass(frozen=True)
-class FollowerSpec:
+class FollowerSpec(_ArraySpec):
     """Follower QP data: diagonal Hessian, linear drive and bound maps."""
 
-    Qy_diag: np.ndarray
-    B: np.ndarray
-    L: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Qy_diag", _array(self.Qy_diag, "Qy_diag", 1))
-        object.__setattr__(self, "B", _array(self.B, "B", 2))
-        object.__setattr__(self, "L", _array(self.L, "L", 2))
-        object.__setattr__(self, "a", _array(self.a, "a", 1))
+    Qy_diag: np.ndarray = _rank(1)
+    B: np.ndarray = _rank(2)
+    L: np.ndarray = _rank(2)
+    a: np.ndarray = _rank(1)
 
     @property
     def m(self) -> int:
@@ -117,7 +128,9 @@ class FollowerSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Validated multi-leader-follower game. Immutable after construction.
+    """Multi-leader-follower game of the paper's class. Immutable; building
+    one raises :class:`GameFormatError` for inconsistent dimensions and then
+    :class:`GameValidationError` for any finding of :func:`validate_game`.
 
     Derived arrays (the Hessian stack, the follower maps ``drive``, ``S`` and
     ``A_diff``, the stacked constants and the KKT residual's linear map
@@ -133,6 +146,9 @@ class GameSpec:
         problems = _dimension_findings(self)
         if problems:
             raise GameFormatError("; ".join(problems))
+        findings = validate_game(self)
+        if findings:
+            raise GameValidationError("; ".join(findings))
 
     @property
     def num_leaders(self) -> int:
@@ -141,7 +157,7 @@ class GameSpec:
     @cached_property
     def n(self) -> int:
         """Total leader variables."""
-        return sum(ld.n_vars for ld in self.leaders)
+        return self.x_offsets[-1]
 
     @property
     def m(self) -> int:
@@ -151,21 +167,15 @@ class GameSpec:
     @cached_property
     def m_bar(self) -> int:
         """Total leader constraints."""
-        return sum(ld.n_constraints for ld in self.leaders)
+        return self.lambda_offsets[-1]
 
     @cached_property
     def x_offsets(self) -> tuple[int, ...]:
-        off = [0]
-        for ld in self.leaders:
-            off.append(off[-1] + ld.n_vars)
-        return tuple(off)
+        return tuple(accumulate((ld.n_vars for ld in self.leaders), initial=0))
 
     @cached_property
     def lambda_offsets(self) -> tuple[int, ...]:
-        off = [0]
-        for ld in self.leaders:
-            off.append(off[-1] + ld.n_constraints)
-        return tuple(off)
+        return tuple(accumulate((ld.n_constraints for ld in self.leaders), initial=0))
 
     def x_slice(self, nu: int) -> slice:
         """Index slice of leader ``nu`` (1-based) in the stacked strategy."""
@@ -180,32 +190,27 @@ class GameSpec:
         if not 1 <= nu <= self.num_leaders:
             raise IndexError(f"leader index {nu} out of range 1..{self.num_leaders}")
 
-    @cached_property
+    @_cached_array
     def Q_block(self) -> np.ndarray:
         """Block-diagonal stack of the leader Hessians, shape (n, n)."""
         Q = np.zeros((self.n, self.n))
         for nu, ld in enumerate(self.leaders, start=1):
             s = self.x_slice(nu)
             Q[s, s] = ld.Q
-        Q.setflags(write=False)
         return Q
 
-    @cached_property
+    @_cached_array
     def drive(self) -> np.ndarray:
         """Scaled drive map ``B'/Qy`` of the follower, shape (m, n)."""
         fol = self.follower
-        D = fol.B.T / fol.Qy_diag[:, None]
-        D.setflags(write=False)
-        return D
+        return fol.B.T / fol.Qy_diag[:, None]
 
-    @cached_property
+    @_cached_array
     def S(self) -> np.ndarray:
         """Sum map ``L' + B'/Qy`` of the two response branches, shape (m, n)."""
-        S = self.follower.L.T + self.drive
-        S.setflags(write=False)
-        return S
+        return self.follower.L.T + self.drive
 
-    @cached_property
+    @_cached_array
     def A_diff(self) -> np.ndarray:
         """Difference map ``L' - B'/Qy``, shape (m, n).
 
@@ -213,48 +218,37 @@ class GameSpec:
         of the exact response; ``S + A_diff`` and ``S - A_diff`` are twice
         the bound map and twice the scaled drive.
         """
-        A = self.follower.L.T - self.drive
-        A.setflags(write=False)
-        return A
+        return self.follower.L.T - self.drive
 
-    @cached_property
+    @_cached_array
     def c_stack(self) -> np.ndarray:
-        c = np.concatenate([ld.c for ld in self.leaders])
-        c.setflags(write=False)
-        return c
+        return np.concatenate([ld.c for ld in self.leaders])
 
-    @cached_property
+    @_cached_array
     def b_stack(self) -> np.ndarray:
-        b = np.concatenate([ld.b for ld in self.leaders])
-        b.setflags(write=False)
-        return b
+        return np.concatenate([ld.b for ld in self.leaders])
 
-    @cached_property
+    @_cached_array
     def stationarity_constant(self) -> np.ndarray:
         """The constant ``c + 0.5 * S' a`` of the stacked smoothed gradients,
         shape (n,)."""
-        h = self.c_stack + 0.5 * (self.S.T @ self.follower.a)
-        h.setflags(write=False)
-        return h
+        return self.c_stack + 0.5 * (self.S.T @ self.follower.a)
 
-    @cached_property
+    @_cached_array
     def half_A_diffT_a(self) -> np.ndarray:
         """``0.5 * A_diff' diag(a)``, shape (n, m): takes the kernel slopes
         ``phi_tilde'(A_diff x)`` to the smoothing term of the stacked gradients."""
-        W = 0.5 * self.A_diff.T * self.follower.a
-        W.setflags(write=False)
-        return W
+        return 0.5 * self.A_diff.T * self.follower.a
 
-    @cached_property
+    @_cached_array
     def constraint_gradient_block(self) -> np.ndarray:
         """Block-diagonal stack of the constraint gradients, shape (n, m_bar)."""
         G = np.zeros((self.n, self.m_bar))
         for nu, ld in enumerate(self.leaders, start=1):
             G[self.x_slice(nu), self.lambda_slice(nu)] = ld.A
-        G.setflags(write=False)
         return G
 
-    @cached_property
+    @_cached_array
     def kkt_map(self) -> np.ndarray:
         """Linear part of the KKT residual in ``z = (x, lambda)``, shape
         (m + n + m_bar, n + m_bar).
@@ -269,7 +263,6 @@ class GameSpec:
         M[:m, :n] = self.A_diff
         M[m : m + n] = np.hstack([self.Q_block, G])
         M[m + n :, :n] = G.T
-        M.setflags(write=False)
         return M
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
@@ -280,11 +273,9 @@ class GameSpec:
 
 def _dimension_findings(game: GameSpec) -> list[str]:
     """Shape bookkeeping of a game under construction; empty when consistent."""
-    findings: list[str] = []
     if game.num_leaders < 1:
-        findings.append("game must have at least one leader")
-        return findings
-
+        return ["game must have at least one leader"]
+    findings: list[str] = []
     n = 0
     for nu, ld in enumerate(game.leaders, start=1):
         k = ld.Q.shape[0]
@@ -317,9 +308,9 @@ def _dimension_findings(game: GameSpec) -> list[str]:
 def validate_game(game: GameSpec) -> list[str]:
     """Check every model assumption that is decidable from the data.
 
-    Returns a list of human-readable findings; an empty list means the game
-    is valid. The dimensions are checked when the :class:`GameSpec` is
-    built, so only the assumptions on the values are checked here.
+    Returns a list of human-readable findings, empty for a valid game.
+    Building a :class:`GameSpec` checks the dimensions, then runs this and
+    raises on any finding, so it returns ``[]`` for every game that was built.
     """
     findings: list[str] = []
     for nu, ld in enumerate(game.leaders, start=1):
@@ -356,17 +347,18 @@ def compose_strategy(
     return x
 
 
+def _spec_from_dict(cls, doc: dict):
+    return cls(**{f.name: doc[f.name] for f in fields(cls)})
+
+
+def _spec_to_dict(spec) -> dict:
+    return {f.name: getattr(spec, f.name).tolist() for f in fields(spec)}
+
+
 def _game_from_dict(doc: dict) -> GameSpec:
     try:
-        leaders = tuple(
-            LeaderSpec(Q=ld["Q"], c=ld["c"], A=ld["A"], b=ld["b"]) for ld in doc["leaders"]
-        )
-        follower = FollowerSpec(
-            Qy_diag=doc["follower"]["Qy_diag"],
-            B=doc["follower"]["B"],
-            L=doc["follower"]["L"],
-            a=doc["follower"]["a"],
-        )
+        leaders = tuple(_spec_from_dict(LeaderSpec, ld) for ld in doc["leaders"])
+        follower = _spec_from_dict(FollowerSpec, doc["follower"])
     except KeyError as exc:
         raise GameFormatError(f"missing field {exc} in game document") from exc
     except (TypeError, ValueError) as exc:
@@ -378,16 +370,8 @@ def _game_from_dict(doc: dict) -> GameSpec:
 
 def _game_to_dict(game: GameSpec) -> dict:
     return {
-        "leaders": [
-            {"Q": ld.Q.tolist(), "c": ld.c.tolist(), "A": ld.A.tolist(), "b": ld.b.tolist()}
-            for ld in game.leaders
-        ],
-        "follower": {
-            "Qy_diag": game.follower.Qy_diag.tolist(),
-            "B": game.follower.B.tolist(),
-            "L": game.follower.L.tolist(),
-            "a": game.follower.a.tolist(),
-        },
+        "leaders": [_spec_to_dict(ld) for ld in game.leaders],
+        "follower": _spec_to_dict(game.follower),
     }
 
 
@@ -404,11 +388,7 @@ def load_game(path: str | Path) -> GameSpec:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GameFormatError(f"{path} is not valid JSON: {exc}") from exc
-    game = _game_from_dict(doc)
-    findings = validate_game(game)
-    if findings:
-        raise GameValidationError("; ".join(findings))
-    return game
+    return _game_from_dict(doc)
 
 
 def save_game(game: GameSpec, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mlfg.cli import (
     _bench_configs,
     _homotopy_config,
     _initial_point,
+    _max_distance,
     build_parser,
     main,
 )
@@ -121,6 +123,8 @@ def candidate_report(tmp_path_factory, trace1):
         ["bench", "--tol", "inf"],
         ["bench", "--bench-eps-min", "5"],
         ["bench", "--multistart-eps", "0"],
+        # positive, but 2*eps overflows: the smoothing kernel's own check
+        ["bench", "--multistart-eps", "1e308"],
         ["bench", "--starts", "0"],
         ["bench", "--starts", "-1", "--repeats", "0"],
         ["bench", "--repeats", "0"],
@@ -451,6 +455,15 @@ def test_game_and_candidate_sources_are_exclusive(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "not allowed with argument" in err or "is required" in err
     assert sorted(tmp_path.iterdir()) == [report, x]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 40])
+def test_max_distance_matches_pairwise_reference(k):
+    points = np.random.default_rng(k).standard_normal((k, 4)) * [1.0, 1e-3, 1e3, 1.0]
+    reference = max(
+        (np.linalg.norm(a - b) for a, b in combinations(points, 2)), default=0.0
+    )
+    assert _max_distance(points) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 def test_bench_outputs(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 
 from mlfg import (
     GameFormatError,
+    GameSpec,
     GameValidationError,
+    LeaderSpec,
     compose_strategy,
     load_game,
     save_game,
@@ -49,40 +51,58 @@ def test_zero_hessian_entry_rejected(tmp_path, ds1):
 
 
 def test_negative_weight_finding(ds1):
-    game = make_game(
-        [ld.Q for ld in ds1.leaders],
-        [ld.c for ld in ds1.leaders],
-        [ld.A for ld in ds1.leaders],
-        [ld.b for ld in ds1.leaders],
-        ds1.follower.Qy_diag,
-        ds1.follower.B,
-        ds1.follower.L,
-        np.array([1.4, -1.0, 2.1]),
-    )
-    findings = validate_game(game)
-    assert len(findings) == 1
-    assert "a must be nonnegative" in findings[0]
+    # the one finding, and the game is never built
+    with pytest.raises(GameValidationError, match="^follower: a must be nonnegative$"):
+        make_game(
+            [ld.Q for ld in ds1.leaders],
+            [ld.c for ld in ds1.leaders],
+            [ld.A for ld in ds1.leaders],
+            [ld.b for ld in ds1.leaders],
+            ds1.follower.Qy_diag,
+            ds1.follower.B,
+            ds1.follower.L,
+            np.array([1.4, -1.0, 2.1]),
+        )
 
 
 def test_indefinite_hessian_finding(ds1):
     # eigenvalues of [[1, 2], [2, 1]] are 3 and -1
-    game = make_game(
-        [np.array([[1.0, 2.0], [2.0, 1.0]]), ds1.leaders[1].Q],
-        [ld.c for ld in ds1.leaders],
-        [ld.A for ld in ds1.leaders],
-        [ld.b for ld in ds1.leaders],
-        ds1.follower.Qy_diag,
-        ds1.follower.B,
-        ds1.follower.L,
-        ds1.follower.a,
-    )
-    findings = validate_game(game)
-    assert any("not positive definite" in f for f in findings)
+    with pytest.raises(GameValidationError, match="not positive definite"):
+        make_game(
+            [np.array([[1.0, 2.0], [2.0, 1.0]]), ds1.leaders[1].Q],
+            [ld.c for ld in ds1.leaders],
+            [ld.A for ld in ds1.leaders],
+            [ld.b for ld in ds1.leaders],
+            ds1.follower.Qy_diag,
+            ds1.follower.B,
+            ds1.follower.L,
+            ds1.follower.a,
+        )
+
+
+def test_concave_leader_game_cannot_be_built():
+    # two one-variable leaders on the box |x| <= 1 with zero response
+    # weights; leader 1 maximizes x**2, so x = (0, 0) is stationary, but
+    # leader 1 gains 0.5 by moving to a corner. Outside the paper's class
+    # a certificate of that point would be false, so the game is refused.
+    box, bounds = np.array([[1.0, -1.0]]), -np.ones(2)
+    with pytest.raises(GameValidationError, match="^leader 1: Q not positive definite$"):
+        make_game(
+            [np.array([[-1.0]]), np.array([[1.0]])],
+            [np.zeros(1), np.zeros(1)],
+            [box, box],
+            [bounds, bounds],
+            np.ones(1),
+            np.zeros((2, 1)),
+            np.zeros((2, 1)),
+            np.zeros(1),
+        )
 
 
 def test_definiteness_check_matches_eigenvalues(ds1):
-    # the flag agrees with an eigenvalue oracle on random symmetric matrices
-    # of either definiteness class, away from the threshold
+    # building the game fails exactly when an eigenvalue oracle says so, on
+    # random symmetric matrices of either definiteness class, away from the
+    # threshold
     rng = np.random.default_rng(21)
     base = ds1.leaders[1]
     for _ in range(200):
@@ -91,32 +111,36 @@ def test_definiteness_check_matches_eigenvalues(ds1):
         eigs = np.linalg.eigvalsh(S)
         if abs(eigs[0]) < 1e-6:
             continue
-        game = make_game(
-            [S, base.Q],
-            [np.zeros(2), base.c],
-            [ds1.leaders[0].A, base.A],
-            [ds1.leaders[0].b, base.b],
+        try:
+            make_game(
+                [S, base.Q],
+                [np.zeros(2), base.c],
+                [ds1.leaders[0].A, base.A],
+                [ds1.leaders[0].b, base.b],
+                ds1.follower.Qy_diag,
+                ds1.follower.B,
+                ds1.follower.L,
+                ds1.follower.a,
+            )
+            flagged = False
+        except GameValidationError as exc:
+            assert "positive definite" in str(exc)
+            flagged = True
+        assert flagged == (eigs[0] <= 0.0)
+
+
+def test_asymmetric_hessian_finding(ds1):
+    with pytest.raises(GameValidationError, match="not symmetric"):
+        make_game(
+            [np.array([[2.0, 1.0], [0.0, 2.0]]), ds1.leaders[1].Q],
+            [ld.c for ld in ds1.leaders],
+            [ld.A for ld in ds1.leaders],
+            [ld.b for ld in ds1.leaders],
             ds1.follower.Qy_diag,
             ds1.follower.B,
             ds1.follower.L,
             ds1.follower.a,
         )
-        flagged = any("positive definite" in f for f in validate_game(game))
-        assert flagged == (eigs[0] <= 0.0)
-
-
-def test_asymmetric_hessian_finding(ds1):
-    game = make_game(
-        [np.array([[2.0, 1.0], [0.0, 2.0]]), ds1.leaders[1].Q],
-        [ld.c for ld in ds1.leaders],
-        [ld.A for ld in ds1.leaders],
-        [ld.b for ld in ds1.leaders],
-        ds1.follower.Qy_diag,
-        ds1.follower.B,
-        ds1.follower.L,
-        ds1.follower.a,
-    )
-    assert any("not symmetric" in f for f in validate_game(game))
 
 
 def test_dimension_mismatch_names_field(tmp_path):
@@ -126,6 +150,29 @@ def test_dimension_mismatch_names_field(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(GameFormatError, match="B"):
         load_game(bad)
+
+
+@pytest.mark.parametrize(
+    "part, name, ndim",
+    [("leader", "Q", 2), ("leader", "c", 1), ("leader", "A", 2), ("leader", "b", 1)]
+    + [("follower", "Qy_diag", 1), ("follower", "B", 2), ("follower", "L", 2)]
+    + [("follower", "a", 1)],
+)
+def test_every_field_is_read_and_checked(tmp_path, part, name, ndim):
+    doc = json.loads(bundled_dataset_path(1).read_text())
+    spec = doc["leaders"][0] if part == "leader" else doc["follower"]
+    value = spec.pop(name)
+    bad = tmp_path / "bad.json"
+    for entry, message in (
+        (None, f"missing field '{name}' in game document"),
+        ([value], f"{name} must be {ndim}-dimensional, got shape"),
+        (np.full(np.shape(value), np.inf).tolist(), f"{name} contains non-finite entries"),
+    ):
+        if entry is not None:
+            spec[name] = entry
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(GameFormatError, match=message):
+            load_game(bad)
 
 
 def test_parse_error(tmp_path):
@@ -190,6 +237,17 @@ def test_constraint_values_stacking(ds1):
 def test_game_arrays_read_only(ds1):
     with pytest.raises(ValueError):
         ds1.follower.B[0, 0] = 99.0
+
+
+def test_spec_copies_its_arrays(ds1):
+    # a write through the caller's array, after the game was checked, would
+    # make leader 1's Q indefinite; the game keeps its own copy
+    base = ds1.leaders[0].Q.copy()
+    leader = LeaderSpec(Q=base[:], c=ds1.leaders[0].c, A=ds1.leaders[0].A, b=ds1.leaders[0].b)
+    game = GameSpec(leaders=(leader, ds1.leaders[1]), follower=ds1.follower)
+    base[0, 0] = -99.0
+    np.testing.assert_array_equal(game.leaders[0].Q, ds1.leaders[0].Q)
+    assert validate_game(game) == []
 
 
 def test_follower_maps_read_only_and_cached(ds1):

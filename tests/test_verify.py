@@ -20,26 +20,36 @@ from conftest import make_game
 from helpers import min_curvature, monotonicity_probe, potential_identity_probe
 
 
-def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=200):
-    """Independent dense-grid oracle over a box for leader ``nu``."""
-    ld = game.leaders[nu - 1]
-    k = ld.n_vars
-    axes = [np.arange(lo, hi + resolution / 2, resolution) for _ in range(k)]
+def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=250):
+    """Independent dense-grid oracle over a box for leader ``nu``.
 
+    The objective is evaluated on an open broadcast grid of the own block,
+    one axis per variable and the rivals fixed, ``chunk`` values of the
+    first variable at a time; infeasible points count as inf.
+    """
+    ld, fol = game.leaders[nu - 1], game.follower
+    own = np.zeros(game.n, dtype=bool)
+    own[game.x_slice(nu)] = True
+    drive = fol.B / fol.Qy_diag
+    axis = np.arange(lo, hi + resolution / 2, resolution)
     best = np.inf
-    if k == 1:
-        candidates = axes[0][:, None]
-        best = min(
-            best,
-            _grid_eval(game, nu, candidates, x_minus_nu),
+    for start in range(0, axis.shape[0], chunk):
+        X = np.ix_(axis[start : start + chunk], *[axis] * (ld.n_vars - 1))
+
+        def form(w, const=0.0):
+            """``w @ x_own + const`` at every grid point."""
+            return sum(wi * Xi for wi, Xi in zip(w, X)) + const
+
+        def joint(w):
+            """``w @ x`` at every grid point, ``x`` the joint strategy."""
+            return form(w[own], x_minus_nu @ w[~own])
+
+        quad = sum(form(0.5 * ld.Q[i], ld.c[i]) * X[i] for i in range(ld.n_vars))
+        resp = sum(
+            a * np.maximum(joint(dj), joint(Lj)) for a, dj, Lj in zip(fol.a, drive.T, fol.L.T)
         )
-    else:
-        a0 = axes[0]
-        for start in range(0, a0.shape[0], chunk):
-            part = a0[start : start + chunk]
-            X0, X1 = np.meshgrid(part, axes[1], indexing="ij")
-            candidates = np.column_stack([X0.ravel(), X1.ravel()])
-            best = min(best, _grid_eval(game, nu, candidates, x_minus_nu))
+        feasible = np.logical_and.reduce([form(Ai, bi) <= 1e-12 for Ai, bi in zip(ld.A.T, ld.b)])
+        best = min(best, float(np.min(np.where(feasible, quad + resp, np.inf))))
     return best
 
 
@@ -63,10 +73,6 @@ def _grid_eval_values(game, nu, candidates, x_minus_nu):
     feas = np.all(candidates @ ld.A + ld.b[None, :] <= 1e-12, axis=1)
     obj[~feas] = np.inf
     return obj
-
-
-def _grid_eval(game, nu, candidates, x_minus_nu):
-    return float(np.min(_grid_eval_values(game, nu, candidates, x_minus_nu)))
 
 
 def tiny_instance(rng):
