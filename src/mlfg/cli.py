@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, homotopy_solve
+from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, StageRecord, homotopy_solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import _two_eps, best_response_exact
-from .solvers import newton_solve
+from .solvers import endgame_step, newton_solve, piece
 from .verify import NASH_TOL, Certificate, certify
 
 ITER_LOG_COLUMNS = [
@@ -139,9 +139,9 @@ def _iter_log_rows(trace: HomotopyTrace, cfg: HomotopyConfig):
 
 def _build_report(
     game: GameSpec, path: Path, cfg: HomotopyConfig, seed: int | None,
-    trace: HomotopyTrace, cert: Certificate,
+    trace: HomotopyTrace, solution: np.ndarray, endgame: int | None, cert: Certificate,
 ) -> dict:
-    final = trace.final
+    x, lam = solution[: game.n], solution[game.n :]
     return {
         "tool": {"name": "mlfg", "version": __version__},
         "game": {"path": str(path), **_fingerprint(game)},
@@ -157,18 +157,49 @@ def _build_report(
                 "converged": s.result.converged,
                 "fallback_steps": s.result.fallback_steps,
                 "wall_ms": s.wall_ms,
-                "error_to_final": float(error),
+                "error_to_final": float(np.linalg.norm(s.result.x - x)),
             }
-            for s, error in zip(trace.stages, trace.errors_to_final())
+            for s in trace.stages
         ],
+        "endgame": None if endgame is None else {"after_stage": endgame},
         "solution": {
-            "eps_final": trace.final_eps,
-            "x": final.x.tolist(),
-            "lambda": final.lam.tolist(),
-            "y": best_response_exact(game, final.x).tolist(),
+            "eps_final": cfg.final_eps,
+            "x": x.tolist(),
+            "lambda": lam.tolist(),
+            "y": best_response_exact(game, x).tolist(),
         },
         "certificate": cert.to_dict(),
     }
+
+
+class _Endgame:
+    """The solve's early exit. :meth:`stop` takes :func:`endgame_step` on a
+    converged Newton stage's point, and ends the run at the first result
+    that ``certify`` passes at the schedule's final level, the gates the
+    full run's point would face; ``found`` then holds the stage index, the
+    point and its certificate. Each piece (follower branches and active
+    constraints) is tried once: the step from a piece already tried gives
+    the same point."""
+
+    def __init__(self, game: GameSpec, cfg: HomotopyConfig):
+        self.game, self.cfg = game, cfg
+        self.tried: set[bytes] = set()
+        self.found: tuple[int, np.ndarray, Certificate] | None = None
+
+    def stop(self, stage: StageRecord) -> bool:
+        game, z = self.game, np.concatenate([stage.result.x, stage.result.lam])
+        xi, active = piece(game, z)
+        key = xi.tobytes() + active.tobytes()
+        if key in self.tried:
+            return False
+        self.tried.add(key)
+        z = endgame_step(game, z)
+        if z is None:
+            return False
+        cert = certify(game, z[: game.n], z[game.n :], self.cfg.final_eps, p=self.cfg.p)
+        if cert.certified:
+            self.found = (stage.index, z, cert)
+        return cert.certified
 
 
 def cmd_solve(args) -> int:
@@ -184,7 +215,11 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    trace = homotopy_solve(game, _initial_point(game, args.seed), cfg)
+    # the exact endgame is a Newton step; the subgradient method runs the full continuation
+    endgame = _Endgame(game, cfg) if cfg.method == "newton" else None
+    trace = homotopy_solve(
+        game, _initial_point(game, args.seed), cfg, stop=endgame.stop if endgame else None
+    )
     for s in trace.stages:
         print(
             f"stage {s.index:2d}  eps={s.eps:.3e}  iters={s.result.iterations:4d}  "
@@ -197,13 +232,18 @@ def cmd_solve(args) -> int:
         print("solver failed to converge at some stage", file=sys.stderr)
         return EXIT_SOLVER
 
-    final = trace.final
-    cert = certify(game, final.x, final.lam, trace.final_eps, p=cfg.p)
+    if endgame is not None and endgame.found is not None:
+        after_stage, solution, cert = endgame.found
+        print(f"endgame: exact equilibrium after stage {after_stage}")
+    else:
+        final = trace.final
+        solution, after_stage = np.concatenate([final.x, final.lam]), None
+        cert = certify(game, final.x, final.lam, cfg.final_eps, p=cfg.p)
     print(f"nash gaps: {np.array2string(cert.nash_gaps, precision=3)}")
     print(f"max stationarity residual: {max(cert.s_stat_residuals.values()):.3e}")
     print(f"certified: {cert.certified}")
     if args.out:
-        report = _build_report(game, path, cfg, args.seed, trace, cert)
+        report = _build_report(game, path, cfg, args.seed, trace, solution, after_stage, cert)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return EXIT_OK if cert.certified else EXIT_CERT
 

@@ -11,11 +11,14 @@ default, :func:`~mlfg.solvers.newton_solve`) or ``"subgradient"``
 (:func:`~mlfg.solvers.subgradient_solve`), and ``HomotopyConfig.tol`` is
 the merit tolerance every stage must reach. The start and every warm start
 are flat iterates ``(x, lambda)``; each stage records the inner solver's
-:class:`~mlfg.solvers.InnerResult` as it is.
+:class:`~mlfg.solvers.InnerResult` as it is. ``homotopy_solve``'s ``stop``
+hook can end the run after any converged stage (``mlfg solve`` ends it at
+a certified exact endgame); without it the run is the full continuation.
 """
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,19 @@ class HomotopyConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be 'newton' or 'subgradient', got {self.method!r}")
         check_tol(self.tol)
+
+    def level(self, i: int) -> float:
+        """The smoothing level of stage ``i``, ``eps0 * gamma**i``."""
+        return self.eps0 * self.gamma**i
+
+    @property
+    def final_eps(self) -> float:
+        """The level of the schedule's last stage, the first at or below
+        ``eps_min``: the ``final_eps`` of every run that reaches it."""
+        i = 0
+        while self.level(i) > self.eps_min:
+            i += 1
+        return self.level(i)
 
 
 @dataclass
@@ -124,13 +140,16 @@ def homotopy_solve(
     game: GameSpec,
     z0: np.ndarray | None = None,
     cfg: HomotopyConfig | None = None,
+    stop: Callable[[StageRecord], bool] | None = None,
 ) -> HomotopyTrace:
     """Run the full continuation down to the target smoothing level.
 
     ``z0`` is the flat start ``(x, lambda)`` of length ``n + m_bar``, None
     for zeros. Stage levels follow eps0 * gamma**i exactly; the run stops
     after the first stage at or below ``eps_min``, or immediately when a
-    stage fails to converge (the trace marks the failing stage).
+    stage fails to converge (the trace marks the failing stage). ``stop``,
+    if given, is called with the record of each converged stage, its
+    predictor included, and a True return ends the run after that stage.
     """
     cfg = cfg or HomotopyConfig()
     solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
@@ -138,21 +157,22 @@ def homotopy_solve(
     stages: list[StageRecord] = []
     i = 0
     while True:
-        eps = cfg.eps0 * cfg.gamma**i
+        eps = cfg.level(i)
         start = time.perf_counter()
         res = solve_inner(game, z_warm, eps, cfg.p, tol=cfg.tol)
         wall_ms = (time.perf_counter() - start) * 1e3
 
-        eps_next = cfg.eps0 * cfg.gamma ** (i + 1)
+        eps_next = cfg.level(i + 1)
         d = np.zeros(game.n)
         if res.converged and cfg.taylor and eps > cfg.eps_min:
             d = taylor_direction(game, res.x, eps_next, cfg.p)
 
-        stages.append(StageRecord(
+        stage = StageRecord(
             index=i, eps=eps, result=res,
             predictor_norm=float(np.linalg.norm(d)), wall_ms=wall_ms,
-        ))
-        if not res.converged or eps <= cfg.eps_min:
+        )
+        stages.append(stage)
+        if not res.converged or (stop is not None and stop(stage)) or eps <= cfg.eps_min:
             break
         z_warm = np.concatenate([res.x - (eps - eps_next) * d, res.lam])
         i += 1

@@ -89,7 +89,7 @@ def _cached_array(method):
     return cached_property(wraps(method)(compute))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeaderSpec(_ArraySpec):
     """One leader's quadratic program data.
 
@@ -111,7 +111,7 @@ class LeaderSpec(_ArraySpec):
         return self.A.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FollowerSpec(_ArraySpec):
     """Follower QP data: diagonal Hessian, linear drive and bound maps."""
 
@@ -126,10 +126,12 @@ class FollowerSpec(_ArraySpec):
         return self.Qy_diag.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Multi-leader-follower game of the paper's class. Immutable; building
-    one raises :class:`GameFormatError` for inconsistent dimensions and then
+    """Multi-leader-follower game of the paper's class. Immutable, and
+    compared and hashed by identity, as are its leader and follower specs,
+    so a game can be a dict key. Building one raises
+    :class:`GameFormatError` for inconsistent dimensions and then
     :class:`GameValidationError` for any finding of :func:`validate_game`.
 
     Derived arrays (the Hessian stack, the follower maps ``drive``, ``S`` and

@@ -27,6 +27,12 @@ The step rules:
   fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
+
+:func:`endgame_step` leaves the smoothing behind: one Newton step on the
+unsmoothed (eps = 0) system, on the :func:`piece` (follower branches and
+active constraints) of a given point. The system is linear on a piece, so
+the step lands on the exact equilibrium whenever the piece holds it, and
+the step returns its result only when it lies on that piece.
 """
 from __future__ import annotations
 
@@ -43,6 +49,8 @@ __all__ = [
     "InnerResult",
     "lu_solve",
     "newton_solve",
+    "piece",
+    "endgame_step",
     "subgradient_solve",
 ]
 
@@ -266,3 +274,46 @@ def subgradient_solve(
         return None if accepted is None else (sigma * d, accepted, sigma, False)
 
     return _descend(game, z0, eps, p, tol, SUBGRAD_MAX_ITER, step)
+
+
+def piece(game: GameSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The piece of the unsmoothed system at ``z = (x, lambda)``: the follower
+    branches ``xi = sign(A_diff x)``, zero at a kink, and the constraint
+    branch ``lambda > -g`` of every min row (ties go to the multiplier
+    branch, as in :func:`~mlfg.kkt.evaluate`)."""
+    x, lam = z[: game.n], z[game.n :]
+    return np.sign(game.A_diff @ x), lam > -game.constraint_values(x)
+
+
+def endgame_step(game: GameSpec, z: np.ndarray) -> np.ndarray | None:
+    """One semismooth Newton step on the unsmoothed (eps = 0) system, on the
+    :func:`piece` of ``z = (x, lambda)``; the exact equilibrium if that piece
+    holds it.
+
+    With the follower branches ``xi`` and the active constraints ``A`` of
+    the piece fixed, the equilibrium conditions are the linear system
+    ``[Q_block G_A; G_A' 0] (x, lambda_A) = -(c + 0.5 S' a + 0.5 A_diff' diag(a) xi, b_A)``,
+    solved with :func:`lu_solve`. Returns the flat ``(x, lambda)`` of its
+    solution, zero off ``A``, only when it lies on the piece:
+    ``sign(A_diff x) == xi``, ``lambda_A >= 0`` and ``g(x) <= 0`` off ``A``.
+    Returns None otherwise, for a singular system and for a ``z`` with a
+    follower component at a kink (a zero in ``xi``).
+    """
+    n = game.n
+    xi, active = piece(game, z)
+    if not np.all(xi):
+        return None
+    G_A = game.constraint_gradient_block[:, active]
+    M = np.block([[game.Q_block, G_A], [G_A.T, np.zeros((G_A.shape[1],) * 2)]])
+    rhs = -np.concatenate([game.stationarity_constant + game.half_A_diffT_a @ xi, game.b_stack[active]])
+    sol = lu_solve(M, rhs)
+    if sol is None:
+        return None
+    x_hat, lam_hat = sol[:n], np.zeros(game.m_bar)
+    lam_hat[active] = sol[n:]
+    on_piece = (
+        np.array_equal(np.sign(game.A_diff @ x_hat), xi)
+        and np.all(sol[n:] >= 0.0)
+        and np.all(game.constraint_values(x_hat)[~active] <= 0.0)
+    )
+    return np.concatenate([x_hat, lam_hat]) if on_piece else None

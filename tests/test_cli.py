@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mlfg import HomotopyConfig, certify, newton_solve, save_game
+from mlfg import HomotopyConfig, certify, homotopy_solve, newton_solve, save_game, verify_nash
 from mlfg.cli import (
     BENCH_COLUMNS,
     ITER_LOG_COLUMNS,
@@ -18,6 +18,7 @@ from mlfg.cli import (
     main,
 )
 from mlfg.model import bundled_dataset_path
+from mlfg.solvers import endgame_step
 
 from conftest import make_game
 
@@ -35,7 +36,7 @@ def exit_code(*argv):
         return exc.code
 
 
-def test_solve_dataset1(tmp_path, capsys):
+def test_solve_dataset1(tmp_path, capsys, ds1):
     report = tmp_path / "report.json"
     log = tmp_path / "iters.csv"
     code = run("solve", "--dataset", "1", "--out", str(report), "--log", str(log))
@@ -46,11 +47,15 @@ def test_solve_dataset1(tmp_path, capsys):
     doc = json.loads(report.read_text())
     errors = [s["error_to_final"] for s in doc["stages"]]
     assert all(a > b for a, b in zip(errors[:-1], errors[1:]))
-    assert doc["stages"][-1]["eps"] <= 1e-6
+    # the certificate gates at the schedule's final level, and the exact
+    # endgame after the first stage is the exact equilibrium
+    assert doc["solution"]["eps_final"] <= 1e-6
+    assert doc["endgame"] == {"after_stage": 0}
     assert all(s["converged"] for s in doc["stages"])
     assert doc["certificate"]["certified"] is True
     assert len(doc["solution"]["x"]) == 4
     assert len(doc["solution"]["y"]) == 3
+    assert np.all(np.abs(verify_nash(ds1, doc["solution"]["x"])) <= 1e-12)
 
     with open(log) as fh:
         rows = list(csv.reader(fh))
@@ -83,9 +88,82 @@ def test_solve_report_fields(tmp_path, trace1):
     assert run("solve", "--dataset", "1", "--out", str(report)) == 0
     doc = json.loads(report.read_text())
     assert [s["fallback_steps"] for s in doc["stages"]] == [
-        s.result.fallback_steps for s in trace1.stages
+        s.result.fallback_steps for s in trace1.stages[: len(doc["stages"])]
     ]
     assert doc["certificate"]["nash_method"] == "weak_duality"
+
+
+@pytest.mark.parametrize("name", ["1", "2"])
+def test_endgame_report_matches_library(tmp_path, request, name):
+    # the exact endgame after stage 0; every reported stage is the library's
+    # stage of that index, and the certificate is reproducible
+    game, trace = request.getfixturevalue(f"ds{name}"), request.getfixturevalue(f"trace{name}")
+    report = tmp_path / "report.json"
+    assert run("solve", "--dataset", name, "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    assert doc["endgame"] == {"after_stage": 0}
+    assert len(doc["stages"]) == 1
+    for s, ref in zip(doc["stages"], trace.stages):
+        assert s["index"] == ref.index and s["eps"] == ref.eps
+        assert s["inner_iterations"] == ref.result.iterations
+        assert s["merit_final"] == ref.result.merit
+        assert s["fallback_steps"] == ref.result.fallback_steps
+        assert s["warm_start_merit"] == ref.warm_start_merit
+        assert s["predictor_norm"] == ref.predictor_norm
+    sol = doc["solution"]
+    assert sol["eps_final"] == trace.final_eps == HomotopyConfig().final_eps
+    x = np.asarray(sol["x"])
+    assert doc["stages"][0]["error_to_final"] == float(np.linalg.norm(trace.stages[0].result.x - x))
+    assert np.all(np.abs(verify_nash(game, x)) <= 1e-12)
+    cert = certify(game, x, np.asarray(sol["lambda"]), sol["eps_final"], doc["config"]["p"])
+    assert cert.to_dict() == doc["certificate"]
+    assert run("verify", "--dataset", name, "--report", str(report)) == 0
+
+
+def test_endgame_with_active_constraints(tmp_path, active_game):
+    path, report = tmp_path / "active.json", tmp_path / "report.json"
+    save_game(active_game, path)
+    assert run("solve", "--data", str(path), "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    assert doc["endgame"] == {"after_stage": 0}
+    lam = np.asarray(doc["solution"]["lambda"])
+    assert np.all(lam[list(active_game.lambda_offsets[:-1])] > 0.0)  # the moved constraints
+    assert np.all(np.abs(verify_nash(active_game, doc["solution"]["x"])) <= 1e-12)
+
+
+def test_endgame_declined_at_a_kink(tmp_path, kink_game):
+    # no piece holds an equilibrium on the kinks: the full continuation runs
+    path, report = tmp_path / "kink.json", tmp_path / "report.json"
+    save_game(kink_game, path)
+    run("solve", "--data", str(path), "--out", str(report))
+    doc = json.loads(report.read_text())
+    trace = homotopy_solve(kink_game)
+    assert doc["endgame"] is None
+    assert len(doc["stages"]) == len(trace.stages) == 22
+    assert np.array_equal(np.asarray(doc["solution"]["x"]), trace.final.x)
+
+
+def test_subgradient_runs_no_endgame(tmp_path, ds1):
+    report = tmp_path / "report.json"
+    flags = ["--method", "subgradient", "--eps-min", "0.05"]
+    assert run("solve", "--dataset", "1", *flags, "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    trace = homotopy_solve(ds1, cfg=HomotopyConfig(method="subgradient", eps_min=0.05))
+    assert doc["endgame"] is None
+    assert len(doc["stages"]) == len(trace.stages)
+    assert np.array_equal(np.asarray(doc["solution"]["x"]), trace.final.x)
+
+
+def test_endgame_tries_each_piece_once(monkeypatch, kink_game, tmp_path):
+    # every stage point of the kink game is on its kinks, one piece, tried once
+    path = tmp_path / "kink.json"
+    save_game(kink_game, path)
+    calls = []
+    monkeypatch.setattr(
+        "mlfg.cli.endgame_step", lambda game, z: calls.append(z) or endgame_step(game, z)
+    )
+    run("solve", "--data", str(path))
+    assert len(calls) == 1
 
 
 def test_solve_missing_data_file():
@@ -532,7 +610,9 @@ def test_bench_iter_rows_match_solve_log(tmp_path):
     solve = rows(log)
     assert solve[0] == [c for c in ITER_LOG_COLUMNS if c != "wall_ms"]
     assert len(solve) > 1
-    assert bench == solve[1:]
+    # solve can end early at the exact endgame; its log holds the stages it ran
+    ran = {r[0] for r in solve[1:]}
+    assert [r for r in bench if r[0] in ran] == solve[1:]
 
 
 

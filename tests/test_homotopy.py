@@ -121,6 +121,37 @@ class TestTraceConsistency:
     def test_warm_start_merit_is_first_merit(self, trace1):
         assert all(s.warm_start_merit == s.result.merit_history[0] for s in trace1.stages)
 
+    @pytest.mark.parametrize(
+        "eps0, gamma, eps_min",
+        [(1.6, 0.5, 1e-6), (1.6, 0.5, 0.1), (1.5, 0.3, 1e-3), (1.9, 0.9, 0.05), (1.2, 0.7, 0.5)],
+    )
+    def test_final_eps_is_the_runs_final_level(self, ds1, eps0, gamma, eps_min):
+        cfg = HomotopyConfig(eps0=eps0, gamma=gamma, eps_min=eps_min)
+        assert cfg.final_eps == homotopy_solve(ds1, cfg=cfg).final_eps
+
+    def test_stop_hook_sees_every_converged_stage(self, ds1, trace1):
+        seen = []
+        trace = homotopy_solve(ds1, stop=lambda stage: seen.append(stage.index) or False)
+        assert seen == list(range(len(trace1.stages)))
+        assert np.array_equal(trace.final.x, trace1.final.x)
+
+    def test_stop_hook_ends_the_run_with_unchanged_stages(self, ds1, trace1):
+        trace = homotopy_solve(ds1, stop=lambda stage: stage.index == 2)
+        assert len(trace.stages) == 3
+        for s, ref in zip(trace.stages, trace1.stages):
+            assert (s.index, s.eps, s.predictor_norm) == (ref.index, ref.eps, ref.predictor_norm)
+            assert s.result.merit_history == ref.result.merit_history
+            assert s.result.step_norms == ref.result.step_norms
+            assert s.result.fallback_steps == ref.result.fallback_steps
+            assert np.array_equal(s.result.x, ref.result.x)
+            assert np.array_equal(s.result.lam, ref.result.lam)
+
+    def test_stop_hook_not_called_on_a_failed_stage(self, ds1, monkeypatch):
+        monkeypatch.setattr("mlfg.solvers.NEWTON_MAX_ITER", 1)
+        seen = []
+        trace = homotopy_solve(ds1, stop=lambda stage: seen.append(stage.index) or False)
+        assert not trace.converged and seen == []
+
     def test_subgradient_inner(self, ds1):
         cfg = HomotopyConfig(eps_min=0.4, method="subgradient", tol=1e-8)
         trace = homotopy_solve(ds1, cfg=cfg)

@@ -9,6 +9,7 @@ from mlfg import (
     GameValidationError,
     LeaderSpec,
     compose_strategy,
+    load_bundled,
     load_game,
     save_game,
     split_strategy,
@@ -303,3 +304,12 @@ def test_constraint_values_stack_rows_equal_single_points(request, name):
     assert g.shape == (24, game.m_bar)
     for x, row in zip(X, g):
         assert np.array_equal(row, game.constraint_values(x))
+
+
+def test_specs_compare_and_hash_by_identity(ds1):
+    other = load_bundled(1)
+    assert ds1 == ds1
+    assert ds1 != other
+    assert ds1.leaders[0] != other.leaders[0] and ds1.follower != other.follower
+    assert {ds1: 1}[ds1] == 1
+    assert len({ds1, other, ds1.leaders[0], ds1.follower}) == 4

@@ -9,10 +9,12 @@ from mlfg import (
     merit,
     newton_solve,
     subgradient_solve,
+    verify_nash,
 )
+from mlfg import solvers
 from mlfg.kkt import evaluate, residual_merit
 from mlfg.smoothing import phi_tilde_slopes
-from mlfg.solvers import MAX_BACKTRACKS, _step_search, armijo_search
+from mlfg.solvers import MAX_BACKTRACKS, _step_search, armijo_search, endgame_step, piece
 
 from conftest import make_game
 from helpers import jacobian_at, step_search_sequential
@@ -447,3 +449,49 @@ class TestStepSearch:
             -19: 2, -18: 29, -17: 2, -16: 30, -15: 2, -14: 23, -13: 2, -12: 50, -11: 3,
             -10: 24, -9: 19, -8: 18, -7: 13, -6: 20, -5: 29, -4: 4, -3: 14, -1: 2, 0: 1, 1: 1,
         }
+
+
+def stage0_point(trace) -> np.ndarray:
+    first = trace.stages[0].result
+    return np.concatenate([first.x, first.lam])
+
+
+class TestEndgameStep:
+    @pytest.mark.parametrize("name", ["1", "2"])
+    def test_stage0_point_gives_the_exact_equilibrium(self, request, name):
+        game, trace = request.getfixturevalue(f"ds{name}"), request.getfixturevalue(f"trace{name}")
+        z = endgame_step(game, stage0_point(trace))
+        assert z is not None
+        assert np.all(np.abs(verify_nash(game, z[: game.n])) <= 1e-12)
+        assert np.array_equal(z[game.n :], np.zeros(game.m_bar))
+
+    def test_active_constraints_get_positive_multipliers(self, active_game, active_trace):
+        z = endgame_step(active_game, stage0_point(active_trace))
+        assert z is not None
+        lam = z[active_game.n :]
+        first = list(active_game.lambda_offsets[:-1])  # each leader's moved constraint
+        assert np.all(lam[first] > 0.0)
+        assert np.all(np.abs(verify_nash(active_game, z[: active_game.n])) <= 1e-12)
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_flipped_branch_is_declined(self, ds1, trace1, monkeypatch, j):
+        z = stage0_point(trace1)
+        xi, active = piece(ds1, z)
+        xi[j] = -xi[j]
+        monkeypatch.setattr(solvers, "piece", lambda game, z: (xi, active))
+        assert endgame_step(ds1, z) is None
+
+    def test_kink_is_declined(self, kink_game):
+        x_star = np.array([1.0, -0.5, 0.5, 1.0])  # on every kink
+        assert endgame_step(kink_game, np.concatenate([x_star, np.zeros(kink_game.m_bar)])) is None
+
+    def test_singular_system_is_declined(self, monkeypatch):
+        # x <= 1 twice, both on the constraint branch at x = 1: G_A has two equal columns
+        game = make_game(
+            [np.eye(1)], [np.zeros(1)], [np.array([[1.0, 1.0]])], [np.array([-1.0, -1.0])],
+            np.ones(1), np.ones((1, 1)), np.zeros((1, 1)), np.ones(1),
+        )
+        solved = []
+        monkeypatch.setattr(solvers, "lu_solve", lambda M, rhs: solved.append(lu_solve(M, rhs)))
+        assert endgame_step(game, np.array([1.0, 1.0, 1.0])) is None
+        assert solved == [None]
