@@ -173,11 +173,11 @@ def _build_report(
 
 
 class _Endgame:
-    """The solve's early exit. :meth:`stop` takes :func:`endgame_step` on a
-    converged Newton stage's point, and ends the run at the first result
-    that ``certify`` passes at the schedule's final level, the gates the
-    full run's point would face; ``found`` then holds the stage index, the
-    point and its certificate. Each piece (follower branches and active
+    """The solve's early exit. :meth:`stop` takes :func:`endgame_step` on the
+    piece of a converged Newton stage's point, and ends the run at the first
+    result that ``certify`` passes at the schedule's final level, the gates
+    the full run's point would face; ``found`` then holds the stage index,
+    the point and its certificate. Each piece (follower branches and active
     constraints) is tried once: the step from a piece already tried gives
     the same point."""
 
@@ -187,13 +187,13 @@ class _Endgame:
         self.found: tuple[int, np.ndarray, Certificate] | None = None
 
     def stop(self, stage: StageRecord) -> bool:
-        game, z = self.game, np.concatenate([stage.result.x, stage.result.lam])
-        xi, active = piece(game, z)
+        game = self.game
+        xi, active = piece(game, np.concatenate([stage.result.x, stage.result.lam]))
         key = xi.tobytes() + active.tobytes()
         if key in self.tried:
             return False
         self.tried.add(key)
-        z = endgame_step(game, z)
+        z = endgame_step(game, xi, active)
         if z is None:
             return False
         cert = certify(game, z[: game.n], z[game.n :], self.cfg.final_eps, p=self.cfg.p)
@@ -215,7 +215,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    # the exact endgame is a Newton step; the subgradient method runs the full continuation
+    # the subgradient method returns the paper's smoothed equilibrium at eps_min: no endgame
     endgame = _Endgame(game, cfg) if cfg.method == "newton" else None
     trace = homotopy_solve(
         game, _initial_point(game, args.seed), cfg, stop=endgame.stop if endgame else None
@@ -438,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     candidate.add_argument("--report", help="verify the solution embedded in a solve report")
     verify.add_argument("--tol", type=float, default=NASH_TOL, help="nash gap tolerance")
     verify.add_argument(
-        "--eps-final", type=float, default=HomotopyConfig.eps_min,
-        help="smoothing level used to read off limit derivative values",
+        "--eps-final", type=float, default=HomotopyConfig().final_eps,
+        help="smoothing level of the certificate's gates (default: solve's final level)",
     )
     verify.set_defaults(func=cmd_verify)
 

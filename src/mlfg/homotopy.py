@@ -9,7 +9,8 @@ coefficient matrix is the Hessian stack plus the smoothing curvature term.
 ``HomotopyConfig.method`` names the inner solver, ``"newton"`` (the
 default, :func:`~mlfg.solvers.newton_solve`) or ``"subgradient"``
 (:func:`~mlfg.solvers.subgradient_solve`), and ``HomotopyConfig.tol`` is
-the merit tolerance every stage must reach. The start and every warm start
+the merit tolerance every stage must reach. The frozen config holds the
+one schedule, ``HomotopyConfig.levels``. The start and every warm start
 are flat iterates ``(x, lambda)``; each stage records the inner solver's
 :class:`~mlfg.solvers.InnerResult` as it is. ``homotopy_solve``'s ``stop``
 hook can end the run after any converged stage (``mlfg solve`` ends it at
@@ -20,6 +21,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +44,7 @@ __all__ = [
 METHODS = ("newton", "subgradient")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomotopyConfig:
     eps0: float = 1.6
     gamma: float = 0.5
@@ -61,21 +63,22 @@ class HomotopyConfig:
             raise ValueError("eps_min must lie in (0, eps0)")
         _two_eps(self.eps_min, self.p)  # the kernel's own check of p
         if self.method not in METHODS:
-            raise ValueError(f"method must be 'newton' or 'subgradient', got {self.method!r}")
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         check_tol(self.tol)
 
-    def level(self, i: int) -> float:
-        """The smoothing level of stage ``i``, ``eps0 * gamma**i``."""
-        return self.eps0 * self.gamma**i
+    @cached_property
+    def levels(self) -> tuple[float, ...]:
+        """The schedule: ``eps0 * gamma**i`` for i = 0, 1, ... up to and
+        including the first level at or below ``eps_min``."""
+        levels = [self.eps0]
+        while levels[-1] > self.eps_min:
+            levels.append(self.eps0 * self.gamma ** len(levels))
+        return tuple(levels)
 
     @property
     def final_eps(self) -> float:
-        """The level of the schedule's last stage, the first at or below
-        ``eps_min``: the ``final_eps`` of every run that reaches it."""
-        i = 0
-        while self.level(i) > self.eps_min:
-            i += 1
-        return self.level(i)
+        """The schedule's last level: the ``final_eps`` of every run that reaches it."""
+        return self.levels[-1]
 
 
 @dataclass
@@ -112,6 +115,7 @@ class HomotopyTrace:
 
     @property
     def final_eps(self) -> float:
+        """The last stage's level; ``cfg.final_eps`` unless the run ended early."""
         return self.stages[-1].eps
 
     def eps_values(self) -> np.ndarray:
@@ -145,35 +149,32 @@ def homotopy_solve(
     """Run the full continuation down to the target smoothing level.
 
     ``z0`` is the flat start ``(x, lambda)`` of length ``n + m_bar``, None
-    for zeros. Stage levels follow eps0 * gamma**i exactly; the run stops
-    after the first stage at or below ``eps_min``, or immediately when a
-    stage fails to converge (the trace marks the failing stage). ``stop``,
-    if given, is called with the record of each converged stage, its
-    predictor included, and a True return ends the run after that stage.
+    for zeros. Stage ``i`` runs at ``cfg.levels[i]``; the run stops after
+    the last level, or immediately when a stage fails to converge (the
+    trace marks the failing stage). ``stop``, if given, is called with the
+    record of each converged stage, its predictor included, and a True
+    return ends the run after that stage.
     """
     cfg = cfg or HomotopyConfig()
     solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
     z_warm = z0
     stages: list[StageRecord] = []
-    i = 0
-    while True:
-        eps = cfg.level(i)
+    for i, eps in enumerate(cfg.levels):
         start = time.perf_counter()
         res = solve_inner(game, z_warm, eps, cfg.p, tol=cfg.tol)
         wall_ms = (time.perf_counter() - start) * 1e3
 
-        eps_next = cfg.level(i + 1)
+        last = i + 1 == len(cfg.levels)
         d = np.zeros(game.n)
-        if res.converged and cfg.taylor and eps > cfg.eps_min:
-            d = taylor_direction(game, res.x, eps_next, cfg.p)
+        if res.converged and cfg.taylor and not last:
+            d = taylor_direction(game, res.x, cfg.levels[i + 1], cfg.p)
 
         stage = StageRecord(
             index=i, eps=eps, result=res,
             predictor_norm=float(np.linalg.norm(d)), wall_ms=wall_ms,
         )
         stages.append(stage)
-        if not res.converged or (stop is not None and stop(stage)) or eps <= cfg.eps_min:
+        if not res.converged or (stop is not None and stop(stage)) or last:
             break
-        z_warm = np.concatenate([res.x - (eps - eps_next) * d, res.lam])
-        i += 1
+        z_warm = np.concatenate([res.x - (eps - cfg.levels[i + 1]) * d, res.lam])
     return HomotopyTrace(stages=stages)

@@ -29,10 +29,10 @@ The step rules:
 Both are deterministic and keep the merit monotonically nonincreasing.
 
 :func:`endgame_step` leaves the smoothing behind: one Newton step on the
-unsmoothed (eps = 0) system, on the :func:`piece` (follower branches and
-active constraints) of a given point. The system is linear on a piece, so
-the step lands on the exact equilibrium whenever the piece holds it, and
-the step returns its result only when it lies on that piece.
+unsmoothed (eps = 0) system, on a given :func:`piece` (follower branches
+and active constraints). The system is linear on a piece, so the step
+lands on the exact equilibrium whenever the piece holds it, and it
+returns its result only when it lies on that piece.
 """
 from __future__ import annotations
 
@@ -285,22 +285,20 @@ def piece(game: GameSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sign(game.A_diff @ x), lam > -game.constraint_values(x)
 
 
-def endgame_step(game: GameSpec, z: np.ndarray) -> np.ndarray | None:
+def endgame_step(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np.ndarray | None:
     """One semismooth Newton step on the unsmoothed (eps = 0) system, on the
-    :func:`piece` of ``z = (x, lambda)``; the exact equilibrium if that piece
-    holds it.
+    piece of follower branches ``xi`` and active constraints ``active`` (a
+    :func:`piece`); the exact equilibrium if that piece holds it.
 
-    With the follower branches ``xi`` and the active constraints ``A`` of
-    the piece fixed, the equilibrium conditions are the linear system
+    With the branches ``xi`` and the active constraints ``A`` fixed, the
+    equilibrium conditions are the linear system
     ``[Q_block G_A; G_A' 0] (x, lambda_A) = -(c + 0.5 S' a + 0.5 A_diff' diag(a) xi, b_A)``,
     solved with :func:`lu_solve`. Returns the flat ``(x, lambda)`` of its
     solution, zero off ``A``, only when it lies on the piece:
     ``sign(A_diff x) == xi``, ``lambda_A >= 0`` and ``g(x) <= 0`` off ``A``.
-    Returns None otherwise, for a singular system and for a ``z`` with a
-    follower component at a kink (a zero in ``xi``).
+    Returns None otherwise: for a singular system, or a zero in ``xi``.
     """
     n = game.n
-    xi, active = piece(game, z)
     if not np.all(xi):
         return None
     G_A = game.constraint_gradient_block[:, active]

@@ -160,7 +160,8 @@ def test_endgame_tries_each_piece_once(monkeypatch, kink_game, tmp_path):
     save_game(kink_game, path)
     calls = []
     monkeypatch.setattr(
-        "mlfg.cli.endgame_step", lambda game, z: calls.append(z) or endgame_step(game, z)
+        "mlfg.cli.endgame_step",
+        lambda game, xi, active: calls.append(xi) or endgame_step(game, xi, active),
     )
     run("solve", "--data", str(path))
     assert len(calls) == 1
@@ -341,6 +342,19 @@ def test_verify_perturbed_candidate(tmp_path, capsys):
     assert run("verify", "--dataset", "1", "--x", str(xfile)) == 2
     out = capsys.readouterr().out
     assert "leader 1" in out
+
+
+def test_verify_x_defaults_judge_as_solve_does(tmp_path, capsys, ds1, trace1):
+    # the continuation point with x[0] shifted by 10**-5.5 passes the gates
+    # of eps = 1e-6 but not those of the schedule's final level 7.63e-7
+    x = trace1.final.x.copy()
+    x[0] += 10**-5.5
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps(x.tolist()))
+    cert = certify(ds1, x, None, HomotopyConfig().final_eps)
+    assert certify(ds1, x, None, 1e-6).certified and not cert.certified
+    assert run("verify", "--dataset", "1", "--x", str(xfile)) == 2
+    assert f"stationarity_x: {cert.s_stat_residuals['stationarity_x']:.6e}" in capsys.readouterr().out
 
 
 def test_verify_stacked_candidate_with_multipliers(tmp_path):
@@ -677,7 +691,7 @@ def test_flag_defaults_are_homotopy_config_defaults():
     solve = parser.parse_args(["solve", "--dataset", "1"])
     assert _homotopy_config(solve) == HomotopyConfig()
     verify = parser.parse_args(["verify", "--dataset", "1", "--x", "x.txt"])
-    assert verify.eps_final == HomotopyConfig().eps_min
+    assert verify.eps_final == HomotopyConfig().final_eps
     bench = parser.parse_args(["bench", "--dataset", "1"])
     cells = [(c.method, c.taylor) for c in _bench_configs(bench)]
     assert cells == [(m, t) for m in ("newton", "subgradient") for t in (True, False)]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ class TestSchedule:
             HomotopyConfig(tol=float("inf"))
         with pytest.raises(ValueError):
             HomotopyConfig(p=3)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(HomotopyConfig)])
+    def test_config_is_frozen(self, field):
+        # an edit after validation would skip the checks: method = "Newton"
+        # ran the subgradient method, eps_min = 0.0 ran until eps underflowed
+        cfg = HomotopyConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, getattr(cfg, field))
 
 
 class TestZeroWeightGame:
@@ -127,7 +137,9 @@ class TestTraceConsistency:
     )
     def test_final_eps_is_the_runs_final_level(self, ds1, eps0, gamma, eps_min):
         cfg = HomotopyConfig(eps0=eps0, gamma=gamma, eps_min=eps_min)
-        assert cfg.final_eps == homotopy_solve(ds1, cfg=cfg).final_eps
+        trace = homotopy_solve(ds1, cfg=cfg)
+        assert cfg.final_eps == trace.final_eps
+        assert cfg.levels == tuple(s.eps for s in trace.stages)
 
     def test_stop_hook_sees_every_converged_stage(self, ds1, trace1):
         seen = []

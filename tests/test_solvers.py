@@ -460,13 +460,13 @@ class TestEndgameStep:
     @pytest.mark.parametrize("name", ["1", "2"])
     def test_stage0_point_gives_the_exact_equilibrium(self, request, name):
         game, trace = request.getfixturevalue(f"ds{name}"), request.getfixturevalue(f"trace{name}")
-        z = endgame_step(game, stage0_point(trace))
+        z = endgame_step(game, *piece(game, stage0_point(trace)))
         assert z is not None
         assert np.all(np.abs(verify_nash(game, z[: game.n])) <= 1e-12)
         assert np.array_equal(z[game.n :], np.zeros(game.m_bar))
 
     def test_active_constraints_get_positive_multipliers(self, active_game, active_trace):
-        z = endgame_step(active_game, stage0_point(active_trace))
+        z = endgame_step(active_game, *piece(active_game, stage0_point(active_trace)))
         assert z is not None
         lam = z[active_game.n :]
         first = list(active_game.lambda_offsets[:-1])  # each leader's moved constraint
@@ -474,16 +474,15 @@ class TestEndgameStep:
         assert np.all(np.abs(verify_nash(active_game, z[: active_game.n])) <= 1e-12)
 
     @pytest.mark.parametrize("j", range(3))
-    def test_flipped_branch_is_declined(self, ds1, trace1, monkeypatch, j):
-        z = stage0_point(trace1)
-        xi, active = piece(ds1, z)
+    def test_flipped_branch_is_declined(self, ds1, trace1, j):
+        xi, active = piece(ds1, stage0_point(trace1))
         xi[j] = -xi[j]
-        monkeypatch.setattr(solvers, "piece", lambda game, z: (xi, active))
-        assert endgame_step(ds1, z) is None
+        assert endgame_step(ds1, xi, active) is None
 
     def test_kink_is_declined(self, kink_game):
         x_star = np.array([1.0, -0.5, 0.5, 1.0])  # on every kink
-        assert endgame_step(kink_game, np.concatenate([x_star, np.zeros(kink_game.m_bar)])) is None
+        z = np.concatenate([x_star, np.zeros(kink_game.m_bar)])
+        assert endgame_step(kink_game, *piece(kink_game, z)) is None
 
     def test_singular_system_is_declined(self, monkeypatch):
         # x <= 1 twice, both on the constraint branch at x = 1: G_A has two equal columns
@@ -493,5 +492,5 @@ class TestEndgameStep:
         )
         solved = []
         monkeypatch.setattr(solvers, "lu_solve", lambda M, rhs: solved.append(lu_solve(M, rhs)))
-        assert endgame_step(game, np.array([1.0, 1.0, 1.0])) is None
+        assert endgame_step(game, *piece(game, np.array([1.0, 1.0, 1.0]))) is None
         assert solved == [None]
