@@ -50,8 +50,8 @@ class TestSchedule:
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(HomotopyConfig)])
     def test_config_is_frozen(self, field):
-        # an edit after validation would skip the checks: method = "Newton"
-        # ran the subgradient method, eps_min = 0.0 ran until eps underflowed
+        # an edit after validation would skip its checks, say method = "Newton"
+        # or eps_min = 0.0
         cfg = HomotopyConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, getattr(cfg, field))
