@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +403,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's one definition, as a new parser on every call."""
     parser = _Parser(
         prog="mlfg",
         description="Equilibrium solver for quadratic multi-leader-follower games.",
@@ -459,8 +460,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses for every call in a process, built on
+    first use. Reuse is safe: ``parse_args`` makes a new namespace per call,
+    every default is immutable, and a rejected command line exits without
+    touching the parser."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FloatingPointError as exc:  # a start whose merit is not finite

@@ -8,10 +8,12 @@ complementarity-constrained form with explicitly constructed multipliers,
 and upper bounds on every leader's Nash gap by Lagrangian weak duality at
 those same multipliers, one small dense solve per leader. The bound holds
 for any ``lam >= 0`` and any branch split of the response weights, so its
-soundness does not depend on the solver path that produced the candidate;
-a loose multiplier can only make it refuse, never pass. :func:`certify`
-alone decides the verdict, gates scaled by the smoothing level's payoff
-drift; ``lam=None`` fits the constraint multipliers.
+soundness does not depend on the solver path that produced the candidate
+or on which of its two splits (the smoothed kernel's, or the exact branch
+signs) the certificate keeps; a loose multiplier can only make it refuse,
+never pass. :func:`certify` alone decides the verdict, gates scaled by the
+smoothing level's payoff drift; ``lam=None`` fits the constraint
+multipliers.
 
 :func:`verify_nash` returns the exact gaps by exhaustive active-set
 enumeration of each epigraph QP, exponential in the follower dimension:
@@ -53,8 +55,11 @@ class OracleError(RuntimeError):
 @dataclass(frozen=True)
 class Certificate:
     """A candidate's complete certificate, frozen: Nash-gap upper bounds,
-    the kernel derivative values ``xi_bar`` and the branch multipliers they
-    give, and the strong stationarity residuals, each with its gate."""
+    the branch indicators ``xi_bar`` and the branch multipliers they give,
+    and the strong stationarity residuals, each with its gate. ``split``
+    names where ``xi_bar`` came from: ``"smoothed"`` for the kernel
+    derivative at the final smoothing level, ``"sign"`` for the sign of
+    its argument."""
 
     nash_gaps: np.ndarray
     nash_tol: float
@@ -63,6 +68,13 @@ class Certificate:
     Gamma2: np.ndarray
     s_stat_residuals: dict[str, float]
     s_tol: float
+    split: str
+
+    @property
+    def worst(self) -> float:
+        """The largest Nash gap or stationarity residual over its gate."""
+        gaps = float(np.max(self.nash_gaps)) / self.nash_tol
+        return max(gaps, max(self.s_stat_residuals.values()) / self.s_tol)
 
     @property
     def nash_certified(self) -> bool:
@@ -88,6 +100,7 @@ class Certificate:
             "s_stat_residuals": self.s_stat_residuals,
             "s_tol": self.s_tol,
             "s_certified": self.s_certified,
+            "split": self.split,
             "certified": self.certified,
         }
 
@@ -241,52 +254,67 @@ def s_stationarity_certificate(
     tol: float = STAT_TOL,
     nash_tol: float = NASH_TOL,
 ) -> Certificate:
-    """The complete :class:`Certificate` of a candidate, in one pass.
+    """The complete :class:`Certificate` of a candidate, from one pass over
+    its response and constraints that both branch splits share.
 
-    The kernel's derivative values at the final smoothing level, unrounded,
-    split the response weights between the two branches into the
-    complementarity multipliers. ``lam=None`` fits the constraint
-    multipliers: least squares on the stationarity rows over the
-    constraints with ``g >= -tol``, clipped at zero. Those multipliers bound
-    the Nash gaps by weak duality (:func:`nash_gap_bounds`).
+    The kernel's derivative values ``xi`` at the final smoothing level,
+    unrounded, split the response weights between the two branches into the
+    complementarity multipliers ``Gamma1 = a (1 - xi) / 2``. If that
+    certificate is refused, it is built again with ``xi = sign(t)`` where
+    the kernel's argument ``t`` is nonzero: the exact response's branch,
+    which a component near the kink needs at an exact equilibrium. The
+    split that passes is kept, or else the one whose worst gap or residual
+    is smaller against its gate. ``lam=None`` fits the constraint
+    multipliers for each split: least squares on the stationarity rows over
+    the constraints with ``g >= -tol``, clipped at zero. Those multipliers
+    bound the Nash gaps by weak duality (:func:`nash_gap_bounds`), which
+    holds for either split.
     """
     x = np.asarray(x, dtype=float)
     fol = game.follower
     a = fol.a
 
-    xi_bar = np.asarray(phi_tilde_d1(game.A_diff @ x, eps_final, p), dtype=float)
-    Gamma1 = 0.5 * a * (1.0 - xi_bar)
-    Gamma2 = a - Gamma1
-
+    t = game.A_diff @ x
+    xi_bar = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
     y = best_response_exact(game, x)
     G1 = y - game.drive @ x
     G2 = y - fol.L.T @ x
     g = game.constraint_values(x)
-
     base = game.Q_block @ x + game.c_stack
-    drive_term, bound_term = game.drive.T @ Gamma1, fol.L @ Gamma2
-    if lam is None:
-        active = g >= -tol
-        lam = np.zeros(game.m_bar)
-        G = game.constraint_gradient_block[:, active]
-        r = base + (drive_term + bound_term)
-        lam[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
-    lam = np.asarray(lam, dtype=float)
-    stat_x = base + game.constraint_gradient_block @ lam + drive_term + bound_term
+    active = g >= -tol
+    G = game.constraint_gradient_block[:, active]
 
-    residuals = {
-        "stationarity_x": float(np.max(np.abs(stat_x))),
-        "stationarity_y": float(np.max(np.abs(a - Gamma1 - Gamma2))),
-        "primal_feasibility": float(max(0.0, np.max(g, initial=0.0))),
-        "multiplier_sign": float(max(0.0, -np.min(lam, initial=0.0))),
-        "constraint_complementarity": float(np.max(np.abs(g * lam), initial=0.0)),
-        "response_complementarity": float(np.max(np.abs(np.minimum(G1, G2)))),
-        "branch1_complementarity": float(np.max(np.abs(G1 * Gamma1))),
-        "branch2_complementarity": float(np.max(np.abs(G2 * Gamma2))),
-        "gamma_sign": float(max(0.0, -min(np.min(Gamma1), np.min(Gamma2)))),
-    }
-    gaps = nash_gap_bounds(game, x, lam, Gamma1)
-    return Certificate(gaps, nash_tol, xi_bar, Gamma1, Gamma2, residuals, tol)
+    def split_certificate(split: str, xi: np.ndarray) -> Certificate:
+        Gamma1 = 0.5 * a * (1.0 - xi)
+        Gamma2 = a - Gamma1
+        drive_term, bound_term = game.drive.T @ Gamma1, fol.L @ Gamma2
+        if lam is None:
+            mult = np.zeros(game.m_bar)
+            r = base + (drive_term + bound_term)
+            mult[active] = np.maximum(np.linalg.lstsq(G, -r, rcond=None)[0], 0.0)
+        else:
+            mult = np.asarray(lam, dtype=float)
+        stat_x = base + game.constraint_gradient_block @ mult + drive_term + bound_term
+        residuals = {
+            "stationarity_x": float(np.max(np.abs(stat_x))),
+            "stationarity_y": float(np.max(np.abs(a - Gamma1 - Gamma2))),
+            "primal_feasibility": float(max(0.0, np.max(g, initial=0.0))),
+            "multiplier_sign": float(max(0.0, -np.min(mult, initial=0.0))),
+            "constraint_complementarity": float(np.max(np.abs(g * mult), initial=0.0)),
+            "response_complementarity": float(np.max(np.abs(np.minimum(G1, G2)))),
+            "branch1_complementarity": float(np.max(np.abs(G1 * Gamma1))),
+            "branch2_complementarity": float(np.max(np.abs(G2 * Gamma2))),
+            "gamma_sign": float(max(0.0, -min(np.min(Gamma1), np.min(Gamma2)))),
+        }
+        gaps = nash_gap_bounds(game, x, mult, Gamma1)
+        return Certificate(gaps, nash_tol, xi, Gamma1, Gamma2, residuals, tol, split)
+
+    cert = split_certificate("smoothed", xi_bar)
+    if cert.certified:
+        return cert
+    # the limit split: the exact response's branch where t != 0
+    limit = split_certificate("sign", np.where(t != 0.0, np.sign(t), xi_bar))
+    return limit if limit.certified or limit.worst < cert.worst else cert
 
 
 def certify(

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import mlfg.cli
 from mlfg import HomotopyConfig, certify, homotopy_solve, newton_solve, save_game, verify_nash
 from mlfg.cli import (
     BENCH_COLUMNS,
@@ -53,6 +54,7 @@ def test_solve_dataset1(tmp_path, capsys, ds1):
     assert doc["endgame"] == {"after_stage": 0}
     assert all(s["converged"] for s in doc["stages"])
     assert doc["certificate"]["certified"] is True
+    assert doc["certificate"]["split"] == "smoothed"
     assert len(doc["solution"]["x"]) == 4
     assert len(doc["solution"]["y"]) == 3
     assert np.all(np.abs(verify_nash(ds1, doc["solution"]["x"])) <= 1e-12)
@@ -696,3 +698,65 @@ def test_flag_defaults_are_homotopy_config_defaults():
     cells = [(c.method, c.taylor) for c in _bench_configs(bench)]
     assert cells == [(m, t) for m in ("newton", "subgradient") for t in (True, False)]
     assert {c.eps_min for c in _bench_configs(bench)} == {0.05}
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty cache for ``main``'s shared parser before and after the test,
+    so that the test's first call builds it."""
+    mlfg.cli._parser.cache_clear()
+    yield
+    mlfg.cli._parser.cache_clear()
+
+
+def without_wall_ms(doc):
+    if isinstance(doc, dict):
+        return {k: without_wall_ms(v) for k, v in doc.items() if k != "wall_ms"}
+    if isinstance(doc, list):
+        return [without_wall_ms(v) for v in doc]
+    return doc
+
+
+def test_main_builds_its_parser_once(fresh_parser, monkeypatch, tmp_path):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr("mlfg.cli.build_parser", counted)
+    x_file = tmp_path / "x.txt"
+    x_file.write_text("0 0 0 0")
+    assert run("solve", "--dataset", "1") == 0
+    assert run("verify", "--dataset", "1", "--x", str(x_file)) == 2
+    assert exit_code("solve", "--dataset", "3") == 3
+    assert run("solve", "--dataset", "2") == 0
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_seed_does_not_carry_over_to_the_next_call(tmp_path):
+    seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+    assert run("solve", "--dataset", "1", "--seed", "3", "--out", str(seeded)) == 0
+    assert run("solve", "--dataset", "1", "--out", str(unseeded)) == 0
+    assert json.loads(seeded.read_text())["config"]["seed"] == 3
+    assert json.loads(unseeded.read_text())["config"]["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "interrupt, code",
+    [(["solve", "--dataset", "3"], 3), (["solve", "--help"], 0)],
+    ids=["rejected", "help"],
+)
+def test_call_after_an_exiting_command_line_writes_the_same_report(
+    fresh_parser, tmp_path, interrupt, code
+):
+    first, later = tmp_path / "first.json", tmp_path / "later.json"
+    assert run("solve", "--dataset", "2", "--out", str(first)) == 0
+    assert exit_code(*interrupt) == code
+    assert run("solve", "--dataset", "2", "--out", str(later)) == 0
+    docs = [without_wall_ms(json.loads(path.read_text())) for path in (first, later)]
+    assert docs[0] == docs[1]

@@ -8,31 +8,38 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlfg import HomotopyConfig, certify, homotopy_solve, save_game
 from mlfg.cli import main
-from mlfg.solvers import subgradient_solve
+from mlfg.solvers import endgame_step, piece, subgradient_solve
 
 from conftest import make_game
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
-@pytest.fixture(scope="module")
-def ladder3():
-    """{name: game} for ``generate_ladder(3)``."""
+def generated_ladder(seed):
+    """{name: (game, x_star)} for ``generate_ladder(seed)``."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     games = {}
-    for name, doc, _ in gen.generate_ladder(3):
+    for name, doc, x_star in gen.generate_ladder(seed):
         lds, fol = doc["leaders"], doc["follower"]
-        games[name] = make_game(
+        game = make_game(
             *([ld[key] for ld in lds] for key in ("Q", "c", "A", "b")),
             fol["Qy_diag"], fol["B"], fol["L"], fol["a"],
         )
+        games[name] = game, np.array(x_star)
     return games
+
+
+@pytest.fixture(scope="module")
+def ladder3():
+    """{name: game} for ``generate_ladder(3)``."""
+    return {name: game for name, (game, _) in generated_ladder(3).items()}
 
 
 def test_newton_continuation_converges_on_seed3_ladder(ladder3):
@@ -89,3 +96,32 @@ def test_subgradient_runs_to_its_step_cap(ladder3):
     res = subgradient_solve(ladder3["g13_N4_v3_c3_m1"], eps=1.6)
     assert res.converged
     assert res.iterations == 23630
+
+
+def test_generated_equilibria_certify():
+    # a component within about 1e-2 of the kink gets a kernel derivative
+    # short of +-1 at the final level; at the exact equilibrium the
+    # certificate's sign split is the one that passes
+    final_eps = HomotopyConfig().final_eps
+    certs = {
+        (seed, name): certify(game, x_star, None, final_eps)
+        for seed in (1, 2, 3)
+        for name, (game, x_star) in generated_ladder(seed).items()
+    }
+    assert len(certs) == 126
+    assert [key for key, cert in certs.items() if not cert.certified] == []
+    assert {cert.split for cert in certs.values()} == {"smoothed", "sign"}
+
+
+@pytest.mark.parametrize("name", ["g09_N3_v4_c2_m1", "g12_N4_v3_c3_m1"])
+def test_exact_endgame_point_certifies(name):
+    # the smoothed split refused this point: stationarity_x 9.1e-5 (g09)
+    # and 3.3e-4 (g12) against the gate 1.7e-6
+    game, x_star = generated_ladder(2)[name]
+    trace = homotopy_solve(game)
+    points = (np.concatenate([s.result.x, s.result.lam]) for s in trace.stages)
+    z = next(z for z in (endgame_step(game, *piece(game, p)) for p in points) if z is not None)
+    assert np.max(np.abs(z[: game.n] - x_star)) <= 1e-12
+    cert = certify(game, z[: game.n], z[game.n :], trace.final_eps)
+    assert cert.certified, cert.s_stat_residuals
+    assert cert.to_dict()["split"] == "sign"
