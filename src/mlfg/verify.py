@@ -281,8 +281,9 @@ def s_stationarity_certificate(
     G2 = y - fol.L.T @ x
     g = game.constraint_values(x)
     base = game.Q_block @ x + game.c_stack
-    active = g >= -tol
-    G = game.constraint_gradient_block[:, active]
+    if lam is None:
+        active = g >= -tol
+        G = game.constraint_gradient_block[:, active]
 
     def split_certificate(split: str, xi: np.ndarray) -> Certificate:
         Gamma1 = 0.5 * a * (1.0 - xi)
@@ -312,7 +313,6 @@ def s_stationarity_certificate(
     cert = split_certificate("smoothed", xi_bar)
     if cert.certified:
         return cert
-    # the limit split: the exact response's branch where t != 0
     limit = split_certificate("sign", np.where(t != 0.0, np.sign(t), xi_bar))
     return limit if limit.certified or limit.worst < cert.worst else cert
 
