@@ -137,7 +137,7 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
     A, a = game.A_diff, game.follower.a
     t = A @ np.asarray(x, dtype=float)
     h = -0.5 * A.T @ (a * phi_tilde_dt_deps(t, eps, p))
-    return np.linalg.solve(curvature_block(game, 0.5 * a * phi_tilde_d2(t, eps, p)), h)
+    return np.linalg.solve(curvature_block(game, phi_tilde_d2(t, eps, p)), h)
 
 
 def homotopy_solve(

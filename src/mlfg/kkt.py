@@ -13,20 +13,25 @@ half the squared residual norm.
 game's cached ``kkt_map`` gives the kernel arguments ``t = A_diff x``,
 ``Q_block x + G lambda`` and the constraint values at once, and one kernel
 pass, :func:`~mlfg.smoothing.phi_tilde_slopes`, gives both slopes there.
-Its :class:`Evaluation` also holds each min row's branch (``lam > -g``;
-ties go to the multiplier branch, which keeps the lower-right Jacobian
-block closer to the identity and thus the selection closer to
-nonsingular). A stack of points, one per row, gives each row bit for bit
-as for that point alone; the subgradient step search evaluates the unit
-step and its whole halving ladder in one such call. :func:`kkt_residual`
-and :func:`merit` return its fields.
+Its :class:`Evaluation` also keeps what the Jacobian and the merit
+subgradient need at the point: the multipliers and ``-g`` of the min rows,
+whose comparison gives each min row's branch (``lam > -g``; ties go to the
+multiplier branch, which keeps the lower-right Jacobian block closer to the
+identity and thus the selection closer to nonsingular), and the kernel's
+second slope, which :func:`_curvature_weights` turns into the smoothing
+curvature. Both are formed only when read, so a stack of points, one per
+row, forms them only for the rows that are read; each row is bit for bit
+as for that point alone. The subgradient step search evaluates a window of
+its halving ladder in one such call. :func:`kkt_residual` and
+:func:`merit` return its fields.
 
 The Jacobian is a selected element of the Clarke generalized derivative.
 :func:`generalized_jacobian` builds it from an :class:`Evaluation` as one
 ``(n + m_bar)``-square matrix, without evaluating the point again: the min
 rows are differentiated on the evaluation's branch, and its upper-left
 block is :func:`curvature_block`, the Hessian stack plus the smoothing
-curvature, which the continuation's predictor also solves with.
+curvature, which the continuation's predictor also solves with; both take
+the kernel's second slope and weight it with :func:`_curvature_weights`.
 :func:`merit_subgradient` gives the merit subgradient ``H' F`` of the same
 selection from an evaluation, through ``kkt_map`` and without assembling
 ``H`` or evaluating the kernel again.
@@ -67,19 +72,27 @@ def flat_point(game: GameSpec, z: np.ndarray | None) -> np.ndarray:
 
 class Evaluation(NamedTuple):
     """What :func:`evaluate` computes at one point: the residual ``F``, the
-    merit ``psi``, which min rows are on the ``constraint_branch``
-    (``lam > -g``) and the curvature weights ``curv = 0.5 a phi_tilde''(t)``
-    at the kernel arguments ``t = A_diff x``. For a stack of points every
+    merit ``psi``, the multipliers ``lam`` and the negated constraint values
+    ``neg_g`` of the min rows, and the kernel's second slope
+    ``second = phi_tilde''(t)`` at the kernel arguments ``t = A_diff x``.
+    ``lam`` is a view of the evaluated point. For a stack of points every
     field has a leading row axis, one row per point."""
 
     F: np.ndarray
     psi: float | np.ndarray
-    constraint_branch: np.ndarray
-    curv: np.ndarray
+    lam: np.ndarray
+    neg_g: np.ndarray
+    second: np.ndarray
+
+    @property
+    def constraint_branch(self) -> np.ndarray:
+        """Which min rows are on the constraint branch (``lam > -g``); ties
+        go to the multiplier branch."""
+        return self.lam > self.neg_g
 
     def row(self, i: int) -> Evaluation:
         """Row ``i`` of a stacked evaluation, equal to that point's own."""
-        return Evaluation(self.F[i], float(self.psi[i]), self.constraint_branch[i], self.curv[i])
+        return Evaluation(self.F[i], float(self.psi[i]), self.lam[i], self.neg_g[i], self.second[i])
 
 
 def evaluate(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> Evaluation:
@@ -93,7 +106,7 @@ def evaluate(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> Evaluatio
     F1 = u[..., m : m + n] + game.stationarity_constant + matvec(game.half_A_diffT_a, slopes)
     lam, neg_g = z[..., n:], -(u[..., m + n :] + game.b_stack)
     F = np.concatenate([F1, np.minimum(lam, neg_g)], axis=-1)
-    return Evaluation(F, residual_merit(F, n), lam > neg_g, 0.5 * game.follower.a * second)
+    return Evaluation(F, residual_merit(F, n), lam, neg_g, second)
 
 
 def kkt_residual(game: GameSpec, z: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
@@ -125,11 +138,12 @@ def generalized_jacobian(game: GameSpec, ev: Evaluation) -> np.ndarray:
     """
     n = game.n
     G = game.constraint_gradient_block
+    constraint_branch = ev.constraint_branch
     H = np.zeros((n + game.m_bar, n + game.m_bar))
-    H[:n, :n] = curvature_block(game, ev.curv)
+    H[:n, :n] = curvature_block(game, ev.second)
     H[:n, n:] = G
-    H[n + np.flatnonzero(ev.constraint_branch), :n] = -G[:, ev.constraint_branch].T
-    multiplier_rows = n + np.flatnonzero(~ev.constraint_branch)
+    H[n + np.flatnonzero(constraint_branch), :n] = -G[:, constraint_branch].T
+    multiplier_rows = n + np.flatnonzero(~constraint_branch)
     H[multiplier_rows, multiplier_rows] = 1.0
     return H
 
@@ -146,18 +160,26 @@ def merit_subgradient(game: GameSpec, ev: Evaluation) -> np.ndarray:
     n = game.n
     F1, F2 = ev.F[:n], ev.F[n:]
     constraint_branch = ev.constraint_branch
-    y = np.concatenate([ev.curv * (game.A_diff @ F1), F1, np.where(constraint_branch, -F2, 0.0)])
+    curv = _curvature_weights(game, ev.second)
+    y = np.concatenate([curv * (game.A_diff @ F1), F1, np.where(constraint_branch, -F2, 0.0)])
     v = game.kkt_map.T @ y
     v[n:] += np.where(constraint_branch, 0.0, F2)
     return v
 
 
-def curvature_block(game: GameSpec, curv: np.ndarray) -> np.ndarray:
+def curvature_block(game: GameSpec, second: np.ndarray) -> np.ndarray:
     """Jacobian of the stacked smoothed gradients in ``x``, shape (n, n), for
-    the curvature weights ``curv = 0.5 a phi_tilde''(A_diff x)``.
+    the kernel's second slope ``second = phi_tilde''(A_diff x)``.
 
-    ``Q_block + A_diff' diag(curv) A_diff``: the Hessian stack plus a
-    nonnegative sum of rank-one terms, hence SPD.
+    ``Q_block + A_diff' diag(curv) A_diff`` with the :func:`_curvature_weights`
+    ``curv``: the Hessian stack plus a nonnegative sum of rank-one terms,
+    hence SPD.
     """
     A = game.A_diff
-    return game.Q_block + (A.T * curv) @ A
+    return game.Q_block + (A.T * _curvature_weights(game, second)) @ A
+
+
+def _curvature_weights(game: GameSpec, second: np.ndarray) -> np.ndarray:
+    """The smoothing curvature ``0.5 a phi_tilde''(t)`` of each follower
+    component, from the kernel's second slope ``second = phi_tilde''(t)``."""
+    return 0.5 * game.follower.a * second

@@ -21,10 +21,14 @@ The step rules:
 * subgradient descent: along the normalized negative merit subgradient,
   which :func:`~mlfg.kkt.merit_subgradient` forms without a Jacobian, with
   a doubling/halving step length search against a sufficient-decrease
-  test: the unit step and the halving ladder ``SIGMA_LADDER`` share one
-  stacked evaluation, and the search doubles one point at a time only when
-  the unit step passes; a zero subgradient or a search in which every step
-  fails ends the solve.
+  test over the unit step and the halving ladder ``SIGMA_LADDER``: one
+  stacked evaluation of a window of the ladder, which starts at the unit
+  step and ends ``WINDOW_MARGIN`` rows below the step accepted last (the
+  whole ladder on the first step of a solve), and a second one of the
+  rest of the ladder only when no step of the window passes; the search
+  doubles one point at a time only when the unit step passes. The window
+  changes how many points are evaluated, never the step accepted. A zero
+  subgradient or a search in which every step fails ends the solve.
 
 Both are deterministic and keep the merit monotonically nonincreasing.
 
@@ -36,6 +40,7 @@ returns its result only when it lies on that piece.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +77,14 @@ PIVOT_TOL = 1e-12
 # (down to 2**-40 for 1e-12); read-only, shared by every search
 SIGMA_LADDER = 0.5 ** np.arange(np.ceil(-np.log2(SIGMA_MIN)) + 1)
 SIGMA_LADDER.flags.writeable = False
+LADDER_SIZE = len(SIGMA_LADDER)
+# the right-hand side -SUBGRAD_SLOPE * sigma of the decrease test per ladder
+# step, before its factor |v|
+LADDER_SLOPES = -SUBGRAD_SLOPE * SIGMA_LADDER
+LADDER_SLOPES.flags.writeable = False
+# rows below the last accepted step that a subgradient step search's first
+# call also evaluates
+WINDOW_MARGIN = 3
 
 
 def check_tol(tol: float) -> None:
@@ -214,34 +227,40 @@ def newton_solve(
     return _descend(game, z0, eps, p, tol, NEWTON_MAX_ITER, step)
 
 
-def _step_search(game, z, d, eps, p, psi0: float, v_norm: float):
+def _step_search(game, z, d, eps, p, psi0: float, v_norm: float, rows: int = LADDER_SIZE):
     """Doubling/halving search for the largest step passing sufficient decrease.
 
     The test is psi(z + sigma*d) - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
-    along the normalized direction ``d``. One stacked
-    :func:`~mlfg.kkt.evaluate` call evaluates every step of
-    ``SIGMA_LADDER``: ``sigma = 1`` and the halving ladder ``1/2, 1/4, ...``
-    down to the first power of two at or below ``SIGMA_MIN``. When
-    ``sigma = 1`` passes, the step doubles, one point per call, while it
-    keeps passing; otherwise the largest step of the ladder that passes is
-    accepted. Returns the accepted step with the evaluation at
-    ``z + sigma*d``, or ``(0.0, None)`` when every step fails.
+    along the normalized direction ``d``, over the steps of ``SIGMA_LADDER``:
+    ``sigma = 1`` and the halving ladder ``1/2, 1/4, ...`` down to the first
+    power of two at or below ``SIGMA_MIN``. One stacked
+    :func:`~mlfg.kkt.evaluate` call evaluates the window of its first
+    ``rows`` steps, and a second one the rest of the ladder, only when no
+    step of the window passes. When ``sigma = 1`` passes, the step doubles,
+    one point per call, while it keeps passing; otherwise the largest step
+    of the ladder that passes is accepted, whatever the window. Returns the
+    accepted step with the evaluation at ``z + sigma*d``, or ``(0.0, None)``
+    when every step fails.
     """
 
-    def trial(sigma):
-        """The evaluation at ``z + sigma*d``, one row per step, and which
-        steps pass."""
-        ev = evaluate(game, z + np.multiply.outer(sigma, d), eps, p)
-        return ev, ev.psi - psi0 <= -SUBGRAD_SLOPE * sigma * v_norm
+    def trial(sigma, slopes):
+        """The evaluation at ``z + sigma*d``, one row per step of a column
+        ``sigma``, and which steps pass; ``slopes`` is ``-SUBGRAD_SLOPE * sigma``."""
+        ev = evaluate(game, z + sigma * d, eps, p)
+        return ev, ev.psi - psi0 <= slopes * v_norm
 
-    ladder, ok = trial(SIGMA_LADDER)
-    first = int(ok.argmax())  # the largest passing step, or 0 when none passes
-    if not ok[first]:
+    for lo, hi in ((0, rows), (rows, LADDER_SIZE)):
+        if lo < hi:
+            ladder, ok = trial(SIGMA_LADDER[lo:hi, None], LADDER_SLOPES[lo:hi])
+            first = int(ok.argmax())  # the largest passing step, or 0 when none passes
+            if ok[first]:
+                break
+    else:
         return 0.0, None
-    if first > 0:
-        return float(SIGMA_LADDER[first]), ladder.row(first)
+    if lo + first > 0:
+        return float(SIGMA_LADDER[lo + first]), ladder.row(first)
     sigma, ev = 1.0, ladder.row(0)
-    while sigma < 2.0**30 and (larger := trial(2.0 * sigma))[1]:
+    while sigma < 2.0**30 and (larger := trial(2.0 * sigma, -SUBGRAD_SLOPE * (2.0 * sigma)))[1]:
         sigma, ev = 2.0 * sigma, larger[0]
     return sigma, ev
 
@@ -259,19 +278,31 @@ def subgradient_solve(
     :func:`~mlfg.kkt.merit_subgradient` from the current point's evaluation
     (no Jacobian is assembled) and searches along ``-v / |v|`` (a
     quasisecant of zero probe length) with :func:`_step_search`; the
-    accepted point's evaluation is carried into the next step. A zero
-    subgradient, or a search in which every step fails, ends the solve.
-    Raises FloatingPointError when the merit at the start is not finite.
+    accepted point's evaluation is carried into the next step. The first
+    search of a solve evaluates the whole ladder at once; each later one
+    starts with the window that ends ``WINDOW_MARGIN`` rows below the step
+    accepted last, since consecutive steps accept nearby rows. The window
+    changes only how many points a call evaluates, never the step accepted.
+    A zero subgradient, or a search in which every step fails, ends the
+    solve. Raises FloatingPointError when the merit at the start is not
+    finite.
     """
+    rows = LADDER_SIZE
 
     def step(z, ev):
+        nonlocal rows
         v = merit_subgradient(game, ev)
-        v_norm = float(np.linalg.norm(v))
+        # the bits of np.linalg.norm(v), without its dispatch
+        v_norm = math.sqrt(v @ v)
         if v_norm == 0.0:
             return None
-        d = -v / v_norm
-        sigma, accepted = _step_search(game, z, d, eps, p, ev.psi, v_norm)
-        return None if accepted is None else (sigma * d, accepted, sigma, False)
+        d = v / -v_norm
+        sigma, accepted = _step_search(game, z, d, eps, p, ev.psi, v_norm, rows)
+        if accepted is None:
+            return None
+        # sigma is a power of two, so this is exactly its ladder index (0 for sigma >= 1)
+        rows = min(max(0, -int(math.log2(sigma))) + WINDOW_MARGIN, LADDER_SIZE)
+        return sigma * d, accepted, sigma, False
 
     return _descend(game, z0, eps, p, tol, SUBGRAD_MAX_ITER, step)
 

@@ -115,10 +115,12 @@ def potential_identity_probe(
 def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):
     """The subgradient step search with one residual call per trial step.
 
-    Same test and step sequence as ``mlfg.solvers._step_search``: sigma = 1,
-    then doubling while it passes, or else halving until the first pass or
-    until sigma <= SIGMA_MIN. Returns (sigma, residual, merit) or
-    (0.0, None, None).
+    Same test and accepted step as ``mlfg.solvers._step_search``, whatever
+    its window: sigma = 1, then doubling while it passes, or else halving
+    until the first pass or until sigma <= SIGMA_MIN, one point at a time
+    where the library evaluates a window of the halving ladder in one
+    stacked call and the rest of it in a second. Returns
+    (sigma, residual, merit) or (0.0, None, None).
     """
 
     def trial(sigma: float):

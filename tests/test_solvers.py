@@ -14,7 +14,15 @@ from mlfg import (
 from mlfg import solvers
 from mlfg.kkt import evaluate, residual_merit
 from mlfg.smoothing import phi_tilde_slopes
-from mlfg.solvers import MAX_BACKTRACKS, _step_search, armijo_search, endgame_step, piece
+from mlfg.solvers import (
+    LADDER_SIZE,
+    MAX_BACKTRACKS,
+    WINDOW_MARGIN,
+    _step_search,
+    armijo_search,
+    endgame_step,
+    piece,
+)
 
 from conftest import make_game
 from helpers import jacobian_at, step_search_sequential
@@ -301,11 +309,14 @@ class TestSubgradient:
         with pytest.raises(ValueError):
             subgradient_solve(ds1, tol=0.0)
 
-    def test_no_jacobian_one_stacked_residual_per_step(self, ds1, monkeypatch):
-        # each step makes one stacked evaluation for sigma = 1 and its halving
-        # ladder, plus one single-point evaluation per doubling tried; the
-        # subgradient reuses the accepted point's evaluation, so every kernel
-        # pass belongs to an evaluation, and no Jacobian is assembled
+    def test_no_jacobian_one_window_per_step(self, ds1, monkeypatch):
+        # each step makes one stacked evaluation of a window of the halving
+        # ladder (the whole ladder on the first step, else the rows down to
+        # WINDOW_MARGIN below the last accepted step), one more of the rest
+        # of the ladder when the window holds no passing step, and one
+        # single-point evaluation per doubling tried; the subgradient reuses
+        # the accepted point's evaluation, so every kernel pass belongs to an
+        # evaluation, and no Jacobian is assembled
         def no_jacobian(*args):
             raise AssertionError("assembled a Jacobian")
 
@@ -325,14 +336,48 @@ class TestSubgradient:
         monkeypatch.setattr("mlfg.kkt.generalized_jacobian", no_jacobian)
         res = subgradient_solve(ds1, eps=0.8, tol=1e-8)
         assert res.converged and res.iterations > 0
-        # the start, then one ladder per step: sigma = 1 and 1/2 ... 2**-40
-        assert shapes[0] == (10,)
-        assert shapes.count((41, 10)) == res.iterations
-        # a step sigma >= 1 doubled log2(sigma) times and failed once more
-        doublings = sum(int(np.log2(s)) + 1 for s in res.step_norms if s >= 1.0)
-        assert len(shapes) == 1 + res.iterations + doublings
+        expected, rows, misses = [(10,)], LADDER_SIZE, 0
+        for sigma in res.step_norms:
+            index = max(0, -int(np.log2(sigma)))
+            expected.append((rows, 10))
+            if index >= rows:
+                expected.append((LADDER_SIZE - rows, 10))
+                misses += 1
+            if sigma >= 1.0:
+                # doubled log2(sigma) times and failed once more
+                expected += [(10,)] * (int(np.log2(sigma)) + 1)
+            rows = min(index + WINDOW_MARGIN, LADDER_SIZE)
+        assert shapes == expected
+        assert shapes.count((LADDER_SIZE, 10)) == 1 and misses > 0
         # one kernel pass per evaluation, on its kernel arguments (m = 3)
         assert kernel_calls == [shape[:-1] + (3,) for shape in shapes]
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("name", ["ds1", "ds2"])
+    def test_window_leaves_iterates_unchanged(self, request, monkeypatch, name, p):
+        # the subgradient continuation with windowed searches against one in
+        # which every search evaluates the whole ladder, bit for bit
+        game = request.getfixturevalue(name)
+        cfg = HomotopyConfig(method="subgradient", eps_min=0.05, p=p)
+        rows = []
+        monkeypatch.setattr(
+            "mlfg.solvers.evaluate",
+            lambda *a: rows.append(len(a[1]) if a[1].ndim > 1 else 0) or evaluate(*a),
+        )
+        windowed = homotopy_solve(game, cfg=cfg)
+        windowed_rows = sum(rows)
+        rows.clear()
+        monkeypatch.setattr(
+            "mlfg.solvers._step_search", lambda *a: _step_search(*a[:7], LADDER_SIZE)
+        )
+        whole = homotopy_solve(game, cfg=cfg)
+        assert windowed.converged and len(windowed.stages) == len(whole.stages)
+        assert windowed_rows < sum(rows)
+        for a, b in zip(windowed.stages, whole.stages):
+            assert np.array_equal(a.result.x, b.result.x)
+            assert np.array_equal(a.result.lam, b.result.lam)
+            assert a.result.merit_history == b.result.merit_history
+            assert a.result.step_norms == b.result.step_norms
 
     def test_failed_step_search_ends_solve(self, ds1, monkeypatch):
         calls = []
@@ -365,10 +410,11 @@ def _search_inputs(game, z, eps, direction=None):
     return z, d, eps, 2, residual_merit(F, game.n), v_norm
 
 
-def _same_search(game, args):
-    """Run both searches, require the same step and merit and a bit-identical
-    residual, and an accepted evaluation equal to that point's own."""
-    sigma, ev = _step_search(game, *args)
+def _same_search(game, args, rows=LADDER_SIZE):
+    """Run both searches, the stacked one with a window of ``rows`` steps;
+    require the same step and merit and a bit-identical residual, and an
+    accepted evaluation equal to that point's own."""
+    sigma, ev = _step_search(game, *args, rows)
     sigma_ref, F_ref, psi_ref = step_search_sequential(game, *args)
     assert sigma == sigma_ref
     if ev is None:
@@ -383,8 +429,10 @@ def _same_search(game, args):
 
 class TestStepSearch:
     def test_matches_sequential_search(self, ds1, ds2):
-        # points around each root, along the descent direction or a random one
-        kinds = set()
+        # points around each root, along the descent direction or a random
+        # one, each searched with windows of several sizes; a window that
+        # ends above the accepted step makes the second call
+        kinds = {rows: set() for rows in (1, 2, 5, LADDER_SIZE)}
         for seed, game in enumerate((ds1, ds2)):
             rng = np.random.default_rng(seed)
             size = game.n + game.m_bar
@@ -394,9 +442,16 @@ class TestStepSearch:
                     z = np.concatenate([root.x, root.lam])
                     z = z + 10 ** rng.uniform(-4, 0.5) * rng.standard_normal(size)
                     direction = rng.standard_normal(size) if k % 2 else None
-                    sigma = _same_search(game, _search_inputs(game, z, eps, direction))
-                    kinds.add("fail" if sigma == 0 else "halve" if sigma < 1 else "double")
-        assert kinds == {"fail", "halve", "double"}
+                    args = _search_inputs(game, z, eps, direction)
+                    for rows, seen in kinds.items():
+                        sigma = _same_search(game, args, rows)
+                        seen.add("fail" if sigma == 0 else "halve" if sigma < 1 else "double")
+                        if 0 < sigma < 1 and -np.log2(sigma) >= rows:
+                            seen.add("second call")
+        for rows, seen in kinds.items():
+            assert seen == {"fail", "halve", "double"} | (
+                {"second call"} if rows < LADDER_SIZE else set()
+            )
 
     def test_all_fail(self, ds1):
         # near the root the merit rises along the positive subgradient
