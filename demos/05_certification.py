@@ -5,17 +5,20 @@ complementarity-constrained formulation with explicitly constructed
 multipliers. The same multipliers are a dual-feasible point of every
 leader's epigraph reformulation, so weak duality turns them into an upper
 bound on each leader's regret against its global best response.
+
+``solve`` returns the point that ``mlfg solve`` reports and certifies: on
+both bundled games, the exact equilibrium that the endgame finds after
+the first stage of the continuation.
 """
 import numpy as np
 
-from mlfg import certify, homotopy_solve, load_bundled
+from mlfg import load_bundled, solve
 
 for number in (1, 2):
-    game = load_bundled(number)
-    trace = homotopy_solve(game)
-    cert = certify(game, trace.final.x, trace.final.lam, trace.final_eps)
+    sol = solve(load_bundled(number))
+    cert = sol.certificate
 
-    print(f"dataset {number}: x* = {np.round(trace.final.x, 6)}")
+    print(f"dataset {number}: x* = {np.round(sol.x, 6)} (exact endgame after stage {sol.endgame})")
     for nu, gap in enumerate(cert.nash_gaps, start=1):
         print(f"  leader {nu} upper bound on regret against its global best response: {gap:.2e}")
     print(f"  limit branch indicators: {cert.xi_bar}")

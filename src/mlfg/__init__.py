@@ -11,19 +11,25 @@ and per-leader Nash-gap upper bounds by weak duality at those multipliers).
 
 __version__ = "0.1.0"
 
-from .homotopy import HomotopyConfig, HomotopyTrace, StageRecord, homotopy_solve, taylor_direction
-from .kkt import generalized_jacobian, kkt_residual, merit
+from .homotopy import (
+    HomotopyConfig,
+    HomotopyTrace,
+    Solution,
+    StageRecord,
+    homotopy_solve,
+    solve,
+    taylor_direction,
+)
+from .kkt import generalized_jacobian
 from .model import (
     FollowerSpec,
     GameFormatError,
     GameSpec,
     GameValidationError,
     LeaderSpec,
-    compose_strategy,
     load_bundled,
     load_game,
     save_game,
-    split_strategy,
     validate_game,
 )
 from .smoothing import (
@@ -35,7 +41,6 @@ from .smoothing import (
     phi_tilde_d2,
     phi_tilde_deps,
     phi_tilde_dt_deps,
-    smoothed_gradient_stack,
 )
 from .solvers import (
     InnerResult,
@@ -43,21 +48,11 @@ from .solvers import (
     newton_solve,
     subgradient_solve,
 )
-from .verify import (
-    Certificate,
-    EpigraphQP,
-    OracleError,
-    best_response_qp_oracle,
-    certify,
-    s_stationarity_certificate,
-    smoothing_drift,
-    verify_nash,
-)
+from .verify import Certificate, certify, s_stationarity_certificate, smoothing_drift
 
 __all__ = [
     "__version__",
     "Certificate",
-    "EpigraphQP",
     "FollowerSpec",
     "GameFormatError",
     "GameSpec",
@@ -66,21 +61,17 @@ __all__ = [
     "HomotopyTrace",
     "InnerResult",
     "LeaderSpec",
-    "OracleError",
+    "Solution",
     "StageRecord",
     "best_response_exact",
-    "best_response_qp_oracle",
     "best_response_smoothed",
     "certify",
-    "compose_strategy",
     "generalized_jacobian",
     "homotopy_solve",
-    "kkt_residual",
     "leader_objective",
     "load_bundled",
     "load_game",
     "lu_solve",
-    "merit",
     "newton_solve",
     "phi_tilde",
     "phi_tilde_d1",
@@ -89,11 +80,9 @@ __all__ = [
     "phi_tilde_dt_deps",
     "s_stationarity_certificate",
     "save_game",
-    "smoothed_gradient_stack",
     "smoothing_drift",
-    "split_strategy",
+    "solve",
     "subgradient_solve",
     "taylor_direction",
     "validate_game",
-    "verify_nash",
 ]

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, StageRecord, homotopy_solve
+from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, Solution, homotopy_solve, solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import _two_eps, best_response_exact
-from .solvers import endgame_step, newton_solve, piece
-from .verify import NASH_TOL, Certificate, certify
+from .solvers import newton_solve
+from .verify import NASH_TOL, certify
 
 ITER_LOG_COLUMNS = [
     "stage",
@@ -138,10 +138,8 @@ def _iter_log_rows(trace: HomotopyTrace, cfg: HomotopyConfig):
 
 
 def _build_report(
-    game: GameSpec, path: Path, cfg: HomotopyConfig, seed: int | None,
-    trace: HomotopyTrace, solution: np.ndarray, endgame: int | None, cert: Certificate,
+    game: GameSpec, path: Path, cfg: HomotopyConfig, seed: int | None, sol: Solution
 ) -> dict:
-    x, lam = solution[: game.n], solution[game.n :]
     return {
         "tool": {"name": "mlfg", "version": __version__},
         "game": {"path": str(path), **_fingerprint(game)},
@@ -157,49 +155,19 @@ def _build_report(
                 "converged": s.result.converged,
                 "fallback_steps": s.result.fallback_steps,
                 "wall_ms": s.wall_ms,
-                "error_to_final": float(np.linalg.norm(s.result.x - x)),
+                "error_to_final": float(np.linalg.norm(s.result.x - sol.x)),
             }
-            for s in trace.stages
+            for s in sol.trace.stages
         ],
-        "endgame": None if endgame is None else {"after_stage": endgame},
+        "endgame": None if sol.endgame is None else {"after_stage": sol.endgame},
         "solution": {
             "eps_final": cfg.final_eps,
-            "x": x.tolist(),
-            "lambda": lam.tolist(),
-            "y": best_response_exact(game, x).tolist(),
+            "x": sol.x.tolist(),
+            "lambda": sol.lam.tolist(),
+            "y": best_response_exact(game, sol.x).tolist(),
         },
-        "certificate": cert.to_dict(),
+        "certificate": sol.certificate.to_dict(),
     }
-
-
-class _Endgame:
-    """The solve's early exit. :meth:`stop` takes :func:`endgame_step` on the
-    piece of a converged Newton stage's point, and ends the run at the first
-    result that ``certify`` passes at the schedule's final level, the gates
-    the full run's point would face; ``found`` then holds the stage index,
-    the point and its certificate. Each piece (follower branches and active
-    constraints) is tried once: the step from a piece already tried gives
-    the same point."""
-
-    def __init__(self, game: GameSpec, cfg: HomotopyConfig):
-        self.game, self.cfg = game, cfg
-        self.tried: set[bytes] = set()
-        self.found: tuple[int, np.ndarray, Certificate] | None = None
-
-    def stop(self, stage: StageRecord) -> bool:
-        game = self.game
-        xi, active = piece(game, np.concatenate([stage.result.x, stage.result.lam]))
-        key = xi.tobytes() + active.tobytes()
-        if key in self.tried:
-            return False
-        self.tried.add(key)
-        z = endgame_step(game, xi, active)
-        if z is None:
-            return False
-        cert = certify(game, z[: game.n], z[game.n :], self.cfg.final_eps, p=self.cfg.p)
-        if cert.certified:
-            self.found = (stage.index, z, cert)
-        return cert.certified
 
 
 def cmd_solve(args) -> int:
@@ -215,35 +183,27 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    # the subgradient method returns the paper's smoothed equilibrium at eps_min: no endgame
-    endgame = _Endgame(game, cfg) if cfg.method == "newton" else None
-    trace = homotopy_solve(
-        game, _initial_point(game, args.seed), cfg, stop=endgame.stop if endgame else None
-    )
-    for s in trace.stages:
+    sol = solve(game, _initial_point(game, args.seed), cfg)
+    for s in sol.trace.stages:
         print(
             f"stage {s.index:2d}  eps={s.eps:.3e}  iters={s.result.iterations:4d}  "
             f"merit={s.result.merit:.3e}  warm={s.warm_start_merit:.3e}  "
             f"converged={s.result.converged}"
         )
     if args.log:
-        _write_csv(Path(args.log), ITER_LOG_COLUMNS, _iter_log_rows(trace, cfg))
-    if not trace.converged:
+        _write_csv(Path(args.log), ITER_LOG_COLUMNS, _iter_log_rows(sol.trace, cfg))
+    cert = sol.certificate
+    if cert is None:
         print("solver failed to converge at some stage", file=sys.stderr)
         return EXIT_SOLVER
 
-    if endgame is not None and endgame.found is not None:
-        after_stage, solution, cert = endgame.found
-        print(f"endgame: exact equilibrium after stage {after_stage}")
-    else:
-        final = trace.final
-        solution, after_stage = np.concatenate([final.x, final.lam]), None
-        cert = certify(game, final.x, final.lam, cfg.final_eps, p=cfg.p)
+    if sol.endgame is not None:
+        print(f"endgame: exact equilibrium after stage {sol.endgame}")
     print(f"nash gaps: {np.array2string(cert.nash_gaps, precision=3)}")
     print(f"max stationarity residual: {max(cert.s_stat_residuals.values()):.3e}")
     print(f"certified: {cert.certified}")
     if args.out:
-        report = _build_report(game, path, cfg, args.seed, trace, solution, after_stage, cert)
+        report = _build_report(game, path, cfg, args.seed, sol)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return EXIT_OK if cert.certified else EXIT_CERT
 

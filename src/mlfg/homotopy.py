@@ -12,14 +12,17 @@ default, :func:`~mlfg.solvers.newton_solve`) or ``"subgradient"``
 the merit tolerance every stage must reach. The frozen config holds the
 one schedule, ``HomotopyConfig.levels``. The start and every warm start
 are flat iterates ``(x, lambda)``; each stage records the inner solver's
-:class:`~mlfg.solvers.InnerResult` as it is. ``homotopy_solve``'s ``stop``
-hook can end the run after any converged stage (``mlfg solve`` ends it at
-a certified exact endgame); without it the run is the full continuation.
+:class:`~mlfg.solvers.InnerResult` as it is.
+
+:func:`homotopy_solve` runs the paper's full continuation. :func:`solve`,
+what ``mlfg solve`` calls, runs the same stages but, for the Newton
+method, ends at the first certified exact endgame
+(:func:`~mlfg.solvers.endgame_step`), and certifies the point it returns.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +33,8 @@ from .kkt import curvature_block
 from .kkt import merit  # noqa: F401
 from .model import GameSpec
 from .smoothing import _two_eps, phi_tilde_d2, phi_tilde_dt_deps
-from .solvers import InnerResult, check_tol, newton_solve, subgradient_solve
+from .solvers import InnerResult, check_tol, endgame_step, newton_solve, piece, subgradient_solve
+from .verify import Certificate, certify
 
 __all__ = [
     "HomotopyConfig",
@@ -38,6 +42,8 @@ __all__ = [
     "HomotopyTrace",
     "taylor_direction",
     "homotopy_solve",
+    "Solution",
+    "solve",
 ]
 
 
@@ -140,25 +146,12 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
     return np.linalg.solve(curvature_block(game, phi_tilde_d2(t, eps, p)), h)
 
 
-def homotopy_solve(
-    game: GameSpec,
-    z0: np.ndarray | None = None,
-    cfg: HomotopyConfig | None = None,
-    stop: Callable[[StageRecord], bool] | None = None,
-) -> HomotopyTrace:
-    """Run the full continuation down to the target smoothing level.
-
-    ``z0`` is the flat start ``(x, lambda)`` of length ``n + m_bar``, None
-    for zeros. Stage ``i`` runs at ``cfg.levels[i]``; the run stops after
-    the last level, or immediately when a stage fails to converge (the
-    trace marks the failing stage). ``stop``, if given, is called with the
-    record of each converged stage, its predictor included, and a True
-    return ends the run after that stage.
-    """
-    cfg = cfg or HomotopyConfig()
+def _stages(game: GameSpec, z0: np.ndarray | None, cfg: HomotopyConfig) -> Iterator[StageRecord]:
+    """The continuation's stages, each yielded after its predictor and
+    before the next warm start is formed; the last is the schedule's last
+    level or the first stage that fails to converge."""
     solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
     z_warm = z0
-    stages: list[StageRecord] = []
     for i, eps in enumerate(cfg.levels):
         start = time.perf_counter()
         res = solve_inner(game, z_warm, eps, cfg.p, tol=cfg.tol)
@@ -169,12 +162,71 @@ def homotopy_solve(
         if res.converged and cfg.taylor and not last:
             d = taylor_direction(game, res.x, cfg.levels[i + 1], cfg.p)
 
-        stage = StageRecord(
-            index=i, eps=eps, result=res,
-            predictor_norm=float(np.linalg.norm(d)), wall_ms=wall_ms,
-        )
-        stages.append(stage)
-        if not res.converged or (stop is not None and stop(stage)) or last:
-            break
+        yield StageRecord(i, eps, res, float(np.linalg.norm(d)), wall_ms)
+        if not res.converged or last:
+            return
         z_warm = np.concatenate([res.x - (eps - cfg.levels[i + 1]) * d, res.lam])
-    return HomotopyTrace(stages=stages)
+
+
+def homotopy_solve(
+    game: GameSpec, z0: np.ndarray | None = None, cfg: HomotopyConfig | None = None
+) -> HomotopyTrace:
+    """Run the full continuation down to the target smoothing level.
+
+    ``z0`` is the flat start ``(x, lambda)`` of length ``n + m_bar``, None
+    for zeros. Stage ``i`` runs at ``cfg.levels[i]``; the run stops after
+    the last level, or immediately when a stage fails to converge (the
+    trace marks the failing stage).
+    """
+    return HomotopyTrace(stages=list(_stages(game, z0, cfg or HomotopyConfig())))
+
+
+@dataclass
+class Solution:
+    """What :func:`solve` returns: the point ``(x, lam)``, its
+    ``certificate`` (None when a stage failed to converge), the stages that
+    ran as ``trace``, and ``endgame``, the index of the stage after which
+    the exact endgame found the point (None for the last stage's point)."""
+
+    x: np.ndarray
+    lam: np.ndarray
+    certificate: Certificate | None
+    trace: HomotopyTrace
+    endgame: int | None
+
+
+def solve(
+    game: GameSpec, z0: np.ndarray | None = None, cfg: HomotopyConfig | None = None
+) -> Solution:
+    """Solve ``game`` and certify the result, as ``mlfg solve`` does.
+
+    Runs the stages of :func:`homotopy_solve`. For the Newton method, after
+    each converged stage it takes :func:`~mlfg.solvers.endgame_step` on
+    that stage's piece, and ends at the first result that ``certify``
+    passes at ``cfg.final_eps``, the gates the full run's point would face.
+    Each piece (follower branches and active constraints) is tried once:
+    the step from a piece already tried gives the same point. Otherwise
+    the point is the last stage's, certified only when every stage
+    converged. The subgradient method returns the paper's smoothed
+    equilibrium at ``eps_min``, with no endgame.
+    """
+    cfg = cfg or HomotopyConfig()
+    trace = HomotopyTrace(stages=[])
+    tried: set[bytes] = set()
+    for stage in _stages(game, z0, cfg):
+        trace.stages.append(stage)
+        res = stage.result
+        if cfg.method != "newton" or not res.converged:
+            continue
+        xi, active = piece(game, np.concatenate([res.x, res.lam]))
+        key = xi.tobytes() + active.tobytes()
+        z = None if key in tried else endgame_step(game, xi, active)
+        tried.add(key)
+        if z is None:
+            continue
+        cert = certify(game, z[: game.n], z[game.n :], cfg.final_eps, p=cfg.p)
+        if cert.certified:
+            return Solution(z[: game.n], z[game.n :], cert, trace, stage.index)
+    final = trace.final
+    cert = certify(game, final.x, final.lam, cfg.final_eps, p=cfg.p) if trace.converged else None
+    return Solution(final.x, final.lam, cert, trace, None)

@@ -5,8 +5,8 @@ leader's smoothed objective and gradient, one leader's rows of a coupling
 matrix, the subgradient step search one trial point at a time), build the
 selected Jacobian at a point from that point's own evaluation, evaluate
 the game's exact potential and the smallest curvature of its Hessian stack,
-or sample structural properties of a game (monotonicity of the stacked
-gradient map, the exact-potential identity).
+sample structural properties of a game (monotonicity of the stacked
+gradient map, the exact-potential identity), or compare two runs' stages.
 """
 import numpy as np
 
@@ -15,9 +15,9 @@ from mlfg import (
     best_response_exact,
     best_response_smoothed,
     leader_objective,
-    smoothed_gradient_stack,
 )
 from mlfg.kkt import evaluate, generalized_jacobian, kkt_residual, residual_merit
+from mlfg.smoothing import smoothed_gradient_stack
 from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE
 
 
@@ -139,3 +139,16 @@ def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):
         if (passed := trial(sigma)) is not None:
             return (sigma, *passed)
     return 0.0, None, None
+
+
+def assert_same_stages(ran, full) -> None:
+    """Each stage of ``ran`` equals the stage of ``full`` at its position,
+    bit for bit: level, predictor, inner merit and step traces, iterate."""
+    assert len(ran) <= len(full)
+    for s, ref in zip(ran, full):
+        assert (s.index, s.eps, s.predictor_norm) == (ref.index, ref.eps, ref.predictor_norm)
+        assert s.result.merit_history == ref.result.merit_history
+        assert s.result.step_norms == ref.result.step_norms
+        assert s.result.fallback_steps == ref.result.fallback_steps
+        assert np.array_equal(s.result.x, ref.result.x)
+        assert np.array_equal(s.result.lam, ref.result.lam)

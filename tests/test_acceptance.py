@@ -9,13 +9,12 @@ import pytest
 from mlfg import (
     best_response_exact,
     best_response_smoothed,
-    best_response_qp_oracle,
     newton_solve,
     s_stationarity_certificate,
     subgradient_solve,
     taylor_direction,
-    verify_nash,
 )
+from mlfg.verify import best_response_qp_oracle, verify_nash
 
 from helpers import (
     jacobian_at,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mlfg.cli
-from mlfg import HomotopyConfig, certify, homotopy_solve, newton_solve, save_game, verify_nash
+from mlfg import HomotopyConfig, certify, homotopy_solve, newton_solve, save_game
 from mlfg.cli import (
     BENCH_COLUMNS,
     ITER_LOG_COLUMNS,
@@ -20,6 +20,7 @@ from mlfg.cli import (
 )
 from mlfg.model import bundled_dataset_path
 from mlfg.solvers import endgame_step
+from mlfg.verify import verify_nash
 
 from conftest import make_game
 
@@ -162,7 +163,7 @@ def test_endgame_tries_each_piece_once(monkeypatch, kink_game, tmp_path):
     save_game(kink_game, path)
     calls = []
     monkeypatch.setattr(
-        "mlfg.cli.endgame_step",
+        "mlfg.homotopy.endgame_step",
         lambda game, xi, active: calls.append(xi) or endgame_step(game, xi, active),
     )
     run("solve", "--data", str(path))

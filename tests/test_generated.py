@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlfg import HomotopyConfig, certify, homotopy_solve, save_game
+from mlfg import HomotopyConfig, certify, homotopy_solve, save_game, solve
 from mlfg.cli import main
 from mlfg.solvers import endgame_step, piece, subgradient_solve
 
 from conftest import make_game
+from helpers import assert_same_stages
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -49,6 +50,22 @@ def test_newton_continuation_converges_on_seed3_ladder(ladder3):
     assert len(ladder3) == 42
     failed = [name for name, game in ladder3.items() if not homotopy_solve(game).converged]
     assert failed == []
+
+
+def test_solve_ends_at_a_later_stage_with_the_continuations_stages(ladder3, monkeypatch):
+    # g07's first three stage points lie on one piece, whose endgame step
+    # leaves it and is taken once; at the fourth another constraint is
+    # active, and that piece's step is the exact equilibrium
+    game = ladder3["g07_N3_v3_c2_m2"]
+    calls = []
+    monkeypatch.setattr(
+        "mlfg.homotopy.endgame_step",
+        lambda game, xi, active: calls.append(active) or endgame_step(game, xi, active),
+    )
+    sol, full = solve(game), homotopy_solve(game)
+    assert sol.endgame == 3 and sol.certificate.certified
+    assert len(calls) == 2 and len(sol.trace.stages) == 4
+    assert_same_stages(sol.trace.stages, full.stages)
 
 
 def test_near_kink_equilibrium_certifies(ladder3):

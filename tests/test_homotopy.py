@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from mlfg import (
     best_response_smoothed,
     homotopy_solve,
     newton_solve,
+    solve,
     taylor_direction,
 )
+from mlfg.cli import main
 
-from helpers import min_curvature
+from helpers import assert_same_stages, min_curvature
 
 
 class TestSchedule:
@@ -141,34 +144,56 @@ class TestTraceConsistency:
         assert cfg.final_eps == trace.final_eps
         assert cfg.levels == tuple(s.eps for s in trace.stages)
 
-    def test_stop_hook_sees_every_converged_stage(self, ds1, trace1):
-        seen = []
-        trace = homotopy_solve(ds1, stop=lambda stage: seen.append(stage.index) or False)
-        assert seen == list(range(len(trace1.stages)))
-        assert np.array_equal(trace.final.x, trace1.final.x)
-
-    def test_stop_hook_ends_the_run_with_unchanged_stages(self, ds1, trace1):
-        trace = homotopy_solve(ds1, stop=lambda stage: stage.index == 2)
-        assert len(trace.stages) == 3
-        for s, ref in zip(trace.stages, trace1.stages):
-            assert (s.index, s.eps, s.predictor_norm) == (ref.index, ref.eps, ref.predictor_norm)
-            assert s.result.merit_history == ref.result.merit_history
-            assert s.result.step_norms == ref.result.step_norms
-            assert s.result.fallback_steps == ref.result.fallback_steps
-            assert np.array_equal(s.result.x, ref.result.x)
-            assert np.array_equal(s.result.lam, ref.result.lam)
-
-    def test_stop_hook_not_called_on_a_failed_stage(self, ds1, monkeypatch):
-        monkeypatch.setattr("mlfg.solvers.NEWTON_MAX_ITER", 1)
-        seen = []
-        trace = homotopy_solve(ds1, stop=lambda stage: seen.append(stage.index) or False)
-        assert not trace.converged and seen == []
-
     def test_subgradient_inner(self, ds1):
         cfg = HomotopyConfig(eps_min=0.4, method="subgradient", tol=1e-8)
         trace = homotopy_solve(ds1, cfg=cfg)
         assert trace.converged
         assert [round(s.eps, 12) for s in trace.stages] == [1.6, 0.8, 0.4]
+
+
+class TestSolve:
+    """``solve`` runs the continuation's stages, takes the exact endgame for
+    Newton and certifies its point, as ``mlfg solve`` reports it."""
+
+    @pytest.mark.parametrize("name", ["1", "2"])
+    def test_matches_the_solve_report(self, request, tmp_path, name):
+        sol = solve(request.getfixturevalue(f"ds{name}"))
+        report = tmp_path / "report.json"
+        assert main(["solve", "--dataset", name, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert sol.endgame == 0 and doc["endgame"] == {"after_stage": sol.endgame}
+        assert sol.x.tolist() == doc["solution"]["x"]
+        assert sol.lam.tolist() == doc["solution"]["lambda"]
+        assert sol.certificate.to_dict() == doc["certificate"]
+        assert len(sol.trace.stages) == len(doc["stages"])
+
+    @pytest.mark.parametrize("name", ["ds1", "ds2", "active_game", "kink_game"])
+    def test_stages_are_the_continuations_first(self, request, name):
+        # the kink game declines every endgame and runs all 22 stages
+        game = request.getfixturevalue(name)
+        sol, full = solve(game), homotopy_solve(game)
+        assert 1 <= len(sol.trace.stages) <= len(full.stages)
+        assert_same_stages(sol.trace.stages, full.stages)
+        if sol.endgame is None:
+            assert len(sol.trace.stages) == len(full.stages)
+            assert np.array_equal(sol.x, full.final.x)
+
+    def test_subgradient_has_no_endgame(self, ds1):
+        cfg = HomotopyConfig(eps_min=0.4, method="subgradient", tol=1e-8)
+        sol, full = solve(ds1, cfg=cfg), homotopy_solve(ds1, cfg=cfg)
+        assert sol.endgame is None and sol.certificate is not None
+        assert_same_stages(sol.trace.stages, full.stages)
+        assert np.array_equal(sol.x, full.final.x)
+        assert np.array_equal(sol.lam, full.final.lam)
+
+    def test_failed_stage_gives_no_certificate(self, ds1, monkeypatch):
+        monkeypatch.setattr("mlfg.solvers.NEWTON_MAX_ITER", 1)
+        tried = []
+        monkeypatch.setattr("mlfg.homotopy.endgame_step", lambda *args: tried.append(args))
+        sol = solve(ds1)
+        assert sol.certificate is None and sol.endgame is None
+        assert not sol.trace.converged and len(sol.trace.stages) == 1
+        assert tried == []
 
 
 class TestStageCountsPinned:

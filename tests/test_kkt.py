@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mlfg import kkt, kkt_residual, merit, newton_solve
-from mlfg.kkt import residual_merit
+from mlfg import kkt, newton_solve
+from mlfg.kkt import kkt_residual, merit, residual_merit
 from mlfg.model import matvec
 
 from helpers import jacobian_at, leader_gradient_smoothed, min_curvature

@@ -8,14 +8,12 @@ from mlfg import (
     GameSpec,
     GameValidationError,
     LeaderSpec,
-    compose_strategy,
     load_bundled,
     load_game,
     save_game,
-    split_strategy,
     validate_game,
 )
-from mlfg.model import bundled_dataset_path
+from mlfg.model import bundled_dataset_path, compose_strategy, split_strategy
 
 from conftest import make_game
 from helpers import slice_rows

@@ -12,9 +12,8 @@ from mlfg import (
     phi_tilde_d2,
     phi_tilde_deps,
     phi_tilde_dt_deps,
-    smoothed_gradient_stack,
 )
-from mlfg.smoothing import phi_tilde_slopes
+from mlfg.smoothing import phi_tilde_slopes, smoothed_gradient_stack
 
 from conftest import make_game
 from helpers import (

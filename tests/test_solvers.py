@@ -4,15 +4,12 @@ import pytest
 from mlfg import (
     HomotopyConfig,
     homotopy_solve,
-    kkt_residual,
     lu_solve,
-    merit,
     newton_solve,
     subgradient_solve,
-    verify_nash,
 )
 from mlfg import solvers
-from mlfg.kkt import evaluate, residual_merit
+from mlfg.kkt import evaluate, kkt_residual, merit, residual_merit
 from mlfg.smoothing import phi_tilde_slopes
 from mlfg.solvers import (
     LADDER_SIZE,
@@ -23,6 +20,7 @@ from mlfg.solvers import (
     endgame_step,
     piece,
 )
+from mlfg.verify import verify_nash
 
 from conftest import make_game
 from helpers import jacobian_at, step_search_sequential

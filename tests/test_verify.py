@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 import mlfg.verify
-from mlfg import (
+from mlfg import certify, homotopy_solve, leader_objective, s_stationarity_certificate
+from mlfg.model import split_strategy
+from mlfg.verify import (
+    NASH_TOL,
     OracleError,
     best_response_qp_oracle,
-    certify,
-    homotopy_solve,
-    leader_objective,
-    s_stationarity_certificate,
-    split_strategy,
+    nash_gap_bounds,
     verify_nash,
 )
-from mlfg.verify import NASH_TOL, nash_gap_bounds
 
 from conftest import make_game
 from helpers import min_curvature, monotonicity_probe, potential_identity_probe
