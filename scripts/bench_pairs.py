@@ -13,19 +13,11 @@ The output holds the machine, the Python and numpy versions, both commits,
 every pair's end-to-end metrics, and per workload and metric each side's
 median with its quartiles, the change's wins (pairs in which it reads
 strictly better) and the ratio of the medians, change over base.
-
-Beside the declared metrics every run records the CPU seconds its process
-tree used (``child_cpu_s``, the ``RUSAGE_CHILDREN`` difference around the
-run) and that time per attempted game (``child_cpu_ms_per_game``). Each
-workload's ``cpu`` entry summarises both in the same way. On a shared
-machine the CPU time per game is less affected than the wall-clock rate
-by the time the benchmark waits for a processor.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 import tempfile
@@ -34,11 +26,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# recorded beside the declared metrics, and summarised like them
-CPU_METRICS = [
-    {"name": "child_cpu_s", "better": "lower"},
-    {"name": "child_cpu_ms_per_game", "better": "lower"},
-]
 
 
 def git(*args: str) -> str:
@@ -53,15 +40,12 @@ def unpack(rev: str, dest: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
-    """The environment line and the result object of one benchmark run,
-    with the CPU time of the run's process tree."""
-    before = cpu_seconds()
+    """The environment line and the result object of one benchmark run."""
     out = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
         capture_output=True, text=True,
     )
-    child_cpu_s = cpu_seconds() - before
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout} {workload}: exit {out.returncode}\n{out.stderr[-2000:]}")
@@ -69,14 +53,7 @@ def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]
     result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
     return env, {**values, "correct": result["correct"], "failed": result["failed"],
-                 "attempted": result["attempted"], "child_cpu_s": child_cpu_s,
-                 "child_cpu_ms_per_game": child_cpu_s * 1e3 / result["attempted"]}
-
-
-def cpu_seconds() -> float:
-    """User plus system CPU seconds of every finished child process waited for."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+                 "attempted": result["attempted"]}
 
 
 def spread(values: list[float]) -> dict:
@@ -130,11 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                     env, pair[side] = run_once(sides[side], w["name"], seconds)
                     print(f"{w['name']} pair {i} {side}: {pair[side]}", flush=True)
                 runs.append(pair)
-            doc["workloads"][w["name"]] = {
-                "runs": runs,
-                "summary": summary(runs, bench["end_to_end"]),
-                "cpu": summary(runs, CPU_METRICS),
-            }
+            doc["workloads"][w["name"]] = {"runs": runs, "summary": summary(runs, bench["end_to_end"])}
     doc["machine"] = {k: env[k] for k in ("cpu", "nproc", "threads")}
     doc["python"], doc["numpy"] = env["python"], env["numpy"]
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

@@ -21,6 +21,7 @@ method, ends at the first certified exact endgame
 """
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ __all__ = [
 
 
 METHODS = ("newton", "subgradient")
+# the most levels a schedule may hold; every level is built before the first stage
+MAX_LEVELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,9 @@ class HomotopyConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.eps_min < self.eps0:
             raise ValueError("eps_min must lie in (0, eps0)")
+        count = math.ceil(math.log(self.eps_min / self.eps0) / math.log(self.gamma)) + 1
+        if count > MAX_LEVELS:
+            raise ValueError(f"the schedule would hold about {count} levels, above {MAX_LEVELS}")
         _two_eps(self.eps_min, self.p)  # the kernel's own check of p
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")

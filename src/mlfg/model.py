@@ -24,8 +24,6 @@ __all__ = [
     "load_game",
     "save_game",
     "validate_game",
-    "split_strategy",
-    "compose_strategy",
 ]
 
 # Relative threshold on the smallest eigenvalue in the positive definiteness check.
@@ -327,26 +325,6 @@ def validate_game(game: GameSpec) -> list[str]:
     if np.any(fol.a < 0.0):
         findings.append("follower: a must be nonnegative")
     return findings
-
-
-def split_strategy(game: GameSpec, nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a joint strategy into (own block, rival blocks) for leader ``nu``."""
-    x = np.asarray(x, dtype=float)
-    s = game.x_slice(nu)
-    rivals = np.concatenate([x[: s.start], x[s.stop :]])
-    return x[s].copy(), rivals
-
-
-def compose_strategy(
-    game: GameSpec, nu: int, x_nu: np.ndarray, x_minus_nu: np.ndarray
-) -> np.ndarray:
-    """Inverse of :func:`split_strategy`."""
-    s = game.x_slice(nu)
-    x = np.empty(game.n)
-    x[: s.start] = x_minus_nu[: s.start]
-    x[s] = x_nu
-    x[s.stop :] = x_minus_nu[s.start :]
-    return x
 
 
 def _spec_from_dict(cls, doc: dict):

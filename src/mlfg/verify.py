@@ -15,9 +15,11 @@ never pass. :func:`certify` alone decides the verdict, gates scaled by the
 smoothing level's payoff drift; ``lam=None`` fits the constraint
 multipliers.
 
-:func:`verify_nash` returns the exact gaps by exhaustive active-set
-enumeration of each epigraph QP, exponential in the follower dimension:
-the reference for the bound on tiny instances.
+:func:`verify_nash` returns the exact gaps of a joint strategy: for each
+leader, :func:`best_response_qp_oracle` enumerates every active set of
+the epigraph QP against the rivals' blocks of that same strategy,
+exponential in the follower dimension. It is the reference for the bound
+on tiny instances.
 """
 from __future__ import annotations
 
@@ -25,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameSpec, compose_strategy, finite_vector, split_strategy
+from .model import GameSpec, finite_vector
 from .smoothing import best_response_exact, leader_objective, phi_tilde_d1
 from .solvers import check_tol, lu_solve
 
 __all__ = [
     "OracleError",
     "Certificate",
-    "EpigraphQP",
     "best_response_qp_oracle",
     "verify_nash",
     "nash_gap_bounds",
@@ -105,93 +106,64 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class EpigraphQP:
-    """One leader's problem against fixed rivals, lifted to an exact QP.
+def best_response_qp_oracle(game: GameSpec, nu: int, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Global optimum of leader ``nu``'s problem against the rivals' blocks
+    of the joint strategy ``x``; the own block of ``x`` is ignored.
 
-    The decision is the own block stacked with one epigraph variable per
-    follower component; because the response weights are nonnegative the
-    lift is tight at the optimum. Constraint rows are ``G w + d <= 0``:
-    both response branches lower-bound the epigraph variables, then the
-    leader's own polyhedron.
+    The problem is lifted to an exact QP in ``w``, the own block stacked
+    with one epigraph variable per follower component; because the response
+    weights are nonnegative the lift is tight at the optimum. Its constraint
+    rows are ``G w + d <= 0``: both response branches lower-bound the
+    epigraph variables, then the leader's own polyhedron. Every active set
+    is enumerated: each subset yields an equality-constrained stationary
+    system; candidates that are primal feasible with nonnegative
+    multipliers are exact KKT points of the convex program, so the best of
+    them is the global minimizer. Sizes here are tiny (at most a few
+    hundred subsets).
     """
-
-    H: np.ndarray
-    q: np.ndarray
-    G: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def build(cls, game: GameSpec, nu: int, x_minus_nu: np.ndarray) -> "EpigraphQP":
-        ld = game.leaders[nu - 1]
-        fol = game.follower
-        n_nu, m = ld.n_vars, game.m
-
-        s_own = game.x_slice(nu)
-        x_full = compose_strategy(game, nu, np.zeros(n_nu), np.asarray(x_minus_nu, dtype=float))
-
-        H = np.zeros((n_nu + m, n_nu + m))
-        H[:n_nu, :n_nu] = ld.Q
-        q = np.concatenate([ld.c, fol.a])
-
-        rows = []
-        offsets = []
-        for M in (game.drive, fol.L.T):
-            Gx = np.zeros((m, n_nu + m))
-            Gx[:, :n_nu] = M[:, s_own]
-            Gx[:, n_nu:] = -np.eye(m)
-            rows.append(Gx)
-            offsets.append(M @ x_full)
-        G_lead = np.zeros((ld.n_constraints, n_nu + m))
-        G_lead[:, :n_nu] = ld.A.T
-        rows.append(G_lead)
-        offsets.append(ld.b)
-        return cls(H=H, q=q, G=np.vstack(rows), d=np.concatenate(offsets))
-
-    def objective(self, w: np.ndarray) -> float:
-        return float(0.5 * w @ self.H @ w + self.q @ w)
-
-
-def best_response_qp_oracle(
-    game: GameSpec, nu: int, x_minus_nu: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Global optimum of leader ``nu``'s problem against fixed rivals.
-
-    Solves the epigraph form by enumerating every active set: each subset
-    yields an equality-constrained stationary system; candidates that are
-    primal feasible with nonnegative multipliers are exact KKT points of
-    the convex program, so the best of them is the global minimizer. Sizes
-    here are tiny (at most a few hundred subsets).
-    """
-    qp = EpigraphQP.build(game, nu, x_minus_nu)
-    n_w = qp.H.shape[0]
-    n_cons = qp.G.shape[0]
+    ld, fol = game.leaders[nu - 1], game.follower
+    n_nu, m = ld.n_vars, game.m
+    s = game.x_slice(nu)
+    rivals = finite_vector(x, "strategy x", game.n)
+    rivals[s] = 0.0
+    n_w = n_nu + m
+    H = np.zeros((n_w, n_w))
+    H[:n_nu, :n_nu] = ld.Q
+    q = np.concatenate([ld.c, fol.a])
+    G = np.block(
+        [
+            [game.drive[:, s], -np.eye(m)],
+            [fol.L.T[:, s], -np.eye(m)],
+            [ld.A.T, np.zeros((ld.n_constraints, m))],
+        ]
+    )
+    d = np.concatenate([game.drive @ rivals, fol.L.T @ rivals, ld.b])
+    n_cons = G.shape[0]
     best: tuple[float, np.ndarray] | None = None
     for mask in range(2**n_cons):
         active = [i for i in range(n_cons) if mask >> i & 1]
         k = len(active)
         KKT = np.zeros((n_w + k, n_w + k))
-        KKT[:n_w, :n_w] = qp.H
+        KKT[:n_w, :n_w] = H
         if k:
-            Ga = qp.G[active, :]
+            Ga = G[active, :]
             KKT[:n_w, n_w:] = Ga.T
             KKT[n_w:, :n_w] = Ga
-        rhs = np.concatenate([-qp.q, -qp.d[active]])
+        rhs = np.concatenate([-q, -d[active]])
         sol = lu_solve(KKT, rhs)
         if sol is None:
             continue
         w, mu = sol[:n_w], sol[n_w:]
         if np.any(mu < -MULT_TOL):
             continue
-        if np.any(qp.G @ w + qp.d > FEAS_TOL):
+        if np.any(G @ w + d > FEAS_TOL):
             continue
-        value = qp.objective(w)
+        value = float(0.5 * w @ H @ w + q @ w)
         if best is None or value < best[0]:
             best = (value, w)
     if best is None:
         raise OracleError(f"leader {nu}: no feasible stationary active set found")
     value, w = best
-    n_nu = game.leaders[nu - 1].n_vars
     return w[:n_nu].copy(), float(value)
 
 
@@ -204,8 +176,7 @@ def verify_nash(game: GameSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     gaps = np.empty(game.num_leaders)
     for nu in range(1, game.num_leaders + 1):
-        _, rivals = split_strategy(game, nu, x)
-        _, opt = best_response_qp_oracle(game, nu, rivals)
+        _, opt = best_response_qp_oracle(game, nu, x)
         gaps[nu - 1] = leader_objective(game, nu, x) - opt
     return gaps
 
@@ -215,9 +186,10 @@ def nash_gap_bounds(
 ) -> np.ndarray:
     """Upper bounds on every leader's Nash gap by Lagrangian weak duality.
 
-    With rivals frozen, leader ``nu``'s epigraph QP (:class:`EpigraphQP`)
-    has a dual function that is finite exactly when the branch multipliers
-    satisfy ``Gamma1 + Gamma2 = a``; it is then the minimum over the own
+    With rivals frozen, leader ``nu``'s epigraph QP (the one that
+    :func:`best_response_qp_oracle` enumerates) has a dual function that is
+    finite exactly when the branch multipliers satisfy
+    ``Gamma1 + Gamma2 = a``; it is then the minimum over the own
     block ``u`` of a strictly convex quadratic Lagrangian, attained at
     ``u = -Q^{-1} (c + drive' Gamma1 + bound' Gamma2 + A lam_nu)``. At any
     dual-feasible point that value is at most the leader's optimum, so the

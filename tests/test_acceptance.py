@@ -284,7 +284,7 @@ def test_criterion_10_oracle_soundness():
     worst = 0.0
     for _ in range(50):
         game = tiny_instance(rng)
-        _, val = best_response_qp_oracle(game, 1, np.zeros(0))
-        grid_val = grid_minimum(game, 1, np.zeros(0), lo=-1.0, hi=1.0)
+        _, val = best_response_qp_oracle(game, 1, np.zeros(game.n))
+        grid_val = grid_minimum(game, 1, np.zeros(game.n), lo=-1.0, hi=1.0)
         worst = max(worst, abs(val - grid_val))
     report("criterion 10 (oracle soundness)", worst <= 2e-3, f"max objective err={worst:.2e}")

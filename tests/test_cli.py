@@ -199,6 +199,8 @@ def candidate_report(tmp_path_factory, trace1):
         ["solve", "--p", "0"],
         ["solve", "--seed", "-1"],
         ["solve", "--tol", "inf"],
+        # about 1.4e5 levels, over the schedule's cap
+        ["solve", "--gamma", "0.9999"],
         ["bench", "--seed", "-1"],
         ["bench", "--eps0", "3"],
         ["bench", "--tol", "0"],

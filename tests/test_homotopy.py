@@ -14,6 +14,7 @@ from mlfg import (
     taylor_direction,
 )
 from mlfg.cli import main
+from mlfg.homotopy import MAX_LEVELS
 
 from helpers import assert_same_stages, min_curvature
 
@@ -50,6 +51,16 @@ class TestSchedule:
             HomotopyConfig(tol=float("inf"))
         with pytest.raises(ValueError):
             HomotopyConfig(p=3)
+        # about 1.4e10 levels, which would exhaust memory if built
+        with pytest.raises(ValueError, match="levels"):
+            HomotopyConfig(gamma=1 - 1e-9)
+
+    def test_schedule_cap_counts_levels(self):
+        ratio = HomotopyConfig.eps_min / HomotopyConfig.eps0
+        cfg = HomotopyConfig(gamma=ratio ** (1 / (MAX_LEVELS - 1.5)))
+        assert len(cfg.levels) == MAX_LEVELS
+        with pytest.raises(ValueError, match="levels"):
+            HomotopyConfig(gamma=ratio ** (1 / (MAX_LEVELS - 0.5)))
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(HomotopyConfig)])
     def test_config_is_frozen(self, field):

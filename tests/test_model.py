@@ -13,7 +13,7 @@ from mlfg import (
     save_game,
     validate_game,
 )
-from mlfg.model import bundled_dataset_path, compose_strategy, split_strategy
+from mlfg.model import bundled_dataset_path
 
 from conftest import make_game
 from helpers import slice_rows
@@ -217,14 +217,6 @@ def test_round_trip_bit_exact(tmp_path, ds1, ds2):
         np.testing.assert_array_equal(game.follower.L, again.follower.L)
         np.testing.assert_array_equal(game.follower.Qy_diag, again.follower.Qy_diag)
         np.testing.assert_array_equal(game.follower.a, again.follower.a)
-
-
-def test_split_compose_roundtrip(ds2):
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(ds2.n)
-    for nu in range(1, ds2.num_leaders + 1):
-        own, rivals = split_strategy(ds2, nu, x)
-        np.testing.assert_array_equal(compose_strategy(ds2, nu, own, rivals), x)
 
 
 def test_constraint_values_stacking(ds1):

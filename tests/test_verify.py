@@ -5,7 +5,6 @@ import pytest
 
 import mlfg.verify
 from mlfg import certify, homotopy_solve, leader_objective, s_stationarity_certificate
-from mlfg.model import split_strategy
 from mlfg.verify import (
     NASH_TOL,
     OracleError,
@@ -18,12 +17,13 @@ from conftest import make_game
 from helpers import min_curvature, monotonicity_probe, potential_identity_probe
 
 
-def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=250):
+def grid_minimum(game, nu, x, lo, hi, resolution=1e-3, chunk=250):
     """Independent dense-grid oracle over a box for leader ``nu``.
 
     The objective is evaluated on an open broadcast grid of the own block,
-    one axis per variable and the rivals fixed, ``chunk`` values of the
-    first variable at a time; infeasible points count as inf.
+    one axis per variable and the rivals fixed at their blocks of the joint
+    strategy ``x``, ``chunk`` values of the first variable at a time;
+    infeasible points count as inf.
     """
     ld, fol = game.leaders[nu - 1], game.follower
     own = np.zeros(game.n, dtype=bool)
@@ -39,8 +39,8 @@ def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=250):
             return sum(wi * Xi for wi, Xi in zip(w, X)) + const
 
         def joint(w):
-            """``w @ x`` at every grid point, ``x`` the joint strategy."""
-            return form(w[own], x_minus_nu @ w[~own])
+            """``w`` times the joint strategy at every grid point."""
+            return form(w[own], x[~own] @ w[~own])
 
         quad = sum(form(0.5 * ld.Q[i], ld.c[i]) * X[i] for i in range(ld.n_vars))
         resp = sum(
@@ -51,17 +51,13 @@ def grid_minimum(game, nu, x_minus_nu, lo, hi, resolution=1e-3, chunk=250):
     return best
 
 
-def _grid_eval_values(game, nu, candidates, x_minus_nu):
-    """Vectorized objective over candidate own-blocks; inf when infeasible."""
+def _grid_eval_values(game, nu, candidates, x):
+    """Vectorized objective over candidate own-blocks, the rivals fixed at
+    their blocks of the joint strategy ``x``; inf when infeasible."""
     ld = game.leaders[nu - 1]
     fol = game.follower
-    s = game.x_slice(nu)
-    n = game.n
-    # assemble full strategies: rivals fixed, own block from the grid
-    full = np.empty((candidates.shape[0], n))
-    full[:, : s.start] = x_minus_nu[: s.start]
-    full[:, s.start : s.stop] = candidates
-    full[:, s.stop :] = x_minus_nu[s.start :]
+    full = np.tile(x, (candidates.shape[0], 1))
+    full[:, game.x_slice(nu)] = candidates
 
     quad = 0.5 * np.einsum("ij,jk,ik->i", candidates, ld.Q, candidates) + candidates @ ld.c
     drive = full @ (fol.B / fol.Qy_diag[None, :])
@@ -96,8 +92,7 @@ class TestOracle:
         x = rng.standard_normal(4)
         for nu in (1, 2):
             ld = game.leaders[nu - 1]
-            _, rivals = split_strategy(game, nu, x)
-            x_opt, val = best_response_qp_oracle(game, nu, rivals)
+            x_opt, val = best_response_qp_oracle(game, nu, x)
             np.testing.assert_allclose(x_opt, -np.linalg.solve(ld.Q, ld.c), atol=1e-9)
             expected = 0.5 * x_opt @ ld.Q @ x_opt + ld.c @ x_opt
             assert val == pytest.approx(expected, abs=1e-10)
@@ -114,23 +109,21 @@ class TestOracle:
             np.array([[1.0]]),
             np.array([0.0]),
         )
-        x_opt, val = best_response_qp_oracle(game, 1, np.zeros(0))
+        x_opt, val = best_response_qp_oracle(game, 1, np.zeros(game.n))
         assert x_opt[0] == pytest.approx(1.0, abs=1e-10)
         assert val == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_candidate_objective_at_equilibrium(self, ds1, trace1):
         x = trace1.final.x
         for nu in (1, 2):
-            _, rivals = split_strategy(ds1, nu, x)
-            _, val = best_response_qp_oracle(ds1, nu, rivals)
+            _, val = best_response_qp_oracle(ds1, nu, x)
             assert abs(leader_objective(ds1, nu, x) - val) <= 1e-5
 
     def test_grid_cross_validation_at_equilibrium(self, ds1, trace1):
         # coarse-to-fine grid refinement is sound here because the leader
         # objective is strictly convex in its own block
         x = trace1.final.x
-        _, rivals = split_strategy(ds1, 1, x)
-        _, val = best_response_qp_oracle(ds1, 1, rivals)
+        _, val = best_response_qp_oracle(ds1, 1, x)
 
         def mesh(a0, a1):
             X0, X1 = np.meshgrid(a0, a1, indexing="ij")
@@ -138,21 +131,21 @@ class TestOracle:
 
         coarse_axis = np.arange(-4.0, 1.0 + 1e-9, 2e-2)
         coarse = mesh(coarse_axis, coarse_axis)
-        center = coarse[int(np.argmin(_grid_eval_values(ds1, 1, coarse, rivals)))]
+        center = coarse[int(np.argmin(_grid_eval_values(ds1, 1, coarse, x)))]
         fine = mesh(
             np.arange(center[0] - 0.04, center[0] + 0.04 + 1e-9, 1e-3),
             np.arange(center[1] - 0.04, center[1] + 0.04 + 1e-9, 1e-3),
         )
-        fine_val = float(np.min(_grid_eval_values(ds1, 1, fine, rivals)))
+        fine_val = float(np.min(_grid_eval_values(ds1, 1, fine, x)))
         assert abs(val - fine_val) <= 2e-3
 
     def test_random_instances_against_grid(self):
         rng = np.random.default_rng(42)
         for _ in range(15):
             game = tiny_instance(rng)
-            x_opt, val = best_response_qp_oracle(game, 1, np.zeros(0))
+            x_opt, val = best_response_qp_oracle(game, 1, np.zeros(game.n))
             assert np.all(np.abs(x_opt) <= 1.0 + 1e-9)
-            grid_val = grid_minimum(game, 1, np.zeros(0), lo=-1.0, hi=1.0)
+            grid_val = grid_minimum(game, 1, np.zeros(game.n), lo=-1.0, hi=1.0)
             assert abs(val - grid_val) <= 2e-3
 
     def test_infeasible_reported(self):
@@ -168,7 +161,7 @@ class TestOracle:
             np.array([0.5]),
         )
         with pytest.raises(OracleError):
-            best_response_qp_oracle(game, 1, np.zeros(0))
+            best_response_qp_oracle(game, 1, np.zeros(game.n))
 
 
 class TestVerifyNash:
