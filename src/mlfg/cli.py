@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .homotopy import METHODS, HomotopyConfig, HomotopyTrace, Solution, homotopy_solve, solve
+from .homotopy import METHODS, STAGE_TARGET, HomotopyConfig, HomotopyTrace, Solution
+from .homotopy import homotopy_solve, solve
 from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
 from .smoothing import _two_eps, best_response_exact
 from .solvers import newton_solve
@@ -148,6 +149,7 @@ def _build_report(
             {
                 "index": s.index,
                 "eps": s.eps,
+                "merit_target": s.merit_target,
                 "inner_iterations": s.result.iterations,
                 "merit_final": s.result.merit,
                 "warm_start_merit": s.warm_start_merit,
@@ -375,15 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
         game.add_argument("--data", help="path to a game JSON file")
         game.add_argument("--dataset", type=int, choices=(1, 2), help="bundled dataset number")
 
-    def add_schedule_args(p):
+    def add_schedule_args(p, tol_help):
         p.add_argument("--eps0", type=float, default=HomotopyConfig.eps0)
         p.add_argument("--gamma", type=float, default=HomotopyConfig.gamma)
-        p.add_argument("--tol", type=float, default=HomotopyConfig.tol)
+        p.add_argument("--tol", type=float, default=HomotopyConfig.tol, help=tol_help)
 
     solve = sub.add_parser("solve", help="run the continuation and certify the result")
     add_game_args(solve)
     solve.add_argument("--method", choices=METHODS, default=HomotopyConfig.method)
-    add_schedule_args(solve)
+    add_schedule_args(
+        solve,
+        "the final stage's merit target; each earlier stage stops at "
+        f"max(tol, {STAGE_TARGET:g} eps^2)",
+    )
     solve.add_argument("--eps-min", type=float, default=HomotopyConfig.eps_min)
     solve.add_argument("--taylor", choices=("on", "off"), default=_on_off(HomotopyConfig.taylor))
     solve.add_argument("--p", type=int, default=HomotopyConfig.p, help="even kernel exponent >= 2")
@@ -409,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--starts", type=int, default=20)
-    add_schedule_args(bench)
+    add_schedule_args(bench, "every stage's merit target")
     bench.add_argument(
         "--bench-eps-min", dest="eps_min", type=float, default=0.05,
         help="smallest scheduled smoothing level in the comparison table",

@@ -9,15 +9,19 @@ coefficient matrix is the Hessian stack plus the smoothing curvature term.
 ``HomotopyConfig.method`` names the inner solver, ``"newton"`` (the
 default, :func:`~mlfg.solvers.newton_solve`) or ``"subgradient"``
 (:func:`~mlfg.solvers.subgradient_solve`), and ``HomotopyConfig.tol`` is
-the merit tolerance every stage must reach. The frozen config holds the
-one schedule, ``HomotopyConfig.levels``. The start and every warm start
-are flat iterates ``(x, lambda)``; each stage records the inner solver's
-:class:`~mlfg.solvers.InnerResult` as it is.
+the merit target of the last stage. The frozen config holds the one
+schedule, ``HomotopyConfig.levels``. The start and every warm start are
+flat iterates ``(x, lambda)``; each stage records its merit target and the
+inner solver's :class:`~mlfg.solvers.InnerResult` as it is.
 
-:func:`homotopy_solve` runs the paper's full continuation. :func:`solve`,
-what ``mlfg solve`` calls, runs the same stages but, for the Newton
-method, ends at the first certified exact endgame
-(:func:`~mlfg.solvers.endgame_step`), and certifies the point it returns.
+:func:`homotopy_solve` runs the paper's full continuation, every stage
+solved to ``tol``. :func:`solve`, what ``mlfg solve`` calls, runs the same
+schedule with inexact intermediate stages: each stage before the last
+stops at ``max(tol, STAGE_TARGET * eps**2)``, since it only has to hand
+its successor a warm start or, for the Newton method, land on the piece
+of the exact endgame (:func:`~mlfg.solvers.endgame_step`). For Newton it
+ends at the first certified endgame, and it certifies the point it
+returns.
 """
 from __future__ import annotations
 
@@ -51,6 +55,8 @@ __all__ = [
 METHODS = ("newton", "subgradient")
 # the most levels a schedule may hold; every level is built before the first stage
 MAX_LEVELS = 10_000
+# solve's merit target for a stage before the last, relative to its eps**2
+STAGE_TARGET = 1e-4
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,14 @@ class HomotopyConfig:
 
 @dataclass
 class StageRecord:
-    """One continuation stage: its inner solve, the merit of the warm start
-    it began from (the first entry of the solve's merit trace), and the norm
-    of the predictor it computed for the next."""
+    """One continuation stage: the merit target its inner solve stopped at,
+    the solve, the merit of the warm start it began from (the first entry of
+    the solve's merit trace), and the norm of the predictor it computed for
+    the next."""
 
     index: int
     eps: float
+    merit_target: float
     result: InnerResult
     predictor_norm: float
     wall_ms: float
@@ -152,15 +160,18 @@ def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> n
     return np.linalg.solve(curvature_block(game, phi_tilde_d2(t, eps, p)), h)
 
 
-def _stages(game: GameSpec, z0: np.ndarray | None, cfg: HomotopyConfig) -> Iterator[StageRecord]:
-    """The continuation's stages, each yielded after its predictor and
-    before the next warm start is formed; the last is the schedule's last
-    level or the first stage that fails to converge."""
+def _stages(
+    game: GameSpec, z0: np.ndarray | None, cfg: HomotopyConfig, targets: list[float]
+) -> Iterator[StageRecord]:
+    """The continuation's stages, stage ``i`` solved to the merit target
+    ``targets[i]``, each yielded after its predictor and before the next
+    warm start is formed; the last is the schedule's last level or the
+    first stage that fails to converge."""
     solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
     z_warm = z0
-    for i, eps in enumerate(cfg.levels):
+    for i, (eps, target) in enumerate(zip(cfg.levels, targets)):
         start = time.perf_counter()
-        res = solve_inner(game, z_warm, eps, cfg.p, tol=cfg.tol)
+        res = solve_inner(game, z_warm, eps, cfg.p, tol=target)
         wall_ms = (time.perf_counter() - start) * 1e3
 
         last = i + 1 == len(cfg.levels)
@@ -168,7 +179,7 @@ def _stages(game: GameSpec, z0: np.ndarray | None, cfg: HomotopyConfig) -> Itera
         if res.converged and cfg.taylor and not last:
             d = taylor_direction(game, res.x, cfg.levels[i + 1], cfg.p)
 
-        yield StageRecord(i, eps, res, float(np.linalg.norm(d)), wall_ms)
+        yield StageRecord(i, eps, target, res, float(np.linalg.norm(d)), wall_ms)
         if not res.converged or last:
             return
         z_warm = np.concatenate([res.x - (eps - cfg.levels[i + 1]) * d, res.lam])
@@ -182,9 +193,10 @@ def homotopy_solve(
     ``z0`` is the flat start ``(x, lambda)`` of length ``n + m_bar``, None
     for zeros. Stage ``i`` runs at ``cfg.levels[i]``; the run stops after
     the last level, or immediately when a stage fails to converge (the
-    trace marks the failing stage).
+    trace marks the failing stage). Every stage is solved to ``cfg.tol``.
     """
-    return HomotopyTrace(stages=list(_stages(game, z0, cfg or HomotopyConfig())))
+    cfg = cfg or HomotopyConfig()
+    return HomotopyTrace(stages=list(_stages(game, z0, cfg, [cfg.tol] * len(cfg.levels))))
 
 
 @dataclass
@@ -206,10 +218,13 @@ def solve(
 ) -> Solution:
     """Solve ``game`` and certify the result, as ``mlfg solve`` does.
 
-    Runs the stages of :func:`homotopy_solve`. For the Newton method, after
-    each converged stage it takes :func:`~mlfg.solvers.endgame_step` on
-    that stage's piece, and ends at the first result that ``certify``
-    passes at ``cfg.final_eps``, the gates the full run's point would face.
+    Runs the schedule of :func:`homotopy_solve`, but stops each stage
+    before the last at the merit target
+    ``max(cfg.tol, STAGE_TARGET * eps**2)``, and only the last at
+    ``cfg.tol``. For the Newton method, after each converged stage it takes
+    :func:`~mlfg.solvers.endgame_step` on that stage's piece, and ends at
+    the first result that ``certify`` passes at ``cfg.final_eps``, the
+    gates the full run's point would face.
     Each piece (follower branches and active constraints) is tried once:
     the step from a piece already tried gives the same point. Otherwise
     the point is the last stage's, certified only when every stage
@@ -219,7 +234,8 @@ def solve(
     cfg = cfg or HomotopyConfig()
     trace = HomotopyTrace(stages=[])
     tried: set[bytes] = set()
-    for stage in _stages(game, z0, cfg):
+    targets = [max(cfg.tol, STAGE_TARGET * eps**2) for eps in cfg.levels[:-1]] + [cfg.tol]
+    for stage in _stages(game, z0, cfg, targets):
         trace.stages.append(stage)
         res = stage.result
         if cfg.method != "newton" or not res.converged:

@@ -324,13 +324,17 @@ def endgame_step(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np.ndarr
     With the branches ``xi`` and the active constraints ``A`` fixed, the
     equilibrium conditions are the linear system
     ``[Q_block G_A; G_A' 0] (x, lambda_A) = -(c + 0.5 S' a + 0.5 A_diff' diag(a) xi, b_A)``,
-    solved with :func:`lu_solve`. Returns the flat ``(x, lambda)`` of its
-    solution, zero off ``A``, only when it lies on the piece:
-    ``sign(A_diff x) == xi``, ``lambda_A >= 0`` and ``g(x) <= 0`` off ``A``.
-    Returns None otherwise: for a singular system, or a zero in ``xi``.
+    solved with :func:`lu_solve`. A zero row of ``A_diff`` is free: both of
+    its branches are the same map, so its entry of ``xi`` is not read.
+    Returns the flat ``(x, lambda)`` of the solution, zero off ``A``, only
+    when it lies on the piece: ``sign(A_diff x) == xi`` on the other rows,
+    ``lambda_A >= 0`` and ``g(x) <= 0`` off ``A``. Returns None otherwise:
+    for a singular system, or a zero in ``xi`` on a nonzero row.
     """
     n = game.n
-    if not np.all(xi):
+    # rows whose two branches differ; a zero row is the same map on both
+    branching = game.A_diff.any(axis=1)
+    if not np.all(xi[branching]):
         return None
     G_A = game.constraint_gradient_block[:, active]
     M = np.block([[game.Q_block, G_A], [G_A.T, np.zeros((G_A.shape[1],) * 2)]])
@@ -341,7 +345,7 @@ def endgame_step(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np.ndarr
     x_hat, lam_hat = sol[:n], np.zeros(game.m_bar)
     lam_hat[active] = sol[n:]
     on_piece = (
-        np.array_equal(np.sign(game.A_diff @ x_hat), xi)
+        np.array_equal(np.sign(game.A_diff @ x_hat)[branching], xi[branching])
         and np.all(sol[n:] >= 0.0)
         and np.all(game.constraint_values(x_hat)[~active] <= 0.0)
     )

@@ -6,16 +6,23 @@ matrix, the subgradient step search one trial point at a time), build the
 selected Jacobian at a point from that point's own evaluation, evaluate
 the game's exact potential and the smallest curvature of its Hessian stack,
 sample structural properties of a game (monotonicity of the stacked
-gradient map, the exact-potential identity), or compare two runs' stages.
+gradient map, the exact-potential identity), rebuild the stages that
+``mlfg.solve`` runs from the inner solvers, or compare two runs' stages.
 """
 import numpy as np
 
 from mlfg import (
     GameSpec,
+    HomotopyConfig,
+    StageRecord,
     best_response_exact,
     best_response_smoothed,
     leader_objective,
+    newton_solve,
+    subgradient_solve,
+    taylor_direction,
 )
+from mlfg.homotopy import STAGE_TARGET
 from mlfg.kkt import evaluate, generalized_jacobian, kkt_residual, residual_merit
 from mlfg.smoothing import smoothed_gradient_stack
 from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE
@@ -141,14 +148,48 @@ def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):
     return 0.0, None, None
 
 
+def inexact_stages(game: GameSpec, cfg: HomotopyConfig, z0=None) -> list[StageRecord]:
+    """The stages of ``mlfg.solve``'s continuation, chained from the inner
+    solvers: stage ``i`` solves level ``cfg.levels[i]`` to the merit target
+    ``max(cfg.tol, STAGE_TARGET * eps**2)``, the last level to ``cfg.tol``,
+    and warm-starts the next from its point moved along
+    ``taylor_direction`` (when ``cfg.taylor``). Ends after the last level or
+    at the first stage that fails to converge, as solve's endgame never
+    does; ``wall_ms`` is 0."""
+    solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
+    levels, stages, z = cfg.levels, [], z0
+    for i, eps in enumerate(levels):
+        last = i == len(levels) - 1
+        target = cfg.tol if last else max(cfg.tol, STAGE_TARGET * eps**2)
+        res = solve_inner(game, z, eps, cfg.p, tol=target)
+        d = np.zeros(game.n)
+        if res.converged and cfg.taylor and not last:
+            d = taylor_direction(game, res.x, levels[i + 1], cfg.p)
+        stages.append(StageRecord(i, eps, target, res, float(np.linalg.norm(d)), 0.0))
+        if last or not res.converged:
+            break
+        z = np.concatenate([res.x - (eps - levels[i + 1]) * d, res.lam])
+    return stages
+
+
 def assert_same_stages(ran, full) -> None:
     """Each stage of ``ran`` equals the stage of ``full`` at its position,
-    bit for bit: level, predictor, inner merit and step traces, iterate."""
+    bit for bit: level, merit target, predictor, inner merit and step
+    traces, iterate."""
     assert len(ran) <= len(full)
     for s, ref in zip(ran, full):
-        assert (s.index, s.eps, s.predictor_norm) == (ref.index, ref.eps, ref.predictor_norm)
+        assert (s.index, s.eps, s.merit_target) == (ref.index, ref.eps, ref.merit_target)
+        assert s.predictor_norm == ref.predictor_norm
         assert s.result.merit_history == ref.result.merit_history
         assert s.result.step_norms == ref.result.step_norms
         assert s.result.fallback_steps == ref.result.fallback_steps
         assert np.array_equal(s.result.x, ref.result.x)
         assert np.array_equal(s.result.lam, ref.result.lam)
+
+
+def assert_stops_early_on_the_same_path(first, full_first) -> None:
+    """Stage ``first``, run from the same start as ``full_first`` but to a
+    looser merit target, took the first steps of ``full_first``'s solve."""
+    h = first.result.merit_history
+    assert h == full_first.result.merit_history[: len(h)]
+    assert first.result.step_norms == full_first.result.step_norms[: len(h) - 1]

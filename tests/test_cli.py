@@ -1,12 +1,13 @@
 import csv
 import json
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlfg.cli
-from mlfg import HomotopyConfig, certify, homotopy_solve, newton_solve, save_game
+from mlfg import HomotopyConfig, HomotopyTrace, certify, homotopy_solve, newton_solve, save_game
 from mlfg.cli import (
     BENCH_COLUMNS,
     ITER_LOG_COLUMNS,
@@ -14,6 +15,7 @@ from mlfg.cli import (
     _bench_configs,
     _homotopy_config,
     _initial_point,
+    _iter_log_rows,
     _max_distance,
     build_parser,
     main,
@@ -23,6 +25,10 @@ from mlfg.solvers import endgame_step
 from mlfg.verify import verify_nash
 
 from conftest import make_game
+from helpers import assert_stops_early_on_the_same_path, inexact_stages
+
+# the benchmark's pinned equilibria of the bundled games
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "reference.json"
 
 
 def run(*argv):
@@ -98,16 +104,20 @@ def test_solve_report_fields(tmp_path, trace1):
 
 @pytest.mark.parametrize("name", ["1", "2"])
 def test_endgame_report_matches_library(tmp_path, request, name):
-    # the exact endgame after stage 0; every reported stage is the library's
-    # stage of that index, and the certificate is reproducible
+    # the exact endgame after stage 0; every reported stage is the inexact
+    # continuation's stage of that index, stage 0 stops early on the full
+    # run's path, and the certificate is reproducible
     game, trace = request.getfixturevalue(f"ds{name}"), request.getfixturevalue(f"trace{name}")
     report = tmp_path / "report.json"
     assert run("solve", "--dataset", name, "--out", str(report)) == 0
     doc = json.loads(report.read_text())
     assert doc["endgame"] == {"after_stage": 0}
     assert len(doc["stages"]) == 1
-    for s, ref in zip(doc["stages"], trace.stages):
+    stages = inexact_stages(game, HomotopyConfig())
+    assert_stops_early_on_the_same_path(stages[0], trace.stages[0])
+    for s, ref in zip(doc["stages"], stages):
         assert s["index"] == ref.index and s["eps"] == ref.eps
+        assert s["merit_target"] == ref.merit_target > HomotopyConfig.tol
         assert s["inner_iterations"] == ref.result.iterations
         assert s["merit_final"] == ref.result.merit
         assert s["fallback_steps"] == ref.result.fallback_steps
@@ -116,7 +126,7 @@ def test_endgame_report_matches_library(tmp_path, request, name):
     sol = doc["solution"]
     assert sol["eps_final"] == trace.final_eps == HomotopyConfig().final_eps
     x = np.asarray(sol["x"])
-    assert doc["stages"][0]["error_to_final"] == float(np.linalg.norm(trace.stages[0].result.x - x))
+    assert doc["stages"][0]["error_to_final"] == float(np.linalg.norm(stages[0].result.x - x))
     assert np.all(np.abs(verify_nash(game, x)) <= 1e-12)
     cert = certify(game, x, np.asarray(sol["lambda"]), sol["eps_final"], doc["config"]["p"])
     assert cert.to_dict() == doc["certificate"]
@@ -151,10 +161,28 @@ def test_subgradient_runs_no_endgame(tmp_path, ds1):
     flags = ["--method", "subgradient", "--eps-min", "0.05"]
     assert run("solve", "--dataset", "1", *flags, "--out", str(report)) == 0
     doc = json.loads(report.read_text())
-    trace = homotopy_solve(ds1, cfg=HomotopyConfig(method="subgradient", eps_min=0.05))
+    cfg = HomotopyConfig(method="subgradient", eps_min=0.05)
+    stages, trace = inexact_stages(ds1, cfg), homotopy_solve(ds1, cfg=cfg)
     assert doc["endgame"] is None
-    assert len(doc["stages"]) == len(trace.stages)
-    assert np.array_equal(np.asarray(doc["solution"]["x"]), trace.final.x)
+    assert len(doc["stages"]) == len(stages) == len(trace.stages)
+    assert [s["merit_target"] for s in doc["stages"]] == [s.merit_target for s in stages]
+    assert [s["inner_iterations"] for s in doc["stages"]] == [s.result.iterations for s in stages]
+    assert np.array_equal(np.asarray(doc["solution"]["x"]), stages[-1].result.x)
+    assert_stops_early_on_the_same_path(stages[0], trace.stages[0])
+
+
+@pytest.mark.parametrize("name", ["1", "2"])
+def test_subgradient_report_within_benchmark_tolerance(tmp_path, name):
+    # the benchmark's check of the bundled-subgradient workload: a certified
+    # report whose x is within the pinned tolerance of the smoothed equilibrium
+    ref = json.loads(REFERENCE.read_text())[f"dataset{name}"]["subgradient"]
+    report = tmp_path / "report.json"
+    flags = ["--method", "subgradient", "--eps-min", str(ref["eps"])]
+    assert run("solve", "--dataset", name, *flags, "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    assert doc["certificate"]["certified"] is True
+    assert doc["stages"][-1]["merit_final"] <= doc["stages"][-1]["merit_target"] == 1e-10
+    assert np.max(np.abs(np.asarray(doc["solution"]["x"]) - ref["x"])) <= ref["tol"]
 
 
 def test_endgame_tries_each_piece_once(monkeypatch, kink_game, tmp_path):
@@ -303,8 +331,19 @@ def test_help_exits_0(argv):
 
 
 def test_solve_nonconvergence_exit_code():
-    # an impossible merit target stalls at float resolution
-    assert run("solve", "--dataset", "1", "--tol", "1e-300") == 1
+    # an impossible merit target stalls the last stage at float resolution
+    assert run("solve", "--dataset", "1", "--method", "subgradient", "--tol", "1e-300") == 1
+
+
+def test_solve_unreachable_tol_ends_at_the_endgame(tmp_path):
+    # Newton's stage 0 stops at its own target, 2.56e-4, and the exact
+    # endgame after it never reaches the final stage's target
+    report = tmp_path / "report.json"
+    assert run("solve", "--dataset", "1", "--tol", "1e-300", "--out", str(report)) == 0
+    doc = json.loads(report.read_text())
+    assert doc["endgame"] == {"after_stage": 0}
+    assert doc["stages"][0]["merit_target"] == 1e-4 * 1.6**2
+    assert doc["certificate"]["certified"] is True
 
 
 def test_solve_subgradient_short_schedule(tmp_path):
@@ -610,7 +649,7 @@ def test_bench_repeats(tmp_path):
     assert repeats == {"0", "1"}
 
 
-def test_bench_iter_rows_match_solve_log(tmp_path):
+def test_bench_iter_rows_match_solve_log(tmp_path, ds1):
     out, log = tmp_path / "bench.csv", tmp_path / "solve.csv"
     assert run(
         "bench", "--dataset", "1", "--out", str(out),
@@ -629,9 +668,20 @@ def test_bench_iter_rows_match_solve_log(tmp_path):
     solve = rows(log)
     assert solve[0] == [c for c in ITER_LOG_COLUMNS if c != "wall_ms"]
     assert len(solve) > 1
-    # solve can end early at the exact endgame; its log holds the stages it ran
+    # solve can end early at the exact endgame; its log holds the stages it
+    # ran, the inexact continuation's, and bench's exact stage 0 takes the
+    # steps of solve's shorter one first (its predictor, from a later point,
+    # differs)
+    cfg = HomotopyConfig(tol=1e-8, eps_min=0.2)
     ran = {r[0] for r in solve[1:]}
-    assert [r for r in bench if r[0] in ran] == solve[1:]
+    stages = [s for s in inexact_stages(ds1, cfg) if str(s.index) in ran]
+    expected = [
+        [str(v) for v in r[:wall] + r[wall + 1 :]] for r in _iter_log_rows(HomotopyTrace(stages), cfg)
+    ]
+    assert solve[1:] == expected
+    steps = ITER_LOG_COLUMNS.index("predictor_norm")
+    first = [r[:steps] for r in solve[1:] if r[0] == "0"]
+    assert [r[:steps] for r in bench if r[0] == "0"][: len(first)] == first
 
 
 

@@ -16,7 +16,7 @@ from mlfg.cli import main
 from mlfg.solvers import endgame_step, piece, subgradient_solve
 
 from conftest import make_game
-from helpers import assert_same_stages
+from helpers import assert_same_stages, assert_stops_early_on_the_same_path, inexact_stages
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -65,7 +65,8 @@ def test_solve_ends_at_a_later_stage_with_the_continuations_stages(ladder3, monk
     sol, full = solve(game), homotopy_solve(game)
     assert sol.endgame == 3 and sol.certificate.certified
     assert len(calls) == 2 and len(sol.trace.stages) == 4
-    assert_same_stages(sol.trace.stages, full.stages)
+    assert_same_stages(sol.trace.stages, inexact_stages(game, HomotopyConfig()))
+    assert_stops_early_on_the_same_path(sol.trace.stages[0], full.stages[0])
 
 
 def test_near_kink_equilibrium_certifies(ladder3):
@@ -105,6 +106,16 @@ def test_subgradient_stage_counts_pinned(ladder3, name, iterations, converged):
     trace = homotopy_solve(ladder3[name], cfg=cfg)
     assert [s.result.iterations for s in trace.stages] == iterations
     assert trace.converged is converged
+
+
+def test_subgradient_solve_certifies_g05(ladder3):
+    # the exact continuation reaches the step cap at stage 2 (pinned above);
+    # stopping the stages before the last early, solve converges and
+    # certifies; g07 still reaches the cap in its last stage
+    cfg = HomotopyConfig(method="subgradient", eps_min=0.05)
+    sol = solve(ladder3["g05_N2_v3_c3_m1"], cfg=cfg)
+    assert [s.result.iterations for s in sol.trace.stages] == [28, 18, 468, 6501, 3114, 5123]
+    assert sol.trace.converged and sol.certificate.certified
 
 
 def test_subgradient_runs_to_its_step_cap(ladder3):

@@ -16,7 +16,12 @@ from mlfg import (
 from mlfg.cli import main
 from mlfg.homotopy import MAX_LEVELS
 
-from helpers import assert_same_stages, min_curvature
+from helpers import (
+    assert_same_stages,
+    assert_stops_early_on_the_same_path,
+    inexact_stages,
+    min_curvature,
+)
 
 
 class TestSchedule:
@@ -163,8 +168,9 @@ class TestTraceConsistency:
 
 
 class TestSolve:
-    """``solve`` runs the continuation's stages, takes the exact endgame for
-    Newton and certifies its point, as ``mlfg solve`` reports it."""
+    """``solve`` runs the continuation's schedule with inexact stages, takes
+    the exact endgame for Newton and certifies its point, as ``mlfg solve``
+    reports it."""
 
     @pytest.mark.parametrize("name", ["1", "2"])
     def test_matches_the_solve_report(self, request, tmp_path, name):
@@ -180,22 +186,42 @@ class TestSolve:
 
     @pytest.mark.parametrize("name", ["ds1", "ds2", "active_game", "kink_game"])
     def test_stages_are_the_continuations_first(self, request, name):
-        # the kink game declines every endgame and runs all 22 stages
+        # the kink game declines every endgame and runs all 22 stages; stage
+        # 0 starts where the exact continuation's does and stops on its path
         game = request.getfixturevalue(name)
         sol, full = solve(game), homotopy_solve(game)
-        assert 1 <= len(sol.trace.stages) <= len(full.stages)
-        assert_same_stages(sol.trace.stages, full.stages)
+        ref = inexact_stages(game, HomotopyConfig())
+        assert 1 <= len(sol.trace.stages) <= len(ref) == len(full.stages)
+        assert_same_stages(sol.trace.stages, ref)
+        assert_stops_early_on_the_same_path(sol.trace.stages[0], full.stages[0])
         if sol.endgame is None:
-            assert len(sol.trace.stages) == len(full.stages)
-            assert np.array_equal(sol.x, full.final.x)
+            assert len(sol.trace.stages) == len(ref)
+            assert sol.trace.stages[-1].merit_target == HomotopyConfig.tol
+            assert np.array_equal(sol.x, ref[-1].result.x)
 
     def test_subgradient_has_no_endgame(self, ds1):
         cfg = HomotopyConfig(eps_min=0.4, method="subgradient", tol=1e-8)
         sol, full = solve(ds1, cfg=cfg), homotopy_solve(ds1, cfg=cfg)
+        ref = inexact_stages(ds1, cfg)
         assert sol.endgame is None and sol.certificate is not None
-        assert_same_stages(sol.trace.stages, full.stages)
-        assert np.array_equal(sol.x, full.final.x)
-        assert np.array_equal(sol.lam, full.final.lam)
+        assert len(sol.trace.stages) == len(ref) == len(full.stages)
+        assert_same_stages(sol.trace.stages, ref)
+        assert_stops_early_on_the_same_path(sol.trace.stages[0], full.stages[0])
+        assert np.array_equal(sol.x, ref[-1].result.x)
+        assert np.array_equal(sol.lam, ref[-1].result.lam)
+
+    def test_stage_targets(self, ds1, kink_game):
+        # each stage before the last stops at max(tol, 1e-4 eps**2) and the
+        # last at tol; the kink game declines every endgame, so both runs
+        # reach the last level; the full continuation keeps tol throughout
+        subgradient = HomotopyConfig(eps_min=0.1, method="subgradient", tol=1e-8)
+        for game, cfg in ((kink_game, HomotopyConfig()), (ds1, subgradient)):
+            sol = solve(game, cfg=cfg)
+            expected = [max(cfg.tol, 1e-4 * eps**2) for eps in cfg.levels[:-1]] + [cfg.tol]
+            assert [s.merit_target for s in sol.trace.stages] == expected
+            assert all(s.result.merit <= s.merit_target for s in sol.trace.stages)
+            full = homotopy_solve(game, cfg=cfg)
+            assert [s.merit_target for s in full.stages] == [cfg.tol] * len(cfg.levels)
 
     def test_failed_stage_gives_no_certificate(self, ds1, monkeypatch):
         monkeypatch.setattr("mlfg.solvers.NEWTON_MAX_ITER", 1)

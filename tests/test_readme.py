@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mlfg.homotopy
 import mlfg.solvers
 import mlfg.verify
 
@@ -35,9 +36,11 @@ def test_quick_start_runs(tmp_path):
 
 
 def test_named_constants_exist():
-    # a backticked ALL_CAPS name in the README is a constant of mlfg.solvers
-    # or mlfg.verify; a rename must not leave the old name in the docs
+    # a backticked ALL_CAPS name in the README is a constant of mlfg.solvers,
+    # mlfg.verify or mlfg.homotopy; a rename must not leave the old name in
+    # the docs
     names = set(re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`", (ROOT / "README.md").read_text()))
     assert names, "no backticked constant names in the README"
-    missing = {n for n in names if not any(hasattr(m, n) for m in (mlfg.solvers, mlfg.verify))}
+    modules = (mlfg.solvers, mlfg.verify, mlfg.homotopy)
+    missing = {n for n in names if not any(hasattr(m, n) for m in modules)}
     assert missing == set()

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from mlfg import (
+    FollowerSpec,
+    GameSpec,
     HomotopyConfig,
     homotopy_solve,
     lu_solve,
     newton_solve,
+    solve,
     subgradient_solve,
 )
 from mlfg import solvers
@@ -536,6 +539,19 @@ class TestEndgameStep:
         x_star = np.array([1.0, -0.5, 0.5, 1.0])  # on every kink
         z = np.concatenate([x_star, np.zeros(kink_game.m_bar)])
         assert endgame_step(kink_game, *piece(kink_game, z)) is None
+
+    def test_zero_row_is_free(self, ds2):
+        # L[:, 0] = B[:, 0] / Qy[0] zeroes row 0 of A_diff, so xi[0] is 0 at
+        # every point; both branches of that row are the same map
+        f = ds2.follower
+        L = f.L.copy()
+        L[:, 0] = f.B[:, 0] / f.Qy_diag[0]
+        game = GameSpec(ds2.leaders, FollowerSpec(Qy_diag=f.Qy_diag, B=f.B, L=L, a=f.a))
+        assert not game.A_diff[0].any()
+        sol = solve(game)
+        assert sol.endgame == 0 and sol.certificate.certified
+        assert sol.certificate.s_stat_residuals["stationarity_x"] <= 1e-12
+        assert np.all(np.abs(verify_nash(game, sol.x)) <= 1e-12)
 
     def test_singular_system_is_declined(self, monkeypatch):
         # x <= 1 twice, both on the constraint branch at x = 1: G_A has two equal columns
