@@ -148,16 +148,16 @@ def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):
     return 0.0, None, None
 
 
-def inexact_stages(game: GameSpec, cfg: HomotopyConfig, z0=None) -> list[StageRecord]:
-    """The stages of ``mlfg.solve``'s continuation, chained from the inner
-    solvers: stage ``i`` solves level ``cfg.levels[i]`` to the merit target
-    ``max(cfg.tol, STAGE_TARGET * eps**2)``, the last level to ``cfg.tol``,
-    and warm-starts the next from its point moved along
-    ``taylor_direction`` (when ``cfg.taylor``). Ends after the last level or
-    at the first stage that fails to converge, as solve's endgame never
-    does; ``wall_ms`` is 0."""
+def inexact_stages(game: GameSpec, cfg: HomotopyConfig) -> list[StageRecord]:
+    """The stages of ``mlfg.solve``'s continuation from the zero start,
+    chained from the inner solvers: stage ``i`` solves level
+    ``cfg.levels[i]`` to the merit target ``max(cfg.tol, STAGE_TARGET *
+    eps**2)``, the last level to ``cfg.tol``, and warm-starts the next from
+    its point moved along ``taylor_direction`` (when ``cfg.taylor``). Takes
+    no endgame: ends after the last level or at the first stage that fails
+    to converge. ``wall_ms`` is 0."""
     solve_inner = newton_solve if cfg.method == "newton" else subgradient_solve
-    levels, stages, z = cfg.levels, [], z0
+    levels, stages, z = cfg.levels, [], None
     for i, eps in enumerate(levels):
         last = i == len(levels) - 1
         target = cfg.tol if last else max(cfg.tol, STAGE_TARGET * eps**2)
@@ -172,12 +172,12 @@ def inexact_stages(game: GameSpec, cfg: HomotopyConfig, z0=None) -> list[StageRe
     return stages
 
 
-def assert_same_stages(ran, full) -> None:
-    """Each stage of ``ran`` equals the stage of ``full`` at its position,
-    bit for bit: level, merit target, predictor, inner merit and step
-    traces, iterate."""
-    assert len(ran) <= len(full)
-    for s, ref in zip(ran, full):
+def assert_same_stages(ran, reference) -> None:
+    """Each stage of ``ran`` equals the stage of ``reference`` at its
+    position, bit for bit: level, merit target, predictor, inner merit and
+    step traces, iterate."""
+    assert len(ran) <= len(reference)
+    for s, ref in zip(ran, reference):
         assert (s.index, s.eps, s.merit_target) == (ref.index, ref.eps, ref.merit_target)
         assert s.predictor_norm == ref.predictor_norm
         assert s.result.merit_history == ref.result.merit_history
