@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
+import stat
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import cache, partial
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .homotopy import METHODS, STAGE_TARGET, HomotopyConfig, HomotopyTrace, Solution
 from .homotopy import homotopy_solve, solve
-from .model import GameSpec, _game_to_dict, bundled_dataset_path, load_game
+from .model import GameSpec, _game_to_dict, _overwrite, bundled_dataset_path, load_game
 from .smoothing import _two_eps, best_response_exact
 from .solvers import newton_solve
 from .verify import NASH_TOL, certify
@@ -75,16 +77,18 @@ def _check_seed(seed: int | None) -> None:
 def _check_out_path(flag: str, path: str | None, game_path: Path) -> None:
     """Reject an output path that cannot be written, before any solve: its
     directory is missing or read-only, the path is a directory or a
-    read-only file, or it is the game file itself."""
+    read-only file, or it is the game file itself, by any path or link."""
     if not path:
         return
-    target = Path(path)
-    if target.resolve() == game_path.resolve():
+    try:
+        st = os.stat(path)
+    except OSError:  # no file yet, or a parent that is not a directory
+        st, parent = None, Path(path).parent
+        if not parent.is_dir():
+            raise InputError(f"{flag} {path}: directory {parent} does not exist") from None
+    if st and os.path.samestat(st, os.stat(game_path)):
         raise InputError(f"{flag} {path}: the same file as the game {game_path}")
-    if not target.parent.is_dir():
-        raise InputError(f"{flag} {path}: directory {target.parent} does not exist")
-    writable = os.access(target if target.exists() else target.parent, os.W_OK)
-    if target.is_dir() or not writable:
+    if (st and stat.S_ISDIR(st.st_mode)) or not os.access(path if st else parent, os.W_OK):
         raise InputError(f"{flag} {path}: not a writable file")
 
 
@@ -113,10 +117,9 @@ def _homotopy_config(args, **overrides) -> HomotopyConfig:
 
 
 def _write_csv(path: Path, columns: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([columns, *rows])
+    _overwrite(path, text.getvalue().encode())
 
 
 def _iter_log_rows(trace: HomotopyTrace, cfg: HomotopyConfig):
@@ -144,7 +147,8 @@ def _build_report(
     return {
         "tool": {"name": "mlfg", "version": __version__},
         "game": {"path": str(path), **_fingerprint(game)},
-        "config": {**asdict(cfg), "taylor": _on_off(cfg.taylor), "seed": seed},
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        | {"taylor": _on_off(cfg.taylor), "seed": seed},
         "stages": [
             {
                 "index": s.index,
@@ -206,7 +210,7 @@ def cmd_solve(args) -> int:
     print(f"certified: {cert.certified}")
     if args.out:
         report = _build_report(game, path, cfg, args.seed, sol)
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+        _overwrite(args.out, (json.dumps(report, indent=1) + "\n").encode())
     return EXIT_OK if cert.certified else EXIT_CERT
 
 

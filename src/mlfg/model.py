@@ -8,6 +8,7 @@ Hessian and lower bounds driven linearly by the joint leader strategy.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property, wraps
 from itertools import accumulate
@@ -371,9 +372,21 @@ def load_game(path: str | Path) -> GameSpec:
     return _game_from_dict(doc)
 
 
+def _overwrite(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` over the file's old bytes, then cut off what
+    is left of them. The file is never truncated to zero first: on ext4 that
+    makes ``close`` start writeback of a rewritten file. Symlinks and hard
+    links are written through, and an existing file keeps its mode."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        # a pipe or a device such as /dev/null cannot be truncated; its size reads 0
+        if os.fstat(fh.fileno()).st_size > len(data):
+            fh.truncate()
+
+
 def save_game(game: GameSpec, path: str | Path) -> None:
     """Write a game back to the JSON file format (round-trips bit-exactly)."""
-    Path(path).write_text(json.dumps(_game_to_dict(game), indent=1) + "\n")
+    _overwrite(path, (json.dumps(_game_to_dict(game), indent=1) + "\n").encode())
 
 
 def bundled_dataset_path(number: int) -> Path:

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 from itertools import combinations
 from pathlib import Path
 
@@ -13,10 +15,12 @@ from mlfg.cli import (
     ITER_LOG_COLUMNS,
     MULTISTART_COLUMNS,
     _bench_configs,
+    _bench_schedule_rows,
     _homotopy_config,
     _initial_point,
     _iter_log_rows,
     _max_distance,
+    _write_csv,
     build_parser,
     main,
 )
@@ -265,6 +269,11 @@ def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# the names of ``made`` below that are links to the game file; every other
+# name is made as a directory
+LINKS = {"hard.json": os.link, "soft.json": os.symlink}
+
+
 @pytest.mark.parametrize(
     "argv, made, flag",
     [
@@ -302,25 +311,81 @@ def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
             "--out",
             id="bench multistart = game",
         ),
+        # an output would overwrite the game file through a link to it, made
+        # as LINKS says; a resolved path does not show a hard link
+        pytest.param(
+            ["solve", "--data", "g.json", "--out", "hard.json"],
+            ["hard.json"],
+            "--out",
+            id="solve --out = hard link of game",
+        ),
+        pytest.param(
+            ["solve", "--data", "g.json", "--log", "soft.json"],
+            ["soft.json"],
+            "--log",
+            id="solve --log = symlink of game",
+        ),
+        pytest.param(
+            ["bench", "--data", "g.json", "--out", "hard.json"],
+            ["hard.json"],
+            "--out",
+            id="bench --out = hard link of game",
+        ),
     ],
 )
 def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch, argv, made, flag):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the output path")
 
-    monkeypatch.setattr("mlfg.cli.homotopy_solve", no_solve)
+    for name in ("solve", "homotopy_solve"):
+        monkeypatch.setattr(f"mlfg.cli.{name}", no_solve)
     monkeypatch.chdir(tmp_path)
-    for name in made:
-        (tmp_path / name).mkdir()
     data = bundled_dataset_path(1).read_bytes()
     game = argv[argv.index("--data") + 1] if "--data" in argv else None
     if game:
         (tmp_path / game).write_bytes(data)
+    for name in made:
+        if name in LINKS:
+            LINKS[name](game, name)
+        else:
+            (tmp_path / name).mkdir()
     code = run(*argv, *([] if game else ["--dataset", "1"]))
     assert code == 3
     assert f"error: {flag}" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(made + [game] * bool(game))
     assert not game or (tmp_path / game).read_bytes() == data
+
+
+def test_report_overwrites_a_longer_file(tmp_path):
+    # the six-stage subgradient report, then the shorter Newton report over it
+    report, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+    flags = ["solve", "--dataset", "1", "--out"]
+    assert run(*flags, str(report), "--method", "subgradient", "--eps-min", "0.05") == 0
+    longer = report.stat().st_size
+    assert run(*flags, str(report)) == 0
+    assert run(*flags, str(fresh)) == 0
+    text = report.read_text()
+    assert report.stat().st_size == len(text.encode()) < longer
+    assert text.endswith("}\n")
+    assert without_wall_ms(json.loads(text)) == without_wall_ms(json.loads(fresh.read_text()))
+
+
+def test_report_through_a_symlink_keeps_the_targets_mode(tmp_path):
+    # a symlinked --out is written through to its target, whose mode stays
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run("solve", "--dataset", "1", "--out", str(link)) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["certificate"]["certified"] is True
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_output_to_a_device(flag):
+    # /dev/null has no length to truncate to
+    assert run("solve", "--dataset", "1", flag, os.devnull) == 0
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=" ".join)
@@ -624,6 +689,25 @@ def test_bench_outputs(tmp_path, capsys):
         assert next(csv.reader(fh)) == ITER_LOG_COLUMNS
     with open(out.with_name("bench_multistart.csv")) as fh:
         assert next(csv.reader(fh)) == MULTISTART_COLUMNS
+
+
+@pytest.mark.parametrize("table", ["iters", "bench", "multistart"])
+def test_csv_bytes_match_a_text_mode_writer(tmp_path, ds1, trace1, table):
+    # the bytes that csv.writer on a file opened with newline="" writes
+    cfg = HomotopyConfig()
+    columns, rows = {
+        "iters": (ITER_LOG_COLUMNS, list(_iter_log_rows(trace1, cfg))),
+        "bench": (BENCH_COLUMNS, _bench_schedule_rows(ds1, [cfg])[0]),
+        "multistart": (MULTISTART_COLUMNS, [[0, 1, repr(0.5), "newton", 2, repr(1 / 3)]]),
+    }[table]
+    written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+    written.write_text("longer old content " * 1000)
+    _write_csv(written, columns, rows)
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    assert written.read_bytes() == reference.read_bytes()
 
 
 def test_bench_deterministic_per_seed(tmp_path):

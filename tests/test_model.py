@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from mlfg import (
     save_game,
     validate_game,
 )
-from mlfg.model import bundled_dataset_path
+from mlfg.model import _overwrite, bundled_dataset_path
 
 from conftest import make_game
 from helpers import slice_rows
@@ -217,6 +219,41 @@ def test_round_trip_bit_exact(tmp_path, ds1, ds2):
         np.testing.assert_array_equal(game.follower.L, again.follower.L)
         np.testing.assert_array_equal(game.follower.Qy_diag, again.follower.Qy_diag)
         np.testing.assert_array_equal(game.follower.a, again.follower.a)
+
+
+def test_overwrite_in_place(tmp_path):
+    # written through a symlink over a longer file: the inode, its other
+    # name and its mode stay, and exactly the new bytes remain
+    path, hard, soft = tmp_path / "f", tmp_path / "hard", tmp_path / "soft"
+    path.write_bytes(b"0123456789")
+    path.chmod(0o640)
+    os.link(path, hard)
+    soft.symlink_to(path)
+    _overwrite(soft, b"abc")
+    assert path.read_bytes() == hard.read_bytes() == b"abc"
+    assert path.stat().st_size == 3
+    assert soft.is_symlink()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_overwrite_new_file(tmp_path):
+    new, reference = tmp_path / "new", tmp_path / "reference"
+    _overwrite(new, b"abc")
+    reference.write_bytes(b"abc")
+    assert new.read_bytes() == b"abc"
+    assert new.stat().st_mode == reference.stat().st_mode
+    with pytest.raises(FileNotFoundError):
+        _overwrite(tmp_path / "missing" / "f", b"abc")
+
+
+def test_save_game_over_a_longer_game(tmp_path, ds1, ds2):
+    out, fresh = tmp_path / "g.json", tmp_path / "fresh.json"
+    save_game(ds2, out)
+    longer = out.stat().st_size
+    save_game(ds1, out)
+    save_game(ds1, fresh)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_size < longer
 
 
 def test_constraint_values_stacking(ds1):
