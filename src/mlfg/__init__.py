@@ -18,7 +18,6 @@ from .homotopy import (
     StageRecord,
     homotopy_solve,
     solve,
-    taylor_direction,
 )
 from .kkt import generalized_jacobian
 from .model import (
@@ -35,12 +34,10 @@ from .model import (
 from .smoothing import (
     best_response_exact,
     best_response_smoothed,
-    leader_objective,
     phi_tilde,
     phi_tilde_d1,
     phi_tilde_d2,
     phi_tilde_deps,
-    phi_tilde_dt_deps,
 )
 from .solvers import (
     InnerResult,
@@ -48,7 +45,7 @@ from .solvers import (
     newton_solve,
     subgradient_solve,
 )
-from .verify import Certificate, certify, s_stationarity_certificate, smoothing_drift
+from .verify import Certificate, certify
 
 __all__ = [
     "__version__",
@@ -68,7 +65,6 @@ __all__ = [
     "certify",
     "generalized_jacobian",
     "homotopy_solve",
-    "leader_objective",
     "load_bundled",
     "load_game",
     "lu_solve",
@@ -77,12 +73,8 @@ __all__ = [
     "phi_tilde_d1",
     "phi_tilde_d2",
     "phi_tilde_deps",
-    "phi_tilde_dt_deps",
-    "s_stationarity_certificate",
     "save_game",
-    "smoothing_drift",
     "solve",
     "subgradient_solve",
-    "taylor_direction",
     "validate_game",
 ]

@@ -74,22 +74,29 @@ def _check_seed(seed: int | None) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def _check_out_path(flag: str, path: str | None, game_path: Path) -> None:
-    """Reject an output path that cannot be written, before any solve: its
-    directory is missing or read-only, the path is a directory or a
-    read-only file, or it is the game file itself, by any path or link."""
-    if not path:
-        return
-    try:
-        st = os.stat(path)
-    except OSError:  # no file yet, or a parent that is not a directory
-        st, parent = None, Path(path).parent
-        if not parent.is_dir():
-            raise InputError(f"{flag} {path}: directory {parent} does not exist") from None
-    if st and os.path.samestat(st, os.stat(game_path)):
-        raise InputError(f"{flag} {path}: the same file as the game {game_path}")
-    if (st and stat.S_ISDIR(st.st_mode)) or not os.access(path if st else parent, os.W_OK):
-        raise InputError(f"{flag} {path}: not a writable file")
+def _check_outputs(game_path: Path, outputs: list[tuple[str, str | None]]) -> None:
+    """Reject, before any solve, an output ``(flag, path)`` that cannot be
+    written: its directory is missing or read-only, it is a directory or a
+    read-only file, or it is the game file or an earlier output, by any path
+    or link. A file is known by its device and inode, or by its resolved
+    path while it does not exist yet. A None path is skipped."""
+    game = os.stat(game_path)
+    taken = {(game.st_dev, game.st_ino): f"the game {game_path}"}
+    for flag, path in outputs:
+        if not path:
+            continue
+        try:
+            st = os.stat(path)
+        except OSError:  # no file yet, or a parent that is not a directory
+            st, parent = None, Path(path).parent
+            if not parent.is_dir():
+                raise InputError(f"{flag} {path}: directory {parent} does not exist") from None
+        key = (st.st_dev, st.st_ino) if st else Path(path).resolve()
+        if key in taken:
+            raise InputError(f"{flag} {path}: the same file as {taken[key]}")
+        if (st and stat.S_ISDIR(st.st_mode)) or not os.access(path if st else parent, os.W_OK):
+            raise InputError(f"{flag} {path}: not a writable file")
+        taken[key] = f"{flag} {path}"
 
 
 def _initial_point(game: GameSpec, seed: int | None, *stream: int) -> np.ndarray | None:
@@ -181,10 +188,7 @@ def cmd_solve(args) -> int:
         game, path = _load(args)
         cfg = _homotopy_config(args)
         _check_seed(args.seed)
-        _check_out_path("--out", args.out, path)
-        _check_out_path("--log", args.log, path)
-        if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
-            raise InputError(f"--log {args.log}: the same file as --out")
+        _check_outputs(path, [("--out", args.out), ("--log", args.log)])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -327,8 +331,7 @@ def cmd_bench(args) -> int:
         # the comparison table, and the iteration and multistart tables beside it
         out = Path(args.out)
         paths = [out] + [out.with_name(f"{out.stem}_{t}.csv") for t in ("iters", "multistart")]
-        for path in paths:
-            _check_out_path("--out", str(path), game_path)
+        _check_outputs(game_path, [("--out", str(path)) for path in paths])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

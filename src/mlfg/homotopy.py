@@ -25,7 +25,6 @@ returns.
 """
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -76,9 +75,7 @@ class HomotopyConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.eps_min < self.eps0:
             raise ValueError("eps_min must lie in (0, eps0)")
-        count = math.ceil(math.log(self.eps_min / self.eps0) / math.log(self.gamma)) + 1
-        if count > MAX_LEVELS:
-            raise ValueError(f"the schedule would hold about {count} levels, above {MAX_LEVELS}")
+        self.levels  # built here, so that a schedule too long is refused with the config
         _two_eps(self.eps_min, self.p)  # the kernel's own check of p
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -87,9 +84,12 @@ class HomotopyConfig:
     @cached_property
     def levels(self) -> tuple[float, ...]:
         """The schedule: ``eps0 * gamma**i`` for i = 0, 1, ... up to and
-        including the first level at or below ``eps_min``."""
+        including the first level at or below ``eps_min``; ValueError once it
+        would pass ``MAX_LEVELS``."""
         levels = [self.eps0]
         while levels[-1] > self.eps_min:
+            if len(levels) == MAX_LEVELS:
+                raise ValueError(f"the schedule would hold more than {MAX_LEVELS} levels")
             levels.append(self.eps0 * self.gamma ** len(levels))
         return tuple(levels)
 

@@ -37,7 +37,6 @@ __all__ = [
     "best_response_qp_oracle",
     "verify_nash",
     "nash_gap_bounds",
-    "s_stationarity_certificate",
     "certify",
     "smoothing_drift",
 ]
@@ -222,12 +221,14 @@ def s_stationarity_certificate(
     x: np.ndarray,
     lam: np.ndarray | None,
     eps_final: float,
-    p: int = 2,
-    tol: float = STAT_TOL,
-    nash_tol: float = NASH_TOL,
+    p: int,
+    tol: float,
+    nash_tol: float,
 ) -> Certificate:
     """The complete :class:`Certificate` of a candidate, from one pass over
-    its response and constraints that both branch splits share.
+    its response and constraints that both branch splits share; a step of
+    :func:`certify`, which checks the inputs and sets the gates ``tol`` and
+    ``nash_tol``.
 
     The kernel's derivative values ``xi`` at the final smoothing level,
     unrounded, split the response weights between the two branches into the

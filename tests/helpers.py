@@ -17,14 +17,12 @@ from mlfg import (
     StageRecord,
     best_response_exact,
     best_response_smoothed,
-    leader_objective,
     newton_solve,
     subgradient_solve,
-    taylor_direction,
 )
-from mlfg.homotopy import STAGE_TARGET
+from mlfg.homotopy import STAGE_TARGET, taylor_direction
 from mlfg.kkt import evaluate, generalized_jacobian, kkt_residual, residual_merit
-from mlfg.smoothing import smoothed_gradient_stack
+from mlfg.smoothing import leader_objective, smoothed_gradient_stack
 from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE
 
 

@@ -10,11 +10,16 @@ from mlfg import (
     best_response_exact,
     best_response_smoothed,
     newton_solve,
-    s_stationarity_certificate,
     subgradient_solve,
-    taylor_direction,
 )
-from mlfg.verify import best_response_qp_oracle, verify_nash
+from mlfg.homotopy import taylor_direction
+from mlfg.verify import (
+    NASH_TOL,
+    STAT_TOL,
+    best_response_qp_oracle,
+    s_stationarity_certificate,
+    verify_nash,
+)
 
 from helpers import (
     jacobian_at,
@@ -198,7 +203,8 @@ def test_criterion_7_s_stationarity(ds1, ds2, timed_traces):
     for name, game in (("ds1", ds1), ("ds2", ds2)):
         trace, _ = timed_traces[name]
         cert = s_stationarity_certificate(
-            game, trace.final.x, trace.final.lam, trace.final_eps, tol=1e-6
+            game, trace.final.x, trace.final.lam, trace.final_eps,
+            p=2, tol=STAT_TOL, nash_tol=NASH_TOL,
         )
         worst = max(cert.s_stat_residuals.values())
         exact_split = np.array_equal(cert.Gamma1 + cert.Gamma2, game.follower.a)

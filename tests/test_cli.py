@@ -269,9 +269,17 @@ def test_rejected_input_exits_3(tmp_path, capsys, candidate_report, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-# the names of ``made`` below that are links to the game file; every other
-# name is made as a directory
-LINKS = {"hard.json": os.link, "soft.json": os.symlink}
+# how the names of ``made`` below are made, in order: a file holding its own
+# name, a link to the game file or to a file made before it, or, for any
+# other name, a directory
+FILES = {"a.json", "c.csv", "d.csv"}
+LINKS = {
+    "hard.json": (os.link, None),
+    "soft.json": (os.symlink, None),
+    "b.json": (os.link, "a.json"),
+    "c_iters.csv": (os.link, "c.csv"),
+    "d_iters.csv": (os.symlink, "d.csv"),
+}
 
 
 @pytest.mark.parametrize(
@@ -331,6 +339,25 @@ LINKS = {"hard.json": os.link, "soft.json": os.symlink}
             "--out",
             id="bench --out = hard link of game",
         ),
+        # one output would overwrite another through a link between them
+        pytest.param(
+            ["solve", "--out", "a.json", "--log", "b.json"],
+            ["a.json", "b.json"],
+            "--log",
+            id="solve --log = hard link of --out",
+        ),
+        pytest.param(
+            ["bench", "--out", "c.csv"],
+            ["c.csv", "c_iters.csv"],
+            "--out",
+            id="bench iters = hard link of --out",
+        ),
+        pytest.param(
+            ["bench", "--out", "d.csv"],
+            ["d.csv", "d_iters.csv"],
+            "--out",
+            id="bench iters = symlink of --out",
+        ),
     ],
 )
 def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch, argv, made, flag):
@@ -345,8 +372,11 @@ def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch,
     if game:
         (tmp_path / game).write_bytes(data)
     for name in made:
-        if name in LINKS:
-            LINKS[name](game, name)
+        if name in FILES:
+            (tmp_path / name).write_text(name)
+        elif name in LINKS:
+            link, target = LINKS[name]
+            link(target or game, name)
         else:
             (tmp_path / name).mkdir()
     code = run(*argv, *([] if game else ["--dataset", "1"]))
@@ -354,6 +384,7 @@ def test_unwritable_output_exits_3_before_solving(tmp_path, capsys, monkeypatch,
     assert f"error: {flag}" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(made + [game] * bool(game))
     assert not game or (tmp_path / game).read_bytes() == data
+    assert all((tmp_path / name).read_text() == name for name in FILES.intersection(made))
 
 
 def test_report_overwrites_a_longer_file(tmp_path):

@@ -11,10 +11,9 @@ from mlfg import (
     homotopy_solve,
     newton_solve,
     solve,
-    taylor_direction,
 )
 from mlfg.cli import main
-from mlfg.homotopy import MAX_LEVELS
+from mlfg.homotopy import MAX_LEVELS, taylor_direction
 
 from helpers import (
     assert_same_stages,
@@ -56,7 +55,7 @@ class TestSchedule:
             HomotopyConfig(tol=float("inf"))
         with pytest.raises(ValueError):
             HomotopyConfig(p=3)
-        # about 1.4e10 levels, which would exhaust memory if built
+        # about 1.4e10 levels, which would exhaust memory if all were built
         with pytest.raises(ValueError, match="levels"):
             HomotopyConfig(gamma=1 - 1e-9)
 
@@ -66,6 +65,10 @@ class TestSchedule:
         assert len(cfg.levels) == MAX_LEVELS
         with pytest.raises(ValueError, match="levels"):
             HomotopyConfig(gamma=ratio ** (1 / (MAX_LEVELS - 0.5)))
+        # eps_min on the grid, the schedule's own last level: a count from
+        # logarithms rounds up past it
+        cfg = HomotopyConfig(gamma=0.9965, eps_min=1.6 * 0.9965 ** (MAX_LEVELS - 1))
+        assert len(cfg.levels) == MAX_LEVELS
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(HomotopyConfig)])
     def test_config_is_frozen(self, field):

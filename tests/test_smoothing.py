@@ -6,14 +6,17 @@ import pytest
 from mlfg import (
     best_response_exact,
     best_response_smoothed,
-    leader_objective,
     phi_tilde,
     phi_tilde_d1,
     phi_tilde_d2,
     phi_tilde_deps,
-    phi_tilde_dt_deps,
 )
-from mlfg.smoothing import phi_tilde_slopes, smoothed_gradient_stack
+from mlfg.smoothing import (
+    leader_objective,
+    phi_tilde_dt_deps,
+    phi_tilde_slopes,
+    smoothed_gradient_stack,
+)
 
 from conftest import make_game
 from helpers import (

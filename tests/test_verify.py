@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import mlfg.verify
-from mlfg import certify, homotopy_solve, leader_objective, s_stationarity_certificate
+from mlfg import certify, homotopy_solve
+from mlfg.smoothing import leader_objective
 from mlfg.verify import (
     NASH_TOL,
+    STAT_TOL,
     OracleError,
     best_response_qp_oracle,
     nash_gap_bounds,
+    s_stationarity_certificate,
     verify_nash,
 )
 
@@ -192,7 +195,9 @@ class TestStationarityCertificate:
         # all difference-map components strictly positive at +ones: the
         # bound branch is active, the drive-side multiplier vanishes
         x = np.ones(4)
-        cert = s_stationarity_certificate(ds1, x, np.zeros(6), eps_final=1e-8)
+        cert = s_stationarity_certificate(
+            ds1, x, np.zeros(6), 1e-8, p=2, tol=STAT_TOL, nash_tol=NASH_TOL
+        )
         np.testing.assert_array_equal(cert.xi_bar, np.ones(3))
         np.testing.assert_allclose(cert.Gamma1, np.zeros(3), atol=1e-15)
         np.testing.assert_allclose(cert.Gamma2, ds1.follower.a, rtol=1e-15)
@@ -203,7 +208,9 @@ class TestStationarityCertificate:
         # at the joint kink the kernel derivative is zero at any smoothing
         # level, fine or coarse
         for eps_final in (1e-6, 0.2):
-            cert = s_stationarity_certificate(ds1, np.zeros(4), np.zeros(6), eps_final)
+            cert = s_stationarity_certificate(
+                ds1, np.zeros(4), np.zeros(6), eps_final, p=2, tol=STAT_TOL, nash_tol=NASH_TOL
+            )
             np.testing.assert_array_equal(cert.xi_bar, np.zeros(3))
             np.testing.assert_allclose(cert.Gamma1, ds1.follower.a / 2, rtol=1e-15)
             np.testing.assert_allclose(cert.Gamma2, ds1.follower.a / 2, rtol=1e-15)
@@ -214,7 +221,8 @@ class TestStationarityCertificate:
 
         for game, trace in ((ds1, trace1), (ds2, trace2)):
             cert = s_stationarity_certificate(
-                game, trace.final.x, trace.final.lam, trace.final_eps
+                game, trace.final.x, trace.final.lam, trace.final_eps,
+                p=2, tol=STAT_TOL, nash_tol=NASH_TOL,
             )
             assert cert.s_certified, cert.s_stat_residuals
             np.testing.assert_array_equal(
