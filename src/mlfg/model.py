@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from itertools import accumulate
 from pathlib import Path
 
@@ -56,9 +56,21 @@ class GameValidationError(ValueError):
     """Structurally well-formed game that violates a model assumption."""
 
 
-def _rank(ndim: int):
-    """A spec field: an array of ``ndim`` dimensions."""
-    return field(metadata={"ndim": ndim})
+def _dims(*axes: str):
+    """A spec field: an array whose shape is the sizes of the named ``axes``.
+
+    A leader's axes are ``vars`` and ``cons``, its variables and constraints;
+    the follower's are ``n``, all leader variables, and ``m``, its own
+    variables. :class:`_ArraySpec` checks the rank, and
+    :func:`_dimension_findings` the sizes.
+    """
+    return field(metadata={"dims": axes})
+
+
+@cache
+def _axes(cls) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Each field of a spec class with its declared axes, read once per class."""
+    return tuple((f.name, f.metadata["dims"]) for f in fields(cls))
 
 
 class _ArraySpec:
@@ -66,15 +78,15 @@ class _ArraySpec:
     read-only float array of its declared rank, with finite entries."""
 
     def __post_init__(self):
-        for f in fields(self):
-            arr = np.array(getattr(self, f.name), dtype=float)
-            ndim = f.metadata["ndim"]
+        for name, dims in _axes(type(self)):
+            arr = np.array(getattr(self, name), dtype=float)
+            ndim = len(dims)
             if arr.ndim != ndim:
-                raise GameFormatError(f"{f.name} must be {ndim}-dimensional, got shape {arr.shape}")
+                raise GameFormatError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
-                raise GameFormatError(f"{f.name} contains non-finite entries")
+                raise GameFormatError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-            object.__setattr__(self, f.name, arr)
+            object.__setattr__(self, name, arr)
 
 
 def _cached_array(method):
@@ -96,10 +108,10 @@ class LeaderSpec(_ArraySpec):
     (n_vars, n_constraints).
     """
 
-    Q: np.ndarray = _rank(2)
-    c: np.ndarray = _rank(1)
-    A: np.ndarray = _rank(2)
-    b: np.ndarray = _rank(1)
+    Q: np.ndarray = _dims("vars", "vars")
+    c: np.ndarray = _dims("vars")
+    A: np.ndarray = _dims("vars", "cons")
+    b: np.ndarray = _dims("cons")
 
     @property
     def n_vars(self) -> int:
@@ -114,10 +126,10 @@ class LeaderSpec(_ArraySpec):
 class FollowerSpec(_ArraySpec):
     """Follower QP data: diagonal Hessian, linear drive and bound maps."""
 
-    Qy_diag: np.ndarray = _rank(1)
-    B: np.ndarray = _rank(2)
-    L: np.ndarray = _rank(2)
-    a: np.ndarray = _rank(1)
+    Qy_diag: np.ndarray = _dims("m")
+    B: np.ndarray = _dims("n", "m")
+    L: np.ndarray = _dims("n", "m")
+    a: np.ndarray = _dims("m")
 
     @property
     def m(self) -> int:
@@ -273,36 +285,23 @@ class GameSpec:
 
 
 def _dimension_findings(game: GameSpec) -> list[str]:
-    """Shape bookkeeping of a game under construction; empty when consistent."""
+    """Shape bookkeeping of a game under construction; empty when consistent.
+
+    A leader's ``Q`` fixes its ``vars`` and its ``A`` its ``cons``; ``n`` sums
+    the leaders' ``vars``, and the follower's ``Qy_diag`` fixes ``m``. Each
+    field whose shape is not the sizes of its declared axes gives one finding.
+    """
     if game.num_leaders < 1:
         return ["game must have at least one leader"]
-    findings: list[str] = []
-    n = 0
-    for nu, ld in enumerate(game.leaders, start=1):
-        k = ld.Q.shape[0]
-        if ld.Q.shape != (k, k):
-            findings.append(f"leader {nu}: Q must be square, got {ld.Q.shape}")
-            continue
-        if ld.c.shape != (k,):
-            findings.append(f"leader {nu}: c has length {ld.c.shape[0]}, expected {k}")
-        if ld.A.shape[0] != k:
-            findings.append(
-                f"leader {nu}: A has {ld.A.shape[0]} rows, expected {k} (one per variable)"
-            )
-        if ld.b.shape != (ld.A.shape[1],):
-            findings.append(
-                f"leader {nu}: b has length {ld.b.shape[0]}, expected {ld.A.shape[1]}"
-            )
-        n += k
-
-    fol = game.follower
-    m = fol.m
-    if fol.B.shape != (n, m):
-        findings.append(f"follower: B has shape {fol.B.shape}, expected {(n, m)}")
-    if fol.L.shape != (n, m):
-        findings.append(f"follower: L has shape {fol.L.shape}, expected {(n, m)}")
-    if fol.a.shape != (m,):
-        findings.append(f"follower: a has length {fol.a.shape[0]}, expected {m}")
+    leaders = [(f"leader {nu}", ld) for nu, ld in enumerate(game.leaders, start=1)]
+    findings = [f"{part}: must have at least one variable" for part, ld in leaders if not ld.n_vars]
+    parts = [(part, ld, {"vars": ld.n_vars, "cons": ld.n_constraints}) for part, ld in leaders]
+    parts.append(("follower", game.follower, {"n": game.n, "m": game.m}))
+    for part, spec, sizes in parts:
+        for name, dims in _axes(type(spec)):
+            shape, expected = getattr(spec, name).shape, tuple(map(sizes.get, dims))
+            if shape != expected:
+                findings.append(f"{part}: {name} has shape {shape}, expected {expected}")
     return findings
 
 

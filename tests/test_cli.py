@@ -722,6 +722,20 @@ def test_bench_outputs(tmp_path, capsys):
         assert next(csv.reader(fh)) == MULTISTART_COLUMNS
 
 
+def test_bench_exits_1_when_a_cell_fails(tmp_path, capsys, monkeypatch):
+    # one subgradient step per stage cannot converge; every table is still written
+    monkeypatch.setattr("mlfg.solvers.SUBGRAD_MAX_ITER", 1)
+    out = tmp_path / "bench.csv"
+    code = run(
+        "bench", "--dataset", "1", "--starts", "1", "--bench-eps-min", "0.4", "--out", str(out)
+    )
+    assert code == 1
+    assert "at least one bench cell failed to converge" in capsys.readouterr().err
+    for path in (out, out.with_name("bench_iters.csv"), out.with_name("bench_multistart.csv")):
+        with open(path) as fh:
+            assert len(list(csv.reader(fh))) > 1
+
+
 @pytest.mark.parametrize("table", ["iters", "bench", "multistart"])
 def test_csv_bytes_match_a_text_mode_writer(tmp_path, ds1, trace1, table):
     # the bytes that csv.writer on a file opened with newline="" writes

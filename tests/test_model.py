@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlfg import (
+    FollowerSpec,
     GameFormatError,
     GameSpec,
     GameValidationError,
@@ -144,13 +145,52 @@ def test_asymmetric_hessian_finding(ds1):
         )
 
 
-def test_dimension_mismatch_names_field(tmp_path):
+# one wrong shape per field of dataset 1, on leader 1 or the follower;
+# Qy_diag fixes m, so a wrong Qy_diag shows as a wrong B, L and a instead
+MISSHAPEN = {
+    "Q": lambda M: [row + [0.0] for row in M],  # (2, 3): still two variables
+    "c": lambda v: v + [0.0],
+    "A": lambda M: M + M[:1],  # a row for a third variable
+    "b": lambda v: v[:-1],
+    "B": lambda M: M[:3],  # a row dropped
+    "L": lambda M: [row[:-1] for row in M],
+    "a": lambda v: v[:-1],
+}
+
+
+@pytest.mark.parametrize("name", MISSHAPEN)
+def test_dimension_mismatch_names_field(tmp_path, name):
     doc = json.loads(bundled_dataset_path(1).read_text())
-    doc["follower"]["B"] = doc["follower"]["B"][:3]  # drop a row
+    leader = doc["leaders"][0]
+    part, spec = ("leader 1", leader) if name in leader else ("follower", doc["follower"])
+    spec[name] = MISSHAPEN[name](spec[name])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(GameFormatError, match="B"):
+    # exactly one finding, and it names the field
+    shape = r"\([\d, ]+\)"
+    finding = rf"^{part}: {name} has shape {shape}, expected {shape}$"
+    with pytest.raises(GameFormatError, match=finding):
         load_game(bad)
+
+
+def test_game_without_leaders_refused(tmp_path):
+    doc = json.loads(bundled_dataset_path(1).read_text())
+    doc["leaders"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(GameFormatError, match="^game must have at least one leader$"):
+        load_game(bad)
+
+
+def test_leader_without_variables_refused(ds1):
+    # validate_game's checks of Q need at least one entry, so this leader
+    # is refused before them, with a typed error
+    empty = LeaderSpec(Q=np.zeros((0, 0)), c=np.zeros(0), A=np.zeros((0, 1)), b=[-1.0])
+    with pytest.raises(GameFormatError, match="^leader 1: must have at least one variable$"):
+        GameSpec(leaders=(empty,) + ds1.leaders, follower=ds1.follower)
+    # a follower without variables is still a game of the class
+    none = FollowerSpec(Qy_diag=np.zeros(0), B=np.zeros((4, 0)), L=np.zeros((4, 0)), a=np.zeros(0))
+    assert GameSpec(leaders=ds1.leaders, follower=none).m == 0
 
 
 @pytest.mark.parametrize(
