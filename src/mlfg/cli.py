@@ -24,6 +24,7 @@ from . import __version__
 from .homotopy import METHODS, STAGE_TARGET, HomotopyConfig, HomotopyTrace, Solution
 from .homotopy import homotopy_solve, solve
 from .model import GameSpec, _game_to_dict, _overwrite, bundled_dataset_path, load_game
+from .model import vector_norm
 from .smoothing import _two_eps, best_response_exact
 from .solvers import newton_solve
 from .verify import NASH_TOL, certify
@@ -168,7 +169,7 @@ def _build_report(
                 "converged": s.result.converged,
                 "fallback_steps": s.result.fallback_steps,
                 "wall_ms": s.wall_ms,
-                "error_to_final": float(np.linalg.norm(s.result.x - sol.x)),
+                "error_to_final": vector_norm(s.result.x - sol.x),
             }
             for s in sol.trace.stages
         ],
@@ -209,12 +210,13 @@ def cmd_solve(args) -> int:
 
     if sol.endgame is not None:
         print(f"endgame: exact equilibrium after stage {sol.endgame}")
-    print(f"nash gaps: {np.array2string(cert.nash_gaps, precision=3)}")
+    print(f"nash gaps: [{' '.join(f'{g:.3e}' for g in cert.nash_gaps)}]")
     print(f"max stationarity residual: {max(cert.s_stat_residuals.values()):.3e}")
     print(f"certified: {cert.certified}")
     if args.out:
         report = _build_report(game, path, cfg, args.seed, sol)
-        _overwrite(args.out, (json.dumps(report, indent=1) + "\n").encode())
+        # one line, through the C encoder, which indent would bypass
+        _overwrite(args.out, (json.dumps(report) + "\n").encode())
     return EXIT_OK if cert.certified else EXIT_CERT
 
 

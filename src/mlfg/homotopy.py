@@ -35,7 +35,7 @@ import numpy as np
 from .kkt import curvature_block
 # not called here; the benchmark's layer tracer binds it by this module's name
 from .kkt import merit  # noqa: F401
-from .model import GameSpec
+from .model import GameSpec, vector_norm
 from .smoothing import _two_eps, phi_tilde_d2, phi_tilde_dt_deps
 from .solvers import InnerResult, check_tol, endgame_step, newton_solve, piece, subgradient_solve
 from .verify import Certificate, certify
@@ -143,7 +143,7 @@ class HomotopyTrace:
 
     def errors_to_final(self) -> np.ndarray:
         x_ref = self.final.x
-        return np.array([float(np.linalg.norm(s.result.x - x_ref)) for s in self.stages])
+        return np.array([vector_norm(s.result.x - x_ref) for s in self.stages])
 
 
 def taylor_direction(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:
@@ -179,7 +179,7 @@ def _stages(
         if res.converged and cfg.taylor and not last:
             d = taylor_direction(game, res.x, cfg.levels[i + 1], cfg.p)
 
-        yield StageRecord(i, eps, target, res, float(np.linalg.norm(d)), wall_ms)
+        yield StageRecord(i, eps, target, res, vector_norm(d), wall_ms)
         if not res.converged or last:
             return
         z_warm = np.concatenate([res.x - (eps - cfg.levels[i + 1]) * d, res.lam])

@@ -8,6 +8,7 @@ Hessian and lower bounds driven linearly by the joint leader strategy.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, wraps
@@ -38,12 +39,18 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x[..., None])[..., 0]
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D float array, bit for bit (the
+    same dot product, and a correctly rounded square root), without its dispatch."""
+    return math.sqrt(v @ v)
+
+
 def finite_vector(v, name: str, size: int) -> np.ndarray:
     """``v`` as a new float array; ValueError unless of shape ``(size,)`` and finite."""
     v = np.array(v, dtype=float)
     if v.shape != (size,):
         raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
 
@@ -83,7 +90,7 @@ class _ArraySpec:
             ndim = len(dims)
             if arr.ndim != ndim:
                 raise GameFormatError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise GameFormatError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -274,7 +281,8 @@ class GameSpec:
         m, n, G = self.m, self.n, self.constraint_gradient_block
         M = np.zeros((m + n + self.m_bar, n + self.m_bar))
         M[:m, :n] = self.A_diff
-        M[m : m + n] = np.hstack([self.Q_block, G])
+        M[m : m + n, :n] = self.Q_block
+        M[m : m + n, n:] = G
         M[m + n :, :n] = G.T
         return M
 
@@ -314,15 +322,15 @@ def validate_game(game: GameSpec) -> list[str]:
     """
     findings: list[str] = []
     for nu, ld in enumerate(game.leaders, start=1):
-        scale = np.max(np.abs(ld.Q)) or 1.0
-        if np.max(np.abs(ld.Q - ld.Q.T)) > SYMMETRY_RTOL * scale:
+        scale = np.abs(ld.Q).max() or 1.0
+        if np.abs(ld.Q - ld.Q.T).max() > SYMMETRY_RTOL * scale:
             findings.append(f"leader {nu}: Q not symmetric")
         elif np.linalg.eigvalsh(ld.Q)[0] <= SPD_PIVOT_RTOL * scale:
             findings.append(f"leader {nu}: Q not positive definite")
     fol = game.follower
-    if np.any(fol.Qy_diag <= 0.0):
+    if (fol.Qy_diag <= 0.0).any():
         findings.append("follower: Qy_diag must be strictly positive")
-    if np.any(fol.a < 0.0):
+    if (fol.a < 0.0).any():
         findings.append("follower: a must be nonnegative")
     return findings
 

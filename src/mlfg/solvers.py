@@ -48,7 +48,7 @@ import numpy as np
 from .kkt import Evaluation, evaluate, flat_point, generalized_jacobian, merit_subgradient
 # not called here; the benchmark's layer tracer binds it by this module's name
 from .kkt import kkt_residual  # noqa: F401
-from .model import GameSpec
+from .model import GameSpec, vector_norm
 
 __all__ = [
     "InnerResult",
@@ -112,9 +112,9 @@ def lu_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         return None
-    size = np.max(np.abs(x), initial=0.0) * PIVOT_TOL * np.max(np.abs(A), initial=0.0)
+    size = np.abs(x).max(initial=0.0) * PIVOT_TOL * np.abs(A).max(initial=0.0)
     # written so that a NaN anywhere fails the test
-    if not (np.all(np.isfinite(x)) and size <= np.max(np.abs(b), initial=0.0)):
+    if not (np.isfinite(x).all() and size <= np.abs(b).max(initial=0.0)):
         return None
     return x
 
@@ -221,7 +221,7 @@ def newton_solve(
                 t, accepted = armijo_search(game, z, d, ev.psi, g @ d, eps, p)
                 if accepted is not None:
                     dz = t * d
-                    return dz, accepted, float(np.linalg.norm(dz)), fallback
+                    return dz, accepted, vector_norm(dz), fallback
         return None
 
     return _descend(game, z0, eps, p, tol, NEWTON_MAX_ITER, step)
@@ -292,8 +292,7 @@ def subgradient_solve(
     def step(z, ev):
         nonlocal rows
         v = merit_subgradient(game, ev)
-        # the bits of np.linalg.norm(v), without its dispatch
-        v_norm = math.sqrt(v @ v)
+        v_norm = vector_norm(v)
         if v_norm == 0.0:
             return None
         d = v / -v_norm
@@ -334,10 +333,13 @@ def endgame_step(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np.ndarr
     n = game.n
     # rows whose two branches differ; a zero row is the same map on both
     branching = game.A_diff.any(axis=1)
-    if not np.all(xi[branching]):
+    if not xi[branching].all():
         return None
     G_A = game.constraint_gradient_block[:, active]
-    M = np.block([[game.Q_block, G_A], [G_A.T, np.zeros((G_A.shape[1],) * 2)]])
+    M = np.zeros((n + G_A.shape[1],) * 2)
+    M[:n, :n] = game.Q_block
+    M[:n, n:] = G_A
+    M[n:, :n] = G_A.T
     rhs = -np.concatenate([game.stationarity_constant + game.half_A_diffT_a @ xi, game.b_stack[active]])
     sol = lu_solve(M, rhs)
     if sol is None:
@@ -346,7 +348,7 @@ def endgame_step(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np.ndarr
     lam_hat[active] = sol[n:]
     on_piece = (
         np.array_equal(np.sign(game.A_diff @ x_hat)[branching], xi[branching])
-        and np.all(sol[n:] >= 0.0)
-        and np.all(game.constraint_values(x_hat)[~active] <= 0.0)
+        and (sol[n:] >= 0.0).all()
+        and (game.constraint_values(x_hat)[~active] <= 0.0).all()
     )
     return np.concatenate([x_hat, lam_hat]) if on_piece else None

@@ -73,12 +73,12 @@ class Certificate:
     @property
     def worst(self) -> float:
         """The largest Nash gap or stationarity residual over its gate."""
-        gaps = float(np.max(self.nash_gaps)) / self.nash_tol
+        gaps = float(self.nash_gaps.max()) / self.nash_tol
         return max(gaps, max(self.s_stat_residuals.values()) / self.s_tol)
 
     @property
     def nash_certified(self) -> bool:
-        return float(np.max(self.nash_gaps)) <= self.nash_tol
+        return float(self.nash_gaps.max()) <= self.nash_tol
 
     @property
     def s_certified(self) -> bool:
@@ -197,6 +197,16 @@ def nash_gap_bounds(
     zero, ``Gamma1`` to ``[0, a]``, and ``Gamma2 = a - Gamma1``.
     """
     x = np.asarray(x, dtype=float)
+    return _gap_bounds(game, x, lam, Gamma1, game.follower.a @ best_response_exact(game, x))
+
+
+def _gap_bounds(
+    game: GameSpec, x: np.ndarray, lam: np.ndarray, Gamma1: np.ndarray, shared: float
+) -> np.ndarray:
+    """:func:`nash_gap_bounds` for a float array ``x``, given the term ``a'y(x)``
+    of the exact response that every leader's objective shares. Each
+    candidate objective is :func:`~mlfg.smoothing.leader_objective`'s, bit
+    for bit."""
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     fol = game.follower
     Gamma1 = np.clip(np.asarray(Gamma1, dtype=float), 0.0, fol.a)
@@ -207,12 +217,14 @@ def nash_gap_bounds(
     bounds = np.empty(game.num_leaders)
     for nu, ld in enumerate(game.leaders, start=1):
         s = game.x_slice(nu)
-        lam_nu = lam[game.lambda_slice(nu)]
+        x_nu, lam_nu = x[s], lam[game.lambda_slice(nu)]
         r = ld.c + w[s] + ld.A @ lam_nu
         u = -np.linalg.solve(ld.Q, r)
         # at the minimizer 0.5 u'Qu + r'u = 0.5 r'u
-        dual = 0.5 * float(r @ u) + coupling - float(w[s] @ x[s]) + float(lam_nu @ ld.b)
-        bounds[nu - 1] = leader_objective(game, nu, x) - dual
+        dual = 0.5 * float(r @ u) + coupling - float(w[s] @ x_nu) + float(lam_nu @ ld.b)
+        # leader_objective's order of operations
+        objective = float(0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu + shared)
+        bounds[nu - 1] = objective - dual
     return bounds
 
 
@@ -250,6 +262,7 @@ def s_stationarity_certificate(
     t = game.A_diff @ x
     xi_bar = np.asarray(phi_tilde_d1(t, eps_final, p), dtype=float)
     y = best_response_exact(game, x)
+    shared = a @ y  # every leader objective's response term, in both splits
     G1 = y - game.drive @ x
     G2 = y - fol.L.T @ x
     g = game.constraint_values(x)
@@ -269,18 +282,22 @@ def s_stationarity_certificate(
         else:
             mult = np.asarray(lam, dtype=float)
         stat_x = base + game.constraint_gradient_block @ mult + drive_term + bound_term
+        # initial=0.0 keeps each reduction over the follower or the
+        # constraints defined when that set is empty
         residuals = {
-            "stationarity_x": float(np.max(np.abs(stat_x))),
-            "stationarity_y": float(np.max(np.abs(a - Gamma1 - Gamma2))),
-            "primal_feasibility": float(max(0.0, np.max(g, initial=0.0))),
-            "multiplier_sign": float(max(0.0, -np.min(mult, initial=0.0))),
-            "constraint_complementarity": float(np.max(np.abs(g * mult), initial=0.0)),
-            "response_complementarity": float(np.max(np.abs(np.minimum(G1, G2)))),
-            "branch1_complementarity": float(np.max(np.abs(G1 * Gamma1))),
-            "branch2_complementarity": float(np.max(np.abs(G2 * Gamma2))),
-            "gamma_sign": float(max(0.0, -min(np.min(Gamma1), np.min(Gamma2)))),
+            "stationarity_x": float(np.abs(stat_x).max()),
+            "stationarity_y": float(np.abs(a - Gamma1 - Gamma2).max(initial=0.0)),
+            "primal_feasibility": float(max(0.0, g.max(initial=0.0))),
+            "multiplier_sign": float(max(0.0, -mult.min(initial=0.0))),
+            "constraint_complementarity": float(np.abs(g * mult).max(initial=0.0)),
+            "response_complementarity": float(np.abs(np.minimum(G1, G2)).max(initial=0.0)),
+            "branch1_complementarity": float(np.abs(G1 * Gamma1).max(initial=0.0)),
+            "branch2_complementarity": float(np.abs(G2 * Gamma2).max(initial=0.0)),
+            "gamma_sign": float(
+                max(0.0, -min(Gamma1.min(initial=0.0), Gamma2.min(initial=0.0)))
+            ),
         }
-        gaps = nash_gap_bounds(game, x, mult, Gamma1)
+        gaps = _gap_bounds(game, x, mult, Gamma1, shared)
         return Certificate(gaps, nash_tol, xi, Gamma1, Gamma2, residuals, tol, split)
 
     cert = split_certificate("smoothed", xi_bar)
@@ -330,4 +347,4 @@ def smoothing_drift(game: GameSpec, eps_final: float) -> float:
     ``eps_final * sum(a)`` of the exact one. Candidates taken from a run
     stopped at that level can only be certified up to this drift.
     """
-    return float(eps_final * np.sum(game.follower.a))
+    return float(eps_final * game.follower.a.sum())

@@ -55,6 +55,15 @@ def active_trace(active_game):
     return homotopy_solve(active_game)
 
 
+@pytest.fixture(scope="session")
+def m0_game(ds1):
+    """Dataset 1's leaders with a follower of no variables (``m = 0``). The
+    leaders' data alone set the equilibrium; at ``x = 0`` a constraint is
+    violated by 2.6."""
+    none = FollowerSpec(Qy_diag=np.zeros(0), B=np.zeros((4, 0)), L=np.zeros((4, 0)), a=np.zeros(0))
+    return GameSpec(leaders=ds1.leaders, follower=none)
+
+
 def make_game(Q_list, c_list, A_list, b_list, Qy, B, L, a) -> GameSpec:
     leaders = tuple(
         LeaderSpec(Q=Q, c=c, A=A, b=b) for Q, c, A, b in zip(Q_list, c_list, A_list, b_list)

@@ -8,6 +8,10 @@ the game's exact potential and the smallest curvature of its Hessian stack,
 sample structural properties of a game (monotonicity of the stacked
 gradient map, the exact-potential identity), rebuild the stages that
 ``mlfg.solve`` runs from the inner solvers, or compare two runs' stages.
+The endgame system assembled with ``np.block`` and the Nash-gap bounds with
+one ``leader_objective`` call per leader are the references that the
+library's slice-assembled endgame and shared-response bounds must match
+bit for bit.
 """
 import numpy as np
 
@@ -23,7 +27,7 @@ from mlfg import (
 from mlfg.homotopy import STAGE_TARGET, taylor_direction
 from mlfg.kkt import evaluate, generalized_jacobian, kkt_residual, residual_merit
 from mlfg.smoothing import leader_objective, smoothed_gradient_stack
-from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE
+from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE, lu_solve
 
 
 def slice_rows(game: GameSpec, M: np.ndarray, nu: int) -> np.ndarray:
@@ -115,6 +119,51 @@ def potential_identity_probe(
         d_pot = potential_value(game, x_alt) - potential_value(game, x)
         worst = max(worst, abs(d_obj - d_pot))
     return worst
+
+
+def endgame_step_block(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np.ndarray | None:
+    """``mlfg.solvers.endgame_step`` with its system assembled by ``np.block``."""
+    n = game.n
+    branching = game.A_diff.any(axis=1)
+    if not np.all(xi[branching]):
+        return None
+    G_A = game.constraint_gradient_block[:, active]
+    M = np.block([[game.Q_block, G_A], [G_A.T, np.zeros((G_A.shape[1],) * 2)]])
+    rhs = -np.concatenate([game.stationarity_constant + game.half_A_diffT_a @ xi, game.b_stack[active]])
+    sol = lu_solve(M, rhs)
+    if sol is None:
+        return None
+    x_hat, lam_hat = sol[:n], np.zeros(game.m_bar)
+    lam_hat[active] = sol[n:]
+    on_piece = (
+        np.array_equal(np.sign(game.A_diff @ x_hat)[branching], xi[branching])
+        and np.all(sol[n:] >= 0.0)
+        and np.all(game.constraint_values(x_hat)[~active] <= 0.0)
+    )
+    return np.concatenate([x_hat, lam_hat]) if on_piece else None
+
+
+def nash_gap_bounds_per_leader(
+    game: GameSpec, x: np.ndarray, lam: np.ndarray, Gamma1: np.ndarray
+) -> np.ndarray:
+    """``mlfg.verify.nash_gap_bounds`` with each candidate objective from its
+    own ``leader_objective`` call, which computes the exact response again."""
+    x = np.asarray(x, dtype=float)
+    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
+    fol = game.follower
+    Gamma1 = np.clip(np.asarray(Gamma1, dtype=float), 0.0, fol.a)
+    Gamma2 = fol.a - Gamma1
+    w = game.drive.T @ Gamma1 + fol.L @ Gamma2
+    coupling = float(w @ x)
+    bounds = np.empty(game.num_leaders)
+    for nu, ld in enumerate(game.leaders, start=1):
+        s = game.x_slice(nu)
+        lam_nu = lam[game.lambda_slice(nu)]
+        r = ld.c + w[s] + ld.A @ lam_nu
+        u = -np.linalg.solve(ld.Q, r)
+        dual = 0.5 * float(r @ u) + coupling - float(w[s] @ x[s]) + float(lam_nu @ ld.b)
+        bounds[nu - 1] = leader_objective(game, nu, x) - dual
+    return bounds
 
 
 def step_search_sequential(game, z, d, eps, p, psi0: float, v_norm: float):

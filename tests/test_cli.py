@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import stat
 from itertools import combinations
 from pathlib import Path
@@ -15,6 +16,7 @@ from mlfg.cli import (
     ITER_LOG_COLUMNS,
     MULTISTART_COLUMNS,
     _bench_configs,
+    _build_report,
     _bench_schedule_rows,
     _homotopy_config,
     _initial_point,
@@ -187,6 +189,62 @@ def test_subgradient_report_within_benchmark_tolerance(tmp_path, name):
     assert doc["certificate"]["certified"] is True
     assert doc["stages"][-1]["merit_final"] <= doc["stages"][-1]["merit_target"] == 1e-10
     assert np.max(np.abs(np.asarray(doc["solution"]["x"]) - ref["x"])) <= ref["tol"]
+
+
+GAP = r"-?\d\.\d{3}e[+-]\d{2}"
+
+
+def gaps_line(out: str) -> str:
+    """The ``nash gaps:`` line of a solve's standard output, which must be
+    followed by the stationarity line (so it did not wrap)."""
+    lines = out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("nash gaps:"))
+    assert lines[i + 1].startswith("max stationarity residual: ")
+    return lines[i]
+
+
+def test_subgradient_gaps_line_is_scientific(tmp_path, capsys):
+    # numpy's printer showed these gaps as [0.005 0.005]; each leader's gap
+    # is now printed with .3e whatever its size
+    report = tmp_path / "report.json"
+    flags = ["--method", "subgradient", "--eps-min", "0.05", "--out", str(report)]
+    assert run("solve", "--dataset", "1", *flags) == 0
+    line = gaps_line(capsys.readouterr().out)
+    gaps = json.loads(report.read_text())["certificate"]["nash_gaps"]
+    assert line == "nash gaps: [" + " ".join(f"{g:.3e}" for g in gaps) + "]"
+    assert re.fullmatch(rf"nash gaps: \[{GAP}( {GAP})*\]", line)
+    assert len(gaps) == 2 and min(gaps) > 1e-4
+
+
+@pytest.mark.parametrize("name", ["1", "2"])
+def test_report_is_one_line_of_the_built_report(monkeypatch, tmp_path, name):
+    # the compact layout of the C encoder; the content of _build_report's
+    # dict, every float by its repr
+    built = []
+
+    def build(*args):
+        built.append(_build_report(*args))
+        return built[-1]
+
+    monkeypatch.setattr(mlfg.cli, "_build_report", build)
+    report = tmp_path / "report.json"
+    assert run("solve", "--dataset", name, "--out", str(report)) == 0
+    text = report.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert len(built) == 1
+    assert json.loads(text) == json.loads(json.dumps(built[0]))
+
+
+def test_verify_follower_without_variables(m0_game, tmp_path, capsys):
+    # every reduction of the certificate over the follower is empty; the
+    # violated constraint refuses the candidate (exit 2), not an input error
+    game, x = tmp_path / "m0.json", tmp_path / "x.txt"
+    save_game(m0_game, game)
+    x.write_text("0 0 0 0")
+    assert run("verify", "--data", str(game), "--x", str(x)) == 2
+    out = capsys.readouterr().out
+    assert "primal_feasibility: 2.600000e+00" in out.splitlines()
+    assert "certified: False" in out
 
 
 def test_endgame_tries_each_piece_once(monkeypatch, kink_game, tmp_path):

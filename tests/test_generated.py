@@ -14,9 +14,16 @@ import pytest
 from mlfg import HomotopyConfig, certify, homotopy_solve, save_game, solve
 from mlfg.cli import main
 from mlfg.solvers import endgame_step, piece, subgradient_solve
+from mlfg.verify import nash_gap_bounds
 
 from conftest import make_game
-from helpers import assert_same_stages, assert_stops_early_on_the_same_path, inexact_stages
+from helpers import (
+    assert_same_stages,
+    assert_stops_early_on_the_same_path,
+    endgame_step_block,
+    inexact_stages,
+    nash_gap_bounds_per_leader,
+)
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -41,6 +48,58 @@ def generated_ladder(seed):
 def ladder3():
     """{name: game} for ``generate_ladder(3)``."""
     return {name: game for name, (game, _) in generated_ladder(3).items()}
+
+
+@pytest.fixture(scope="module")
+def solved(ds1, ds2, ladder3):
+    """{name: (game, mlfg.solve's Solution)} for both bundled games and the
+    seed-3 ladder."""
+    games = {"dataset1": ds1, "dataset2": ds2, **ladder3}
+    return {name: (game, solve(game)) for name, game in games.items()}
+
+
+def test_endgame_matches_the_block_reference(solved):
+    # on the piece of every stage point, and with every constraint active
+    # (often off its piece, or singular), bit for bit
+    found = declined = 0
+    for name, (game, sol) in solved.items():
+        for stage in sol.trace.stages:
+            xi, active = piece(game, np.concatenate([stage.result.x, stage.result.lam]))
+            for on in (active, np.ones_like(active)):
+                z, ref = endgame_step(game, xi, on), endgame_step_block(game, xi, on)
+                assert (z is None) == (ref is None), name
+                if z is None:
+                    declined += 1
+                else:
+                    assert z.tobytes() == ref.tobytes(), name
+                    found += 1
+    assert found >= len(solved) and declined > 0
+
+
+def test_certificate_gaps_match_the_per_leader_reference(solved):
+    # at the solution, and at the last stage's smoothed point, bit for bit
+    for name, (game, sol) in solved.items():
+        cert = sol.certificate
+        ref = nash_gap_bounds_per_leader(game, sol.x, sol.lam, cert.Gamma1)
+        assert cert.nash_gaps.tobytes() == ref.tobytes(), name
+        final = sol.trace.final
+        cert = certify(game, final.x, final.lam, sol.trace.final_eps)
+        ref = nash_gap_bounds_per_leader(game, final.x, final.lam, cert.Gamma1)
+        assert cert.nash_gaps.tobytes() == ref.tobytes(), name
+        assert nash_gap_bounds(game, final.x, final.lam, cert.Gamma1).tobytes() == ref.tobytes()
+
+
+def test_gaps_line_of_many_leaders_is_one_line(ladder3, tmp_path, capsys):
+    # numpy's printer padded signs and wrapped this line past 75 characters
+    name = max(ladder3, key=lambda name: ladder3[name].num_leaders)
+    assert ladder3[name].num_leaders >= 7
+    game, report = tmp_path / "game.json", tmp_path / "report.json"
+    save_game(ladder3[name], game)
+    assert main(["solve", "--data", str(game), "--out", str(report)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    gaps = json.loads(report.read_text())["certificate"]["nash_gaps"]
+    i = lines.index("nash gaps: [" + " ".join(f"{g:.3e}" for g in gaps) + "]")
+    assert lines[i + 1].startswith("max stationarity residual: ")
 
 
 def test_newton_continuation_converges_on_seed3_ladder(ladder3):

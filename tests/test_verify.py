@@ -9,6 +9,7 @@ from mlfg.smoothing import leader_objective
 from mlfg.verify import (
     NASH_TOL,
     STAT_TOL,
+    Certificate,
     OracleError,
     best_response_qp_oracle,
     nash_gap_bounds,
@@ -319,6 +320,16 @@ class TestCertificatePromises:
             monkeypatch.setattr(mlfg.verify, name, counted(name))
         certify(active_game, active_trace.final.x, None, active_trace.final_eps)
         assert calls == {"phi_tilde_d1": 1, "best_response_exact": 1}
+
+    def test_follower_without_variables(self, m0_game):
+        # every reduction over the follower is over an empty set
+        cert = certify(m0_game, np.zeros(m0_game.n), None, 1e-6)
+        assert isinstance(cert, Certificate)
+        assert cert.certified is False
+        assert cert.s_stat_residuals["primal_feasibility"] == 2.6
+        for name in ("stationarity_y", "response_complementarity", "gamma_sign"):
+            assert cert.s_stat_residuals[name] == 0.0
+        assert cert.Gamma1.shape == cert.Gamma2.shape == cert.xi_bar.shape == (0,)
 
     def test_certificate_is_frozen(self, ds1, trace1):
         cert = certify(ds1, trace1.final.x, trace1.final.lam, trace1.final_eps)
