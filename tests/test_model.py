@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mlfg import (
-    FollowerSpec,
     GameFormatError,
     GameSpec,
     GameValidationError,
@@ -182,15 +181,14 @@ def test_game_without_leaders_refused(tmp_path):
         load_game(bad)
 
 
-def test_leader_without_variables_refused(ds1):
+def test_leader_without_variables_refused(ds1, m0_game):
     # validate_game's checks of Q need at least one entry, so this leader
     # is refused before them, with a typed error
     empty = LeaderSpec(Q=np.zeros((0, 0)), c=np.zeros(0), A=np.zeros((0, 1)), b=[-1.0])
     with pytest.raises(GameFormatError, match="^leader 1: must have at least one variable$"):
         GameSpec(leaders=(empty,) + ds1.leaders, follower=ds1.follower)
     # a follower without variables is still a game of the class
-    none = FollowerSpec(Qy_diag=np.zeros(0), B=np.zeros((4, 0)), L=np.zeros((4, 0)), a=np.zeros(0))
-    assert GameSpec(leaders=ds1.leaders, follower=none).m == 0
+    assert m0_game.m == 0
 
 
 @pytest.mark.parametrize(
