@@ -19,7 +19,6 @@ from .homotopy import (
     homotopy_solve,
     solve,
 )
-from .kkt import generalized_jacobian
 from .model import (
     FollowerSpec,
     GameFormatError,
@@ -63,7 +62,6 @@ __all__ = [
     "best_response_exact",
     "best_response_smoothed",
     "certify",
-    "generalized_jacobian",
     "homotopy_solve",
     "load_bundled",
     "load_game",

@@ -205,7 +205,13 @@ def cmd_solve(args) -> int:
         _write_csv(Path(args.log), ITER_LOG_COLUMNS, _iter_log_rows(sol.trace, cfg))
     cert = sol.certificate
     if cert is None:
-        print("solver failed to converge at some stage", file=sys.stderr)
+        s, r = sol.trace.stages[-1], sol.trace.final
+        print(
+            f"solver failed to converge at stage {s.index} (eps={s.eps:.3e}): merit {r.merit:.3e}"
+            f" above its target {s.merit_target:.3e} after {r.iterations} iterations,"
+            f" {r.fallback_steps} of them gradient fallbacks",
+            file=sys.stderr,
+        )
         return EXIT_SOLVER
 
     if sol.endgame is not None:

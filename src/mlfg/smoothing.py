@@ -1,4 +1,4 @@
-"""Smoothed absolute value family, follower best responses, and objectives.
+"""Smoothed absolute value family, follower best responses, and leader gradients.
 
 The kernel is ``phi_tilde(t) = (t**p + (2*eps)**p)**(1/p)`` for an even
 exponent ``p``, a convex upper approximation of ``|t|`` that tightens as
@@ -34,7 +34,6 @@ __all__ = [
     "phi_tilde_dt_deps",
     "best_response_exact",
     "best_response_smoothed",
-    "leader_objective",
     "smoothed_gradient_stack",
 ]
 
@@ -114,14 +113,6 @@ def best_response_smoothed(game: GameSpec, x: np.ndarray, eps: float, p: int = 2
     """Smooth response 0.5*(S x + phi_tilde(A_diff x)); within eps of exact."""
     x = np.asarray(x, dtype=float)
     return 0.5 * (game.S @ x + phi_tilde(game.A_diff @ x, eps, p))
-
-
-def leader_objective(game: GameSpec, nu: int, x: np.ndarray) -> float:
-    """Nonsmooth objective of leader ``nu`` at the joint strategy ``x``."""
-    ld = game.leaders[nu - 1]
-    x_nu = np.asarray(x, dtype=float)[game.x_slice(nu)]
-    quad = 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
-    return float(quad + game.follower.a @ best_response_exact(game, x))
 
 
 def smoothed_gradient_stack(game: GameSpec, x: np.ndarray, eps: float, p: int = 2) -> np.ndarray:

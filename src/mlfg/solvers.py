@@ -12,8 +12,9 @@ loop carries it into the next step, so no point is evaluated twice, and
 its :class:`InnerResult` splits the final iterate into ``x`` and ``lam``.
 The step rules:
 
-* semismooth Newton: one backtracking Armijo search on the merit, along
-  the Newton direction of the selected Jacobian
+* semismooth Newton: one backtracking Armijo search on the merit, down
+  the halving ladder ``SIGMA_LADDER`` one point at a time, along the
+  Newton direction of the selected Jacobian
   :func:`~mlfg.kkt.generalized_jacobian` (one LAPACK solve,
   :func:`lu_solve`, which returns None for a singular or numerically
   singular Jacobian), or along the negative merit gradient (a fallback
@@ -60,21 +61,19 @@ __all__ = [
 ]
 
 
-# Fixed step controls: the iteration caps, the Newton method's Armijo search
-# (halvings, shrink factor, slope), the subgradient method's decrease slope
-# and smallest step, and the relative pivot size below which lu_solve
+# Fixed step controls: the iteration caps, the Newton method's Armijo slope,
+# the subgradient method's decrease slope, the smallest step of both
+# methods' step searches, and the relative pivot size below which lu_solve
 # reports a singular matrix.
 NEWTON_MAX_ITER = 200
 SUBGRAD_MAX_ITER = 25_000
-MAX_BACKTRACKS = 60
-BACKTRACK_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 SUBGRAD_SLOPE = 0.05
 SIGMA_MIN = 1e-12
 PIVOT_TOL = 1e-12
 
 # every step that halving from 1 until sigma <= SIGMA_MIN visits, 1 included
-# (down to 2**-40 for 1e-12); read-only, shared by every search
+# (down to 2**-40 for 1e-12); read-only, the step ladder of both methods' searches
 SIGMA_LADDER = 0.5 ** np.arange(np.ceil(-np.log2(SIGMA_MIN)) + 1)
 SIGMA_LADDER.flags.writeable = False
 LADDER_SIZE = len(SIGMA_LADDER)
@@ -180,18 +179,17 @@ def armijo_search(
     """Backtracking Armijo search on the merit along ``d`` from ``z``.
 
     ``psi0`` is the merit at ``z`` and ``slope`` its directional derivative
-    ``g @ d`` with ``g = H.T @ F``. Evaluates ``t = 1, 1/2, ...`` and
-    accepts the first with ``merit(z + t*d) <= psi0 + t*ARMIJO_SLOPE*slope``
-    and ``merit(z + t*d) < psi0``. Returns ``t`` with the evaluation at
-    ``z + t*d``, or ``(0.0, None)`` when no trial step passes.
+    ``g @ d`` with ``g = H.T @ F``. Evaluates ``t`` down ``SIGMA_LADDER``
+    (``1, 1/2, ...``), one point at a time, and accepts the first with
+    ``merit(z + t*d) <= psi0 + t*ARMIJO_SLOPE*slope`` and
+    ``merit(z + t*d) < psi0``. Returns ``t`` with the evaluation at
+    ``z + t*d``, or ``(0.0, None)`` when no step of the ladder passes.
     """
-    t = 1.0
-    for _ in range(MAX_BACKTRACKS + 1):
+    for t in SIGMA_LADDER:
         ev = evaluate(game, z + t * d, eps, p)
         # strict decrease keeps steps below float resolution from passing
         if ev.psi <= psi0 + t * (ARMIJO_SLOPE * slope) and ev.psi < psi0:
-            return t, ev
-        t *= BACKTRACK_FACTOR
+            return float(t), ev
     return 0.0, None
 
 

@@ -15,11 +15,10 @@ never pass. :func:`certify` alone decides the verdict, gates scaled by the
 smoothing level's payoff drift; ``lam=None`` fits the constraint
 multipliers.
 
-:func:`verify_nash` returns the exact gaps of a joint strategy: for each
-leader, :func:`best_response_qp_oracle` enumerates every active set of
-the epigraph QP against the rivals' blocks of that same strategy,
-exponential in the follower dimension. It is the reference for the bound
-on tiny instances.
+:func:`best_response_qp_oracle` solves one leader's epigraph QP exactly by
+enumerating every active set, exponential in the follower dimension. No
+certificate calls it: the tests' exact-gap reference does, and the
+benchmark's layer tracer times it.
 """
 from __future__ import annotations
 
@@ -28,18 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec, finite_vector
-from .smoothing import best_response_exact, leader_objective, phi_tilde_d1
+from .smoothing import best_response_exact, phi_tilde_d1
 from .solvers import check_tol, lu_solve
 
-__all__ = [
-    "OracleError",
-    "Certificate",
-    "best_response_qp_oracle",
-    "verify_nash",
-    "nash_gap_bounds",
-    "certify",
-    "smoothing_drift",
-]
+__all__ = ["Certificate", "certify", "smoothing_drift"]
 
 FEAS_TOL = 1e-9
 MULT_TOL = 1e-9
@@ -105,6 +96,7 @@ class Certificate:
         }
 
 
+# not called here; the tests' exact-gap reference and the benchmark's layer tracer use it
 def best_response_qp_oracle(game: GameSpec, nu: int, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Global optimum of leader ``nu``'s problem against the rivals' blocks
     of the joint strategy ``x``; the own block of ``x`` is ignored.
@@ -166,24 +158,12 @@ def best_response_qp_oracle(game: GameSpec, nu: int, x: np.ndarray) -> tuple[np.
     return w[:n_nu].copy(), float(value)
 
 
-def verify_nash(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Exact per-leader Nash gaps against the epigraph oracle.
-
-    A gap is the candidate objective minus the oracle optimum with rivals
-    frozen; the reference that :func:`nash_gap_bounds` bounds from above.
-    """
-    x = np.asarray(x, dtype=float)
-    gaps = np.empty(game.num_leaders)
-    for nu in range(1, game.num_leaders + 1):
-        _, opt = best_response_qp_oracle(game, nu, x)
-        gaps[nu - 1] = leader_objective(game, nu, x) - opt
-    return gaps
-
-
-def nash_gap_bounds(
-    game: GameSpec, x: np.ndarray, lam: np.ndarray, Gamma1: np.ndarray
+def _gap_bounds(
+    game: GameSpec, x: np.ndarray, lam: np.ndarray, Gamma1: np.ndarray, shared: float
 ) -> np.ndarray:
-    """Upper bounds on every leader's Nash gap by Lagrangian weak duality.
+    """Upper bounds on every leader's Nash gap at the float array ``x`` by
+    Lagrangian weak duality, given the term ``shared = a'y(x)`` of the exact
+    response that every leader's objective shares.
 
     With rivals frozen, leader ``nu``'s epigraph QP (the one that
     :func:`best_response_qp_oracle` enumerates) has a dual function that is
@@ -196,17 +176,6 @@ def nash_gap_bounds(
     feasibility is enforced here rather than trusted: ``lam`` is clipped at
     zero, ``Gamma1`` to ``[0, a]``, and ``Gamma2 = a - Gamma1``.
     """
-    x = np.asarray(x, dtype=float)
-    return _gap_bounds(game, x, lam, Gamma1, game.follower.a @ best_response_exact(game, x))
-
-
-def _gap_bounds(
-    game: GameSpec, x: np.ndarray, lam: np.ndarray, Gamma1: np.ndarray, shared: float
-) -> np.ndarray:
-    """:func:`nash_gap_bounds` for a float array ``x``, given the term ``a'y(x)``
-    of the exact response that every leader's objective shares. Each
-    candidate objective is :func:`~mlfg.smoothing.leader_objective`'s, bit
-    for bit."""
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     fol = game.follower
     Gamma1 = np.clip(np.asarray(Gamma1, dtype=float), 0.0, fol.a)
@@ -222,7 +191,7 @@ def _gap_bounds(
         u = -np.linalg.solve(ld.Q, r)
         # at the minimizer 0.5 u'Qu + r'u = 0.5 r'u
         dual = 0.5 * float(r @ u) + coupling - float(w[s] @ x_nu) + float(lam_nu @ ld.b)
-        # leader_objective's order of operations
+        # the quadratic first, as the tests' per-leader reference adds them, bit for bit
         objective = float(0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu + shared)
         bounds[nu - 1] = objective - dual
     return bounds
@@ -252,7 +221,7 @@ def s_stationarity_certificate(
     is smaller against its gate. ``lam=None`` fits the constraint
     multipliers for each split: least squares on the stationarity rows over
     the constraints with ``g >= -tol``, clipped at zero. Those multipliers
-    bound the Nash gaps by weak duality (:func:`nash_gap_bounds`), which
+    bound the Nash gaps by weak duality (:func:`_gap_bounds`), which
     holds for either split.
     """
     x = np.asarray(x, dtype=float)

@@ -1,17 +1,20 @@
 """Reference evaluators and probes used only by the tests.
 
 They re-derive quantities the library computes in stacked form (a single
-leader's smoothed objective and gradient, one leader's rows of a coupling
-matrix, the subgradient step search one trial point at a time), build the
-selected Jacobian at a point from that point's own evaluation, evaluate
-the game's exact potential and the smallest curvature of its Hessian stack,
-sample structural properties of a game (monotonicity of the stacked
-gradient map, the exact-potential identity), rebuild the stages that
-``mlfg.solve`` runs from the inner solvers, or compare two runs' stages.
-The endgame system assembled with ``np.block`` and the Nash-gap bounds with
-one ``leader_objective`` call per leader are the references that the
-library's slice-assembled endgame and shared-response bounds must match
-bit for bit.
+leader's nonsmooth or smoothed objective and gradient, one leader's rows
+of a coupling matrix, the subgradient step search one trial point at a
+time), build the selected Jacobian at a point from that point's own
+evaluation, evaluate the game's exact potential and the smallest curvature
+of its Hessian stack, sample structural properties of a game (monotonicity
+of the stacked gradient map, the exact-potential identity), rebuild the
+stages that ``mlfg.solve`` runs from the inner solvers, or compare two
+runs' stages. :func:`verify_nash` gives the exact Nash gaps of a joint
+strategy from the library's enumerating oracle, the reference that the
+certificate's bounds must dominate; :func:`nash_gap_bounds` runs the
+library's own bound on given multipliers. The endgame system assembled
+with ``np.block`` and the Nash-gap bounds with one :func:`leader_objective`
+call per leader are the references that the library's slice-assembled
+endgame and shared-response bounds must match bit for bit.
 """
 import numpy as np
 
@@ -26,8 +29,9 @@ from mlfg import (
 )
 from mlfg.homotopy import STAGE_TARGET, taylor_direction
 from mlfg.kkt import evaluate, generalized_jacobian, kkt_residual, residual_merit
-from mlfg.smoothing import leader_objective, smoothed_gradient_stack
+from mlfg.smoothing import smoothed_gradient_stack
 from mlfg.solvers import SIGMA_MIN, SUBGRAD_SLOPE, lu_solve
+from mlfg.verify import _gap_bounds, best_response_qp_oracle
 
 
 def slice_rows(game: GameSpec, M: np.ndarray, nu: int) -> np.ndarray:
@@ -61,6 +65,33 @@ def potential_value(game: GameSpec, x: np.ndarray) -> float:
         x_nu = x[game.x_slice(nu)]
         quad += 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
     return float(quad + phi_value(game, x))
+
+
+def leader_objective(game: GameSpec, nu: int, x: np.ndarray) -> float:
+    """Nonsmooth objective of leader ``nu`` at the joint strategy ``x``."""
+    ld = game.leaders[nu - 1]
+    x_nu = np.asarray(x, dtype=float)[game.x_slice(nu)]
+    quad = 0.5 * x_nu @ ld.Q @ x_nu + ld.c @ x_nu
+    return float(quad + game.follower.a @ best_response_exact(game, x))
+
+
+def verify_nash(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """Exact per-leader Nash gaps: each leader's objective minus the optimum
+    of its epigraph QP against the rivals' blocks of ``x``, found by
+    ``mlfg.verify.best_response_qp_oracle``'s enumeration of active sets."""
+    x = np.asarray(x, dtype=float)
+    gaps = np.empty(game.num_leaders)
+    for nu in range(1, game.num_leaders + 1):
+        _, opt = best_response_qp_oracle(game, nu, x)
+        gaps[nu - 1] = leader_objective(game, nu, x) - opt
+    return gaps
+
+
+def nash_gap_bounds(game: GameSpec, x, lam, Gamma1) -> np.ndarray:
+    """The certificate's weak-duality gap bounds at ``x`` for the multipliers
+    ``lam`` and ``Gamma1``, clipped to dual feasibility by the library."""
+    x = np.asarray(x, dtype=float)
+    return _gap_bounds(game, x, lam, Gamma1, game.follower.a @ best_response_exact(game, x))
 
 
 def leader_objective_smoothed(
@@ -146,8 +177,8 @@ def endgame_step_block(game: GameSpec, xi: np.ndarray, active: np.ndarray) -> np
 def nash_gap_bounds_per_leader(
     game: GameSpec, x: np.ndarray, lam: np.ndarray, Gamma1: np.ndarray
 ) -> np.ndarray:
-    """``mlfg.verify.nash_gap_bounds`` with each candidate objective from its
-    own ``leader_objective`` call, which computes the exact response again."""
+    """:func:`nash_gap_bounds` with each candidate objective from its own
+    :func:`leader_objective` call, which computes the exact response again."""
     x = np.asarray(x, dtype=float)
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     fol = game.follower

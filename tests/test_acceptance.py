@@ -18,7 +18,6 @@ from mlfg.verify import (
     STAT_TOL,
     best_response_qp_oracle,
     s_stationarity_certificate,
-    verify_nash,
 )
 
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     min_curvature,
     monotonicity_probe,
     potential_identity_probe,
+    verify_nash,
 )
 from test_kkt import fd_jacobian, random_smooth_point
 from test_verify import grid_minimum, tiny_instance

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -28,10 +29,9 @@ from mlfg.cli import (
 )
 from mlfg.model import bundled_dataset_path
 from mlfg.solvers import endgame_step
-from mlfg.verify import verify_nash
 
 from conftest import make_game
-from helpers import assert_stops_early_on_the_same_path, inexact_stages
+from helpers import assert_stops_early_on_the_same_path, inexact_stages, verify_nash
 
 # the benchmark's pinned equilibria of the bundled games
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "reference.json"
@@ -476,6 +476,22 @@ def test_help_exits_0(argv):
 def test_solve_nonconvergence_exit_code():
     # an impossible merit target stalls the last stage at float resolution
     assert run("solve", "--dataset", "1", "--method", "subgradient", "--tol", "1e-300") == 1
+
+
+def test_solve_nonconvergence_names_the_stalled_stage(tmp_path, capsys, ds1):
+    # dataset 1 with its response weights cut to a hundredth: every Newton
+    # step of stage 0 falls back to the merit gradient, and stage 0 stalls
+    game = tmp_path / "weak.json"
+    save_game(replace(ds1, follower=replace(ds1.follower, a=0.01 * ds1.follower.a)), game)
+    assert run("solve", "--data", str(game)) == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(
+        r"solver failed to converge at stage 0 \(eps=1\.600e\+00\): merit (\S+) above its"
+        r" target 2\.560e-04 after 200 iterations, 200 of them gradient fallbacks\n",
+        err,
+    )
+    assert found, err
+    assert float(found[1]) > 2.56e-4
 
 
 def test_solve_unreachable_tol_ends_at_the_endgame(tmp_path):

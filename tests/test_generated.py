@@ -14,7 +14,6 @@ import pytest
 from mlfg import HomotopyConfig, certify, homotopy_solve, save_game, solve
 from mlfg.cli import main
 from mlfg.solvers import endgame_step, piece, subgradient_solve
-from mlfg.verify import nash_gap_bounds
 
 from conftest import make_game
 from helpers import (
@@ -22,6 +21,8 @@ from helpers import (
     assert_stops_early_on_the_same_path,
     endgame_step_block,
     inexact_stages,
+    min_curvature,
+    nash_gap_bounds,
     nash_gap_bounds_per_leader,
 )
 
@@ -87,6 +88,18 @@ def test_certificate_gaps_match_the_per_leader_reference(solved):
         ref = nash_gap_bounds_per_leader(game, final.x, final.lam, cert.Gamma1)
         assert cert.nash_gaps.tobytes() == ref.tobytes(), name
         assert nash_gap_bounds(game, final.x, final.lam, cert.Gamma1).tobytes() == ref.tobytes()
+
+
+def test_every_stage_lies_within_the_smoothing_distance_of_the_solution(solved):
+    # the smoothed potential exceeds the exact one by at most eps * sum(a),
+    # and the exact one is mu-strongly convex with mu = lambda_min(Q_block),
+    # so the smoothed equilibrium at eps is within sqrt(2 eps sum(a) / mu)
+    # of the exact potential's unique minimiser, the point mlfg.solve returns
+    for name, (game, sol) in solved.items():
+        scale = 2.0 * game.follower.a.sum() / min_curvature(game)
+        for stage in homotopy_solve(game).stages:
+            distance = np.linalg.norm(stage.result.x - sol.x)
+            assert distance <= np.sqrt(scale * stage.eps), (name, stage.index)
 
 
 def test_gaps_line_of_many_leaders_is_one_line(ladder3, tmp_path, capsys):

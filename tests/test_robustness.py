@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from mlfg import FollowerSpec, GameSpec, LeaderSpec, solve
-from mlfg.verify import NASH_TOL, verify_nash
+from mlfg.verify import NASH_TOL
+
+from helpers import verify_nash
 
 DATASETS = ["1", "2"]
 

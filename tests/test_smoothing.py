@@ -12,7 +12,6 @@ from mlfg import (
     phi_tilde_deps,
 )
 from mlfg.smoothing import (
-    leader_objective,
     phi_tilde_dt_deps,
     phi_tilde_slopes,
     smoothed_gradient_stack,
@@ -21,6 +20,7 @@ from mlfg.smoothing import (
 from conftest import make_game
 from helpers import (
     leader_gradient_smoothed,
+    leader_objective,
     leader_objective_smoothed,
     min_curvature,
     phi_value,

@@ -16,17 +16,16 @@ from mlfg.kkt import evaluate, kkt_residual, merit, residual_merit
 from mlfg.smoothing import phi_tilde_slopes
 from mlfg.solvers import (
     LADDER_SIZE,
-    MAX_BACKTRACKS,
+    SIGMA_LADDER,
     WINDOW_MARGIN,
     _step_search,
     armijo_search,
     endgame_step,
     piece,
 )
-from mlfg.verify import verify_nash
 
 from conftest import make_game
-from helpers import jacobian_at, step_search_sequential
+from helpers import jacobian_at, step_search_sequential, verify_nash
 
 
 class TestLuSolve:
@@ -131,6 +130,19 @@ class TestArmijo:
         s = +(jacobian_at(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
         assert _armijo(ds1, z, s, eps=0.8) == (0.0, None)
 
+    def test_trial_steps_are_the_shared_ladder(self, ds1, monkeypatch):
+        # the Newton search tries the subgradient method's steps, one point
+        # at a time, all of them before it gives up, and returns a float
+        root = newton_solve(ds1, eps=0.8)
+        z = np.concatenate([root.x + 0.01, root.lam])
+        s = +(jacobian_at(ds1, z, eps=0.8).T @ kkt_residual(ds1, z, eps=0.8))
+        trials = []
+        monkeypatch.setattr("mlfg.solvers.evaluate", lambda *a: trials.append(a[1]) or evaluate(*a))
+        assert _armijo(ds1, z, s, eps=0.8) == (0.0, None)
+        assert np.array_equal(trials, [z + t * s for t in SIGMA_LADDER])
+        t, ev = _armijo(ds1, z, -s, eps=0.8)
+        assert type(t) is float and t in SIGMA_LADDER and ev is not None
+
     def test_full_step_near_solution(self, ds1):
         # the local phase takes unit Newton steps
         res = newton_solve(ds1, eps=0.5, tol=1e-6)
@@ -231,7 +243,7 @@ class TestNewton:
 
         def search(*args):
             t, ev = armijo_search(*args)
-            searches.append(MAX_BACKTRACKS + 1 if ev is None else 1 + round(-np.log2(t)))
+            searches.append(LADDER_SIZE if ev is None else 1 + round(-np.log2(t)))
             return t, ev
 
         def solve(*args, **kwargs):

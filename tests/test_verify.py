@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 import mlfg.verify
-from mlfg import certify, homotopy_solve
-from mlfg.smoothing import leader_objective
+from mlfg import certify, homotopy_solve, solve
 from mlfg.verify import (
     NASH_TOL,
     STAT_TOL,
     Certificate,
     OracleError,
     best_response_qp_oracle,
-    nash_gap_bounds,
     s_stationarity_certificate,
-    verify_nash,
 )
 
 from conftest import make_game
-from helpers import min_curvature, monotonicity_probe, potential_identity_probe
+from helpers import (
+    leader_objective,
+    min_curvature,
+    monotonicity_probe,
+    nash_gap_bounds,
+    potential_identity_probe,
+    verify_nash,
+)
 
 
 def grid_minimum(game, nu, x, lo, hi, resolution=1e-3, chunk=250):
@@ -390,6 +394,31 @@ class TestActiveConstraints:
         )
         assert not cert.nash_certified
         assert np.max(cert.nash_gaps) > 0.1
+
+
+class TestManyEquilibria:
+    """Two leaders, each minimising ``x**2 - 2x`` with no constraints, and a
+    follower whose response is ``y = |x_1 - x_2|``, weighted by 10. Every
+    ``(t, t)`` is a Nash equilibrium of the unsmoothed game; each smoothed
+    game has one, and ``mlfg.solve`` returns the potential's unique
+    minimiser ``(1, 1)``."""
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        Q, c, A, b = np.array([[2.0]]), np.array([-2.0]), np.zeros((1, 0)), np.zeros(0)
+        B, L = np.array([[1.0], [-1.0]]), np.array([[-1.0], [1.0]])
+        return make_game([Q, Q], [c, c], [A, A], [b, b], np.array([1.0]), B, L, np.array([10.0]))
+
+    def test_every_diagonal_point_is_an_equilibrium(self, game):
+        for t in (-4.0, 0.0, 0.5, 3.0, 6.0):
+            assert verify_nash(game, np.array([t, t])).tolist() == [0.0, 0.0]
+        # off the diagonal the response term binds: leader 1 gains by moving
+        assert verify_nash(game, np.array([0.0, 1.0]))[0] > 1.0
+
+    def test_solve_returns_the_potential_minimiser(self, game):
+        sol = solve(game)
+        assert np.abs(sol.x - 1.0).max() <= 1e-15
+        assert sol.certificate.certified
 
 
 class TestProbes:
